@@ -117,19 +117,23 @@ type AppSession struct {
 
 // AppReplay re-issues the readable device-to-server plaintexts of a
 // captured conversation, in capture order, over a fresh attacker session
-// to the server. Only null-cipher records are readable; a capture with
-// none returns ErrNotReadable before any connection is made. Replaying
-// the full prefix (connect/keepalive traffic and then the event)
-// reproduces the device's own conversation shape, so brokers that expect
-// a CONNECT before PUBLISH are satisfied too.
+// to the server. Readability comes from the flow's captured client hello,
+// which is cleartext: only a session that negotiated null-cipher carries
+// plaintext, so a capture whose hello was not retained, or offers any other
+// mode, returns ErrNotReadable before any connection is made. Records of
+// other flows are ignored. Replaying the full prefix (connect/keepalive
+// traffic and then the event) reproduces the device's own conversation
+// shape, so brokers that expect a CONNECT before PUBLISH are satisfied too.
 func (e *Engine) AppReplay(server tcpsim.Endpoint, records []sniff.RecordMeta) (*AppSession, error) {
 	var plains [][]byte
-	for _, r := range records {
-		if r.Dir != sniff.DirClientToServer {
-			continue
-		}
-		if p := tlssim.ReadPlaintext(r.Payload); p != nil {
-			plains = append(plains, p)
+	if hello, flow, ok := clientHello(records); ok {
+		for _, r := range records {
+			if r.Flow != flow || r.Dir != sniff.DirClientToServer {
+				continue
+			}
+			if p := tlssim.ReadPlaintext(hello, r.Payload); p != nil {
+				plains = append(plains, p)
+			}
 		}
 	}
 	if len(plains) == 0 {
@@ -163,6 +167,18 @@ func (e *Engine) ReportOutcome(target string, accepted bool) {
 	}
 	e.rejected.Inc()
 	e.emit("replay_rejected", target, 0)
+}
+
+// clientHello returns the retained bytes and the flow of the first
+// device-to-server handshake record in records: the client hello of that
+// flow's session. Its payload is nil when the retention budget evicted it.
+func clientHello(records []sniff.RecordMeta) ([]byte, sniff.FlowKey, bool) {
+	for _, r := range records {
+		if r.Dir == sniff.DirClientToServer && r.Type == tlssim.RecordHandshake {
+			return r.Payload, r.Flow, true
+		}
+	}
+	return nil, sniff.FlowKey{}, false
 }
 
 // FindEventRecord scans a capture newest-first for the latest

@@ -1,9 +1,13 @@
 package replay_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/experiment"
 	"repro/internal/ipaddr"
 	"repro/internal/replay"
 	"repro/internal/sniff"
@@ -97,5 +101,78 @@ func TestSessionPrefixFiltersFlowAndDirection(t *testing.T) {
 
 	if replay.SessionPrefix(records, -1) != nil || replay.SessionPrefix(records, len(records)) != nil {
 		t.Fatal("out-of-range index returned a prefix")
+	}
+}
+
+// recordEvent deploys label in a testbed, hijacks its session with payload
+// retention on, records one genuine event and returns the attacker, the
+// event flow's device-to-server prefix and the server to replay against.
+func recordEvent(t *testing.T, label string) (*core.Attacker, []sniff.RecordMeta, tcpsim.Endpoint) {
+	t.Helper()
+	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: 1, Devices: []string{label}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := tb.NewAttacker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk.Capture.RetainPayloads(4096)
+	h, err := tb.Hijack(atk, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Start()
+	lab, err := tb.NewLab(h, label)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock.RunFor(3 * time.Second)
+	if err := lab.TriggerEvent(); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock.RunFor(3 * time.Second)
+	records := atk.Capture.Records()
+	owner := tb.SessionOwnerProfile(label).Label
+	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner, label, records)
+	if !ok {
+		t.Fatalf("%s: no retained event record", label)
+	}
+	target := h.Target()
+	return atk, replay.SessionPrefix(records, idx), tcpsim.Endpoint{Addr: target.ServerAddr, Port: target.ServerPort}
+}
+
+// TestAppReplayNeedsNullCipherHello: readability comes from the captured
+// client hello, not from a record's shape. A seq-bound capture's sealed
+// records have consistent length fields, yet the attacker must not dial the
+// server to re-send their ciphertext as cleartext.
+func TestAppReplayNeedsNullCipherHello(t *testing.T) {
+	atk, prefix, server := recordEvent(t, "P2")
+	conns := atk.TCP.ConnCount()
+	if _, err := replay.NewEngine(atk).AppReplay(server, prefix); !errors.Is(err, replay.ErrNotReadable) {
+		t.Fatalf("seq-bound capture: AppReplay err = %v, want ErrNotReadable", err)
+	}
+	if got := atk.TCP.ConnCount(); got != conns {
+		t.Fatalf("seq-bound capture: attacker connections %d -> %d, want no dial", conns, got)
+	}
+
+	// Null-cipher firmware (T1) is readable, but only while the capture
+	// still holds its client hello.
+	atk, prefix, server = recordEvent(t, "T1")
+	if prefix[0].Type != tlssim.RecordHandshake {
+		t.Fatalf("T1 prefix opens with record type %d, want the client hello", prefix[0].Type)
+	}
+	evicted := append([]sniff.RecordMeta(nil), prefix...)
+	evicted[0].Payload = nil
+	if _, err := replay.NewEngine(atk).AppReplay(server, evicted); !errors.Is(err, replay.ErrNotReadable) {
+		t.Fatalf("evicted hello: AppReplay err = %v, want ErrNotReadable", err)
+	}
+	conns = atk.TCP.ConnCount()
+	s, err := replay.NewEngine(atk).AppReplay(server, prefix)
+	if err != nil {
+		t.Fatalf("null-cipher capture: AppReplay err = %v", err)
+	}
+	if s.Conn == nil || atk.TCP.ConnCount() != conns+1 {
+		t.Fatal("null-cipher capture: AppReplay opened no session")
 	}
 }

@@ -221,11 +221,19 @@ func (c *Conn) processExplicitSeq(body []byte) {
 	}
 }
 
-// ReadPlaintext extracts the application plaintext from a captured
-// null-cipher application record (header + explicit sequence + clear
-// payload). It returns nil for records of any other shape — callers use it
-// to test whether a capture is readable at all.
-func ReadPlaintext(rec []byte) []byte {
+// ReadPlaintext extracts the application plaintext from rec, a captured
+// application record (header, explicit sequence, payload), given hello,
+// the captured client hello record (header included) that opened rec's
+// session. A record header cannot tell ciphertext from plaintext, so
+// readability is a property of the session: only a client that offered
+// ModeNullCipher sends its payloads in the clear, and the offer travels in
+// the cleartext hello. ReadPlaintext returns nil when hello is missing,
+// malformed or offers any other mode, and for records of any other shape —
+// callers use it to test whether a capture is readable at all.
+func ReadPlaintext(hello, rec []byte) []byte {
+	if mode, ok := helloMode(hello); !ok || mode != ModeNullCipher {
+		return nil
+	}
 	if len(rec) < HeaderLen+explicitSeqLen {
 		return nil
 	}
@@ -237,4 +245,33 @@ func ReadPlaintext(rec []byte) []byte {
 		return nil
 	}
 	return rec[HeaderLen+explicitSeqLen:]
+}
+
+// helloMode decodes the replay mode a captured hello record offers: the
+// 48-byte body offers ModeSeqBound, the 50-byte body carries its mode byte.
+// It reports false for any other record, and for an undefined mode.
+func helloMode(rec []byte) (ReplayMode, bool) {
+	if len(rec) < HeaderLen || RecordType(rec[0]) != RecordHandshake {
+		return 0, false
+	}
+	if int(binary.BigEndian.Uint16(rec[3:5])) != len(rec)-HeaderLen {
+		return 0, false
+	}
+	mode, _, ok := helloOffer(rec[HeaderLen:])
+	return mode, ok
+}
+
+// helloOffer decodes the replay-mode offer of a hello body: 48 bytes (key
+// share and random) offer ModeSeqBound with no window; 50 bytes append the
+// mode and window bytes. ok is false for any other length or an undefined
+// mode.
+func helloOffer(body []byte) (mode ReplayMode, window int, ok bool) {
+	switch len(body) {
+	case helloLen:
+		return ModeSeqBound, 0, true
+	case helloLen + 2:
+		mode = ReplayMode(body[helloLen])
+		return mode, clampWindow(int(body[helloLen+1])), mode.Valid()
+	}
+	return 0, 0, false
 }
