@@ -20,7 +20,7 @@ type env struct {
 
 // newEnv builds client and server TLS sessions over a simulated LAN and
 // completes the handshake.
-func newEnv(t *testing.T) *env {
+func newEnv(t testing.TB) *env {
 	t.Helper()
 	clk := simtime.NewClock()
 	nw := netsim.NewNetwork(clk, 1)
@@ -309,7 +309,27 @@ func TestMalformedHandshakeRejected(t *testing.T) {
 }
 
 func TestShortHandshakeRejected(t *testing.T) {
-	// A fresh server receiving a truncated hello must fail the handshake.
+	// A fresh server receiving a truncated hello (30 bytes, not 48) must
+	// fail the handshake.
+	s := rawHello(t, make([]byte, 30))
+	if s.conn.Established() {
+		t.Fatal("handshake should not complete")
+	}
+	if len(s.closes) != 1 || !errors.Is(s.closes[0], ErrBadRecord) {
+		t.Fatalf("close errors = %v, want one ErrBadRecord", s.closes)
+	}
+}
+
+// rawServer is a fresh server endpoint and every error its OnClose saw.
+type rawServer struct {
+	conn   *Conn
+	closes []error
+}
+
+// rawHello dials a fresh server from a raw TCP client that sends body as
+// its hello record, and returns the server after a second of virtual time.
+func rawHello(t testing.TB, body []byte) *rawServer {
+	t.Helper()
 	clk := simtime.NewClock()
 	nw := netsim.NewNetwork(clk, 1)
 	seg := nw.NewSegment("lan", time.Millisecond, 0)
@@ -320,26 +340,22 @@ func TestShortHandshakeRejected(t *testing.T) {
 	cliTCP := tcpsim.NewStack(clk, cliIP, tcpsim.Config{}, 7)
 	srvTCP := tcpsim.NewStack(clk, srvIP, tcpsim.Config{}, 8)
 	rng := simtime.NewRand(3)
-	var srv *Conn
-	var srvErr error
+	s := &rawServer{}
 	if _, err := srvTCP.Listen(443, func(c *tcpsim.Conn) {
-		srv = Server(c, rng)
-		srv.OnClose = func(err error) { srvErr = err }
+		s.conn = Server(c, rng)
+		s.conn.OnClose = func(err error) { s.closes = append(s.closes, err) }
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Raw TCP client sends a malformed hello (30 bytes, not 48).
 	tcp := cliTCP.Dial(tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.20"), Port: 443})
 	tcp.OnEstablished = func() {
-		_ = tcp.Send(plainRecord(RecordHandshake, make([]byte, 30)))
+		_ = tcp.Send(plainRecord(RecordHandshake, body))
 	}
 	clk.RunFor(time.Second)
-	if srv == nil || srv.Established() {
-		t.Fatal("handshake should not complete")
+	if s.conn == nil {
+		t.Fatal("no server connection")
 	}
-	if !errors.Is(srvErr, ErrBadRecord) {
-		t.Fatalf("err = %v, want ErrBadRecord", srvErr)
-	}
+	return s
 }
 
 func TestUnknownRecordTypeRejected(t *testing.T) {
