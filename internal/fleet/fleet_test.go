@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/device"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
@@ -98,5 +100,39 @@ func TestCheckpointGuards(t *testing.T) {
 	other.Seed = 2
 	if _, err := other.Run(); err == nil || !strings.Contains(err.Error(), "different campaign") {
 		t.Fatalf("stale checkpoint not rejected: %v", err)
+	}
+}
+
+// TestOfflineCampaignSkipsOnDemandSensors pins offline target selection.
+// An offline hold blackholes a live session, so it needs a device that
+// keeps one. The on-demand HTTP sensors (M7, C5) open a session per event
+// and close it; selecting them failed homes 14, 40 and 58 of this
+// population with "no live bridge for offline hold". Such a home now
+// targets its next sensor that keeps a session, or has no target.
+func TestOfflineCampaignSkipsOnDemandSensors(t *testing.T) {
+	spec, err := ParseSpec([]byte(`{"attack":"offline","holdSecs":60}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Campaign{Spec: spec, Homes: 64, Seed: 1, Workers: 2}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("attacked/no-target/failed: %d/%d/%d", res.HomesAttacked, res.HomesNoTarget, res.HomesFailed)
+	if res.HomesFailed != 0 {
+		t.Fatalf("%d homes failed: %v", res.HomesFailed, res.Errors)
+	}
+	if res.HomesNoTarget == 0 || res.HomesAttacked+res.HomesNoTarget != c.Homes {
+		t.Fatalf("attacked %d + no-target %d != %d homes", res.HomesAttacked, res.HomesNoTarget, c.Homes)
+	}
+	byLabel := device.Index()
+	pop := PopulationConfig{Seed: c.Seed, TimingJitter: spec.TimingJitter, RulesPerHome: spec.RulesPerHome}
+	for i := 0; i < c.Homes; i++ {
+		for _, l := range selectTargets(spec, GenerateHome(pop, i)) {
+			if byLabel[l].Transport == device.TransportHTTPOnDemand {
+				t.Errorf("home %d: offline hold targets on-demand sensor %s", i, l)
+			}
+		}
 	}
 }

@@ -147,6 +147,11 @@ func selectTargets(spec Spec, home HomeSpec) []string {
 		if spec.Attack == AttackCDelay && p.CommandAttr == "" {
 			continue
 		}
+		// An offline hold blackholes a live session; on-demand devices
+		// close theirs after every event, so there is none to hold.
+		if spec.Attack == AttackOffline && p.Transport == device.TransportHTTPOnDemand {
+			continue
+		}
 		if p.EventAttr == "" || len(p.EventValues) == 0 {
 			continue
 		}

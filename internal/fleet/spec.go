@@ -27,7 +27,8 @@ const (
 	// AttackOffline blackholes the target session's keep-alives for
 	// HoldSecs while keeping the server-side connection open — the
 	// Finding 2/3 offline-masking attack. Success means the servers raised
-	// no offline alarm during the hold.
+	// no offline alarm during the hold. On-demand devices keep no session
+	// to hold and are skipped.
 	AttackOffline = "offline"
 	// AttackReplay captures one genuine event from each target and
 	// re-injects it — verbatim on the hijacked session and/or re-issued
