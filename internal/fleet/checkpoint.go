@@ -11,11 +11,15 @@ import (
 	"path/filepath"
 )
 
-// checkpointVersion guards the on-disk shape; bump on incompatible change.
+// checkpointVersion guards the on-disk shape and the results it holds;
+// bump it on an incompatible change to either. A change to any seeded
+// random stream moves every home's results, and the identity below does
+// not see it, so it needs a bump too.
 // v1 retained every completed ShardResult (each save rewrote them all —
 // O(shards²) I/O across a campaign); v2 persists a compacted mergeable
-// Partial whose size is bounded by the reorder window.
-const checkpointVersion = 2
+// Partial whose size is bounded by the reorder window; v3 has v2's shape,
+// written with simtime's splitmix64 streams and the offline target fix.
+const checkpointVersion = 3
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -74,10 +78,13 @@ func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is corrupt: %w", path, err)
 	}
-	if f.Version == 1 {
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v2 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
-	}
-	if f.Version != checkpointVersion {
+	switch f.Version {
+	case checkpointVersion:
+	case 1:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v3 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	case 2:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written with the previous random streams (v2), so its homes differ from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	default:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, f.Version, checkpointVersion)
 	}
 	return f, nil

@@ -136,15 +136,50 @@ func TestCheckpointRejectsV1(t *testing.T) {
 	}
 }
 
+// TestCheckpointRejectsV2: v2 files have v3's shape but hold homes
+// simulated with the previous random streams. Resuming or merging one
+// would silently mix two populations, so checkpoints and -partial files
+// alike fail with an error naming the file and the cause.
+func TestCheckpointRejectsV2(t *testing.T) {
+	c := testCampaign(t).withDefaults()
+	c.Spec.fill()
+	g := c.newAggregator(nil, 0)
+	g.add(c.runShard(0))
+	data, err := json.Marshal(checkpointFile{
+		Version:     2,
+		Fingerprint: c.identity().fingerprint(),
+		Identity:    c.identity(),
+		Partial:     g.partial(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	want := "checkpoint " + path + " was written with the previous random streams"
+	if _, err := decodeCheckpoint(data, path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v2 decode error = %v, want %q", err, want)
+	}
+	if _, _, err := LoadPartials([]string{path}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("v2 partial merge error = %v, want %q", err, want)
+	}
+	c.CheckpointPath = path
+	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run resumed a v2 checkpoint: %v", err)
+	}
+}
+
 // TestCheckpointRejectsUnknownVersionAndGarbage rounds out decode errors.
 func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":3}`), 0o644); err != nil {
+	if err := os.WriteFile(ck.path, []byte(`{"version":4}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 3, want 2") {
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 4, want 3") {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {
@@ -247,7 +282,7 @@ func TestCheckpointSizeBoundedByWindow(t *testing.T) {
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint decoder:
-// it must never panic, and anything it accepts must be version 2 and
+// it must never panic, and anything it accepts must be version 3 and
 // survive structural validation without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
 	spec := DefaultSpec()
@@ -269,7 +304,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Add([]byte(`{"version":1,"shards":[{"index":0}]}`))
-	f.Add([]byte(`{"version":2,"partial":{"watermark":-3,"window":[{"index":9}]}}`))
+	f.Add([]byte(`{"version":2,"partial":{}}`))
+	f.Add([]byte(`{"version":3,"partial":{"watermark":-3,"window":[{"index":9}]}}`))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -18,9 +18,10 @@ type PartialTally struct {
 	DelaySum obs.FloatSum `json:"delaySum"`
 }
 
-// Partial is checkpoint format v2 and the unit of multi-process fleet
-// sharding: the mergeable aggregate of the shard range [Start, Watermark)
-// plus the completed-but-unfolded shards sitting past the watermark.
+// Partial is the checkpoint payload (format v3, and v2 before it) and the
+// unit of multi-process fleet sharding: the mergeable aggregate of the
+// shard range [Start, Watermark) plus the completed-but-unfolded shards
+// sitting past the watermark.
 //
 // The invariant: every shard in [Start, Watermark) is folded into the
 // aggregate fields (counts, errors, tallies, metrics) and is gone — a
