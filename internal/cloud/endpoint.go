@@ -61,9 +61,10 @@ type EndpointServer struct {
 	// Server-side replay suppression (profiles with CloudDedup): a ring of
 	// the most recently accepted event keys. Replays of accepted events —
 	// raw re-injections and fresh-session application replays alike — carry
-	// the original generation timestamp and are discarded here.
+	// the original generation timestamp and are discarded here. Few
+	// profiles dedup, so the ring is allocated on first use.
 	dedupSeen  map[eventKey]bool
-	dedupRing  [dedupRingSize]eventKey
+	dedupRing  []eventKey
 	dedupN     int
 	dedupDrops *obs.Counter
 
@@ -303,6 +304,9 @@ func (s *EndpointServer) duplicate(ev rules.Event) bool {
 	k := eventKey{ev.Device, ev.Attribute, ev.Value, ev.GeneratedAt}
 	if s.dedupSeen[k] {
 		return true
+	}
+	if s.dedupRing == nil {
+		s.dedupRing = make([]eventKey, dedupRingSize)
 	}
 	pos := s.dedupN % dedupRingSize
 	if s.dedupN >= dedupRingSize {
