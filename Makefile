@@ -7,7 +7,7 @@ GO ?= go
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
 BENCH_PKGS = . ./internal/simtime ./internal/tcpsim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkFleetCampaignReuse|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 
@@ -19,11 +19,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the phantomlint suite (internal/analysis: simdeterminism,
-# maporder, traceguard, timerguard, resetalloc) over the whole module. See DESIGN.md
-# §10 for what each analyzer enforces and the //lint:allow suppression
-# policy. Also usable as `go vet -vettool=$(go build -o /tmp/pl
-# ./cmd/phantomlint && echo /tmp/pl) ./...`.
+# lint runs the phantomlint suite (internal/analysis: detflow,
+# goroutineguard, maporder, simdeterminism, timerguard, traceguard,
+# wallclockboundary) over the whole module. See DESIGN.md §10 for what each
+# analyzer enforces and the //lint:allow suppression policy. Also usable
+# as `go vet -vettool=$(go build -o /tmp/pl ./cmd/phantomlint && echo
+# /tmp/pl) ./...`.
 lint:
 	$(GO) run ./cmd/phantomlint ./...
 

@@ -318,21 +318,21 @@ func BenchmarkTraceHotPathOverhead(b *testing.B) {
 	}
 }
 
-// benchFleetCampaign runs the default campaign over a synthetic
+// BenchmarkFleetCampaign runs the default campaign over a synthetic
 // population, reporting population throughput (homes/s) and campaign
 // outcome fractions. Parallelism comes from the fleet worker pool, not
-// b.RunParallel: the unit of work is one whole home.
-func benchFleetCampaign(b *testing.B, reuse bool) {
+// b.RunParallel: the unit of work is one whole home, and every home's
+// testbed is built from scratch.
+func BenchmarkFleetCampaign(b *testing.B) {
 	const homes = 64
 	var res fleet.Result
 	for i := 0; i < b.N; i++ {
 		c := fleet.Campaign{
-			Spec:          fleet.DefaultSpec(),
-			Homes:         homes,
-			Workers:       runtime.GOMAXPROCS(0),
-			ShardSize:     8,
-			Seed:          1000 + int64(i),
-			ReuseTestbeds: reuse,
+			Spec:      fleet.DefaultSpec(),
+			Homes:     homes,
+			Workers:   runtime.GOMAXPROCS(0),
+			ShardSize: 8,
+			Seed:      1000 + int64(i),
 		}
 		var err error
 		res, err = c.Run()
@@ -346,16 +346,6 @@ func benchFleetCampaign(b *testing.B, reuse bool) {
 		b.ReportMetric(float64(res.Metrics.Counter("fleet_alarms_total")), "alarms")
 	}
 }
-
-// BenchmarkFleetCampaign builds every home's testbed from scratch — the
-// cold-construction allocation profile.
-func BenchmarkFleetCampaign(b *testing.B) { benchFleetCampaign(b, false) }
-
-// BenchmarkFleetCampaignReuse recycles one testbed arena per worker across
-// the shard's homes (Campaign.ReuseTestbeds) — the steady-state profile.
-// Results are byte-identical to BenchmarkFleetCampaign's; only the
-// allocation columns should differ.
-func BenchmarkFleetCampaignReuse(b *testing.B) { benchFleetCampaign(b, true) }
 
 // BenchmarkReplayCampaign measures the record-and-replay family at fleet
 // scale. On top of the campaign engine's per-home cost it pays for capture

@@ -322,7 +322,6 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 	checkpointPath := fs.String("checkpoint", "", "persist the campaign's compacted partial aggregate to this JSON file and resume from it")
 	outPath := fs.String("out", "", "write aggregated results JSON to this file (default stdout)")
 	shardSize := fs.Int("shard-size", fleet.DefaultShardSize, "homes per checkpoint shard")
-	reuse := fs.Bool("reuse", false, "recycle one testbed arena per worker (allocation only; results are identical either way)")
 	serveAddr := fs.String("serve", inheritServe, "serve the live observability plane on this address (e.g. :9090) while the campaign runs")
 	metricsOut := fs.String("metrics", inheritMetrics, "write the campaign's merged metrics snapshot to this file")
 	metricsFormat := fs.String("metrics-format", inheritMetricsFormat, "metrics encoding: json or openmetrics")
@@ -342,7 +341,7 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		var clash []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "homes", "workers", "seed", "campaign", "checkpoint", "shard-size", "reuse", "shard-range", "partial":
+			case "homes", "workers", "seed", "campaign", "checkpoint", "shard-size", "shard-range", "partial":
 				clash = append(clash, "-"+f.Name)
 			}
 		})
@@ -406,7 +405,6 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		ShardSize:      *shardSize,
 		Seed:           *seed,
 		CheckpointPath: *checkpointPath,
-		ReuseTestbeds:  *reuse,
 		Accumulator:    acc,
 		OnShard: func(s fleet.ShardResult, done, total int) {
 			tracker.OnShard(s, done, total)

@@ -37,7 +37,6 @@ import (
 	"repro/internal/analysis/goroutineguard"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/resetalloc"
 	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/timerguard"
 	"repro/internal/analysis/traceguard"
@@ -49,7 +48,6 @@ var suite = []*analysis.Analyzer{
 	detflow.Analyzer,
 	goroutineguard.Analyzer,
 	maporder.Analyzer,
-	resetalloc.Analyzer,
 	simdeterminism.Analyzer,
 	timerguard.Analyzer,
 	traceguard.Analyzer,

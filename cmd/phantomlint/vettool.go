@@ -42,8 +42,8 @@ import (
 // vettoolVersion feeds the build cache key; bump it when analyzer
 // semantics or the fact wire format change so cached vet verdicts and
 // .vetx files invalidate.
-const vettoolVersion = "phantomlint version 3 " +
-	"suite=detflow,goroutineguard,maporder,resetalloc,simdeterminism,timerguard,traceguard,wallclockboundary " +
+const vettoolVersion = "phantomlint version 4 " +
+	"suite=detflow,goroutineguard,maporder,simdeterminism,timerguard,traceguard,wallclockboundary " +
 	"factfmt=1"
 
 // vetConfig is the package description cmd/go writes for a vettool. Field

@@ -106,10 +106,10 @@ type builder struct {
 
 // breakable is one enclosing break/continue target.
 type breakable struct {
-	label    string
-	isLoop   bool
-	breakTo  *Node
-	contTo   *Node
+	label   string
+	isLoop  bool
+	breakTo *Node
+	contTo  *Node
 }
 
 // node allocates (or reuses) the node for stmt.

@@ -6,11 +6,11 @@ package gofix
 
 import "sync"
 
-func work() int              { return 1 }
-func checkpoint(int) error   { return nil }
-func step() error            { return nil }
-func poll()                  {}
-func prepare() int           { return 0 }
+func work() int            { return 1 }
+func checkpoint(int) error { return nil }
+func step() error          { return nil }
+func poll()                {}
+func prepare() int         { return 0 }
 
 // collectLeak is the PR 9 pre-fix shape: workers bare-send on an
 // unbuffered local channel, and the collector's early return on a

@@ -10,7 +10,7 @@ import (
 func TestSimDeterminism(t *testing.T) {
 	analysistest.Run(t, "testdata", simdeterminism.Analyzer,
 		"repro/internal/bench/twrap", // laundering helper: facts only, no findings
-		"repro/internal/simfix", // violations, seeded-OK cases, suppressions
-		"repro/cmd/simfixcmd",   // allowlisted subtree: no findings expected
+		"repro/internal/simfix",      // violations, seeded-OK cases, suppressions
+		"repro/cmd/simfixcmd",        // allowlisted subtree: no findings expected
 	)
 }

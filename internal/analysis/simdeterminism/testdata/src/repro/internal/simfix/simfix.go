@@ -16,13 +16,13 @@ import (
 
 // Bad: every wall-clock read or wait is a finding.
 func wallClock() time.Duration {
-	start := time.Now()                 // want `time\.Now reads the wall clock`
-	time.Sleep(time.Millisecond)        // want `time\.Sleep reads the wall clock`
-	<-time.After(time.Millisecond)      // want `time\.After reads the wall clock`
-	t := time.NewTimer(time.Second)     // want `time\.NewTimer reads the wall clock`
+	start := time.Now()             // want `time\.Now reads the wall clock`
+	time.Sleep(time.Millisecond)    // want `time\.Sleep reads the wall clock`
+	<-time.After(time.Millisecond)  // want `time\.After reads the wall clock`
+	t := time.NewTimer(time.Second) // want `time\.NewTimer reads the wall clock`
 	t.Stop()
-	_ = time.Tick                       // want `time\.Tick reads the wall clock`
-	return time.Since(start)            // want `time\.Since reads the wall clock`
+	_ = time.Tick            // want `time\.Tick reads the wall clock`
+	return time.Since(start) // want `time\.Since reads the wall clock`
 }
 
 // Bad: the global math/rand stream is shared, unseeded state.
@@ -36,8 +36,8 @@ func globalRand() int {
 // source (randutil.MaybeReadByte), so a deterministic reader does not
 // give deterministic keys — or deterministic later draws.
 func cryptoKeygen(r io.Reader) {
-	_, _ = ecdh.X25519().GenerateKey(r)                  // want `ecdh\.GenerateKey consumes a scheduler-dependent number of reader bytes`
-	_, _ = ecdsa.GenerateKey(elliptic.P256(), r)         // want `ecdsa\.GenerateKey consumes a scheduler-dependent number of reader bytes`
+	_, _ = ecdh.X25519().GenerateKey(r)          // want `ecdh\.GenerateKey consumes a scheduler-dependent number of reader bytes`
+	_, _ = ecdsa.GenerateKey(elliptic.P256(), r) // want `ecdsa\.GenerateKey consumes a scheduler-dependent number of reader bytes`
 }
 
 // Good: keys built from explicitly drawn bytes are pure in the source.

@@ -18,7 +18,7 @@ func TestParseAllow(t *testing.T) {
 		{"//lint:allow maporder,timerguard -- two at once", []string{"maporder", "timerguard"}},
 		{"//lint:allow  maporder , timerguard", []string{"maporder", "timerguard"}},
 		{"// lint:allow maporder", []string{"maporder"}},
-		{"//lint:allow", nil},           // no analyzer named
+		{"//lint:allow", nil}, // no analyzer named
 		{"//lint:allow -- only reason", nil},
 		{"//lint:allowx maporder", nil}, // prefix must be whole word
 		{"// plain comment", nil},
@@ -33,13 +33,13 @@ func TestParseAllow(t *testing.T) {
 
 func TestParseAllowMalformed(t *testing.T) {
 	cases := []string{
-		"//lint:allow ,",          // only separators
-		"//lint:allow , , --",     // separators then reason marker
-		"//lint:allow\t",          // whitespace, no names
-		"//lint:allow --",         // bare reason marker
-		"//lint: allow maporder",  // space inside the prefix
-		"//LINT:ALLOW maporder",   // directives are case-sensitive
-		"//lint:bridge detflow",   // a different directive, not allow
+		"//lint:allow ,",         // only separators
+		"//lint:allow , , --",    // separators then reason marker
+		"//lint:allow\t",         // whitespace, no names
+		"//lint:allow --",        // bare reason marker
+		"//lint: allow maporder", // space inside the prefix
+		"//LINT:ALLOW maporder",  // directives are case-sensitive
+		"//lint:bridge detflow",  // a different directive, not allow
 	}
 	for _, text := range cases {
 		if got := parseAllow(text); got != nil {

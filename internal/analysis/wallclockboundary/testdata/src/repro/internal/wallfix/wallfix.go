@@ -5,9 +5,9 @@ package wallfix
 
 import (
 	"fmt"
-	_ "net"                // want `import net crosses the sim/wall-clock boundary`
-	_ "net/http"           // want `import net/http crosses the sim/wall-clock boundary`
-	_ "net/http/httptest"  // want `import net/http/httptest crosses the sim/wall-clock boundary`
+	_ "net"               // want `import net crosses the sim/wall-clock boundary`
+	_ "net/http"          // want `import net/http crosses the sim/wall-clock boundary`
+	_ "net/http/httptest" // want `import net/http/httptest crosses the sim/wall-clock boundary`
 	"time"
 
 	_ "repro/internal/obs/serve" // want `import repro/internal/obs/serve crosses the sim/wall-clock boundary`

@@ -144,21 +144,6 @@ func NewClient(clk *simtime.Clock, nic *netsim.NIC, self ipaddr.Addr, cfg Config
 	}
 }
 
-// Reset rebinds the client to a NIC and address, dropping all resolution
-// state while keeping its allocations (cache and pending maps, marshal
-// scratch, configuration). Outstanding resolutions are cancelled: their
-// timers stop and their callbacks never fire. A reset client behaves
-// byte-identically to NewClient(clk, nic, self, cfg) for the same cfg.
-func (c *Client) Reset(nic *netsim.NIC, self ipaddr.Addr) {
-	c.nic = nic
-	c.self = self
-	clear(c.cache)
-	for _, r := range c.pending {
-		r.timer.Stop()
-	}
-	clear(c.pending)
-}
-
 // Self returns the protocol address the client answers for.
 func (c *Client) Self() ipaddr.Addr { return c.self }
 

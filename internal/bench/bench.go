@@ -223,8 +223,8 @@ type Tolerance struct {
 // DefaultTolerance suits same-machine runs: ns/op may wobble ±40% across
 // runs of macro benchmarks, allocation counts barely at all. The
 // allocation budget is deliberately tight (5% + 32 allocs/op of noise
-// floor): with the testbed arena giving campaigns a near-zero-alloc steady
-// state, even small per-op allocation creep is a real regression.
+// floor): allocation counts are deterministic for a given benchmark, so
+// even small per-op allocation creep is a real regression.
 var DefaultTolerance = Tolerance{NsFrac: 0.40, AllocFrac: 0.05, AllocSlack: 32}
 
 // CITolerance is for foreign hardware: timing is not comparable at all,

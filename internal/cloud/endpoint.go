@@ -93,57 +93,23 @@ func NewEndpointServer(clk *simtime.Clock, ip *ipnet.Stack, rng *simtime.Rand, c
 	s.broker.OnPublish = s.onMQTTPublish
 	s.http = httpsim.NewServer(clk, cfg.HTTP)
 	s.http.OnRequest = s.onHTTPRequest
-	if err := s.listen(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// listen installs the two protocol listeners. The accept closures read the
-// server's fields at accept time, so they stay valid across Reset.
-func (s *EndpointServer) listen() error {
+	// The accept closures read s.trace at accept time, so sessions accepted
+	// after Instrument emit into the registry's ring.
 	if _, err := s.tcp.Listen(MQTTPort, func(c *tcpsim.Conn) {
 		sess := tlssim.Server(c, s.rng)
 		sess.Instrument(s.trace, s.cfg.Domain)
 		s.broker.Accept(sess)
 	}); err != nil {
-		return fmt.Errorf("endpoint %s: %w", s.cfg.Domain, err)
+		return nil, fmt.Errorf("endpoint %s: %w", s.cfg.Domain, err)
 	}
 	if _, err := s.tcp.Listen(HTTPSPort, func(c *tcpsim.Conn) {
 		sess := tlssim.Server(c, s.rng)
 		sess.Instrument(s.trace, s.cfg.Domain)
 		s.http.Accept(sess)
 	}); err != nil {
-		return fmt.Errorf("endpoint %s: %w", s.cfg.Domain, err)
+		return nil, fmt.Errorf("endpoint %s: %w", s.cfg.Domain, err)
 	}
-	return nil
-}
-
-// Reset reparameterises the endpoint in place for a new home, keeping the
-// broker, HTTP server, TCP stack and map allocations. Sessions, timers,
-// alarms and registrations are all dropped; listeners are reinstalled; the
-// trace and OnEvent hooks are cleared for the owner to rewire. A reset
-// endpoint behaves byte-identically to NewEndpointServer(clk, ip, rng, cfg).
-func (s *EndpointServer) Reset(ip *ipnet.Stack, rng *simtime.Rand, cfg EndpointConfig) error {
-	if cfg.CloudToCloudLatency <= 0 {
-		cfg.CloudToCloudLatency = 20 * time.Millisecond
-	}
-	s.cfg = cfg
-	s.ip = ip
-	s.rng = rng
-	s.tcp.Reset(ip, tcpsim.Config{}, int64(len(cfg.Domain))+100)
-	s.broker.Reset(cfg.Broker)
-	s.broker.OnPublish = s.onMQTTPublish
-	s.http.Reset(cfg.HTTP)
-	s.http.OnRequest = s.onHTTPRequest
-	clear(s.profiles)
-	clear(s.owner)
-	clear(s.dedupSeen)
-	s.dedupN = 0
-	s.dedupDrops = nil
-	s.trace = nil
-	s.OnEvent = nil
-	return s.listen()
+	return s, nil
 }
 
 // Instrument attaches the registry's trace ring (when enabled) so

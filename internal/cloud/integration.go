@@ -104,31 +104,6 @@ func NewIntegrationServer(clk *simtime.Clock, cfg IntegrationConfig) *Integratio
 	return s
 }
 
-// Reset reparameterises the server in place for a new home, keeping its
-// engine and map/slice allocations. Rules, routes, attached endpoints and
-// every recorded event/notification/command/alarm are dropped; tracing is
-// cleared for the owner to rewire. A reset server behaves byte-identically
-// to NewIntegrationServer(clk, cfg).
-func (s *IntegrationServer) Reset(cfg IntegrationConfig) {
-	if cfg.Policy == 0 {
-		cfg.Policy = StaleAccept
-	}
-	s.cfg = cfg
-	s.engine.Reset()
-	clear(s.endpoints)
-	clear(s.routes)
-	clear(s.events)
-	s.events = s.events[:0]
-	clear(s.discarded)
-	s.discarded = s.discarded[:0]
-	clear(s.notifications)
-	s.notifications = s.notifications[:0]
-	clear(s.commands)
-	s.commands = s.commands[:0]
-	s.alarms.Reset()
-	s.trace = nil
-}
-
 // Instrument attaches the registry's trace ring (when enabled) so the
 // server emits "cloud" events: event_accepted, event_discarded, alarm and
 // rule_fired — the automation-visible tail of every phantom delay.

@@ -45,46 +45,16 @@ func NewLocalHub(clk *simtime.Clock, ip *ipnet.Stack, rng *simtime.Rand) (*Local
 	}
 	h.engine.Execute = h.execute
 	h.hub.OnEvent = h.onEvent
-	if err := h.listen(); err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
-// listen installs the accessory-facing listener. The accept closure reads
-// the hub's fields at accept time, so it stays valid across Reset.
-func (h *LocalHub) listen() error {
+	// The accept closure reads h.trace at accept time, so sessions accepted
+	// after Instrument emit into the registry's ring.
 	if _, err := h.tcp.Listen(HAPPort, func(c *tcpsim.Conn) {
 		sess := tlssim.Server(c, h.rng)
 		sess.Instrument(h.trace, "hub")
 		h.hub.Accept(sess)
 	}); err != nil {
-		return fmt.Errorf("local hub: %w", err)
+		return nil, fmt.Errorf("local hub: %w", err)
 	}
-	return nil
-}
-
-// Reset reparameterises the hub in place for a new home, keeping the HAP
-// hub, rule engine, TCP stack and map/slice allocations. Sessions, rules,
-// recorded events/notifications/commands and alarms are all dropped; the
-// listener is reinstalled; tracing is cleared for the owner to rewire. A
-// reset hub behaves byte-identically to NewLocalHub(clk, ip, rng).
-func (h *LocalHub) Reset(ip *ipnet.Stack, rng *simtime.Rand) error {
-	h.ip = ip
-	h.rng = rng
-	h.tcp.Reset(ip, tcpsim.Config{}, 4242)
-	h.hub.Reset()
-	h.hub.OnEvent = h.onEvent
-	h.engine.Reset()
-	clear(h.profiles)
-	clear(h.events)
-	h.events = h.events[:0]
-	clear(h.notifications)
-	h.notifications = h.notifications[:0]
-	clear(h.commands)
-	h.commands = h.commands[:0]
-	h.trace = nil
-	return h.listen()
+	return h, nil
 }
 
 // Instrument attaches the registry's trace ring (when enabled) so the hub

@@ -61,18 +61,9 @@ func NewAttacker(nw *netsim.Network, lan *netsim.Segment, name, cidr string, gat
 
 // NewAttackerOn assembles an attacker from pre-built components: an IP
 // stack already attached to the LAN with its default gateway set, a TCP
-// stack bound to it, and a randomness source. It exists so arena owners
-// (the experiment testbed) can feed pooled stacks through the exact wiring
-// NewAttacker performs; both paths behave byte-identically given
-// identically seeded inputs.
+// stack bound to it, and a randomness source. NewAttacker builds these and
+// calls it.
 func NewAttackerOn(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp *tcpsim.Stack, rng *simtime.Rand) (*Attacker, error) {
-	return NewAttackerWith(clk, lan, ip, tcp, rng, sniff.NewCapture(clk))
-}
-
-// NewAttackerWith is NewAttackerOn with a caller-supplied capture, so
-// arena owners can pool captures across homes (a freshly Reset capture is
-// byte-identical to a new one). The capture must be empty.
-func NewAttackerWith(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp *tcpsim.Stack, rng *simtime.Rand, cap *sniff.Capture) (*Attacker, error) {
 	ifaces := ip.Ifaces()
 	if len(ifaces) == 0 {
 		return nil, fmt.Errorf("core: attacker IP stack has no interface")
@@ -82,7 +73,7 @@ func NewAttackerWith(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, t
 		Host:      ip.Host(),
 		IP:        ip,
 		TCP:       tcp,
-		Capture:   cap,
+		Capture:   sniff.NewCapture(clk),
 		rng:       rng,
 		acceptors: make(map[uint16]map[ipaddr.Addr]func(*tcpsim.Conn)),
 	}

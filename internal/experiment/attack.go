@@ -12,20 +12,9 @@ import (
 
 // NewAttacker joins an attacker host to the home WiFi at AttackerAddr —
 // the paper's "one controlled WiFi device". The attacker reports into the
-// testbed's metrics registry. Its IP/TCP stacks and randomness come from
-// the testbed arena, seeded exactly as core.NewAttacker would seed them, so
-// pooled and fresh attackers behave byte-identically.
+// testbed's metrics registry.
 func (tb *Testbed) NewAttacker() (*core.Attacker, error) {
-	ip := tb.newIPStack("attacker")
-	if _, err := ip.AddIface(tb.LAN, AttackerAddr.String()+"/24"); err != nil {
-		return nil, err
-	}
-	if err := ip.SetDefaultGateway(GatewayAddr); err != nil {
-		return nil, err
-	}
-	tcp := tb.newTCPStack(ip, tb.cfg.Seed+900)
-	rng := tb.newRand(tb.cfg.Seed + 901)
-	atk, err := core.NewAttackerWith(tb.Clock, tb.LAN, ip, tcp, rng, tb.newCapture())
+	atk, err := core.NewAttacker(tb.Net, tb.LAN, "attacker", AttackerAddr.String()+"/24", GatewayAddr, tb.cfg.Seed+900)
 	if err != nil {
 		return nil, err
 	}

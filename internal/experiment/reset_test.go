@@ -16,10 +16,10 @@ type resetScenario struct {
 	drive func(tb *Testbed) error
 }
 
-// resetScenarios covers the deployment shapes the arena must recycle
-// across: a cloud home with hubs and multiple vendors, a local HAP home, an
-// attacked home (pooled attacker stacks, pending hold timers at teardown),
-// and a trace-enabled home (default trace capacity).
+// resetScenarios covers the deployment shapes a rebuilt testbed must
+// reproduce: a cloud home with hubs and multiple vendors, a local HAP home,
+// an attacked home (pending hold timers when Reset discards it), and a
+// trace-enabled home (default trace capacity).
 func resetScenarios() []resetScenario {
 	return []resetScenario{
 		{
@@ -84,7 +84,7 @@ func resetScenarios() []resetScenario {
 				tb.Clock.RunFor(30 * time.Second)
 				op.Release()
 				// Stop short of full recovery so sessions still hold pending
-				// keep-alive and retransmission timers when the arena resets.
+				// keep-alive and retransmission timers when the testbed resets.
 				tb.Clock.RunFor(2 * time.Second)
 				return nil
 			},
@@ -135,18 +135,16 @@ func firstDiff(a, b string) string {
 			if hiB > len(b) {
 				hiB = len(b)
 			}
-			return fmt.Sprintf("at byte %d:\n fresh:    …%s…\n recycled: …%s…", i, a[lo:hiA], b[lo:hiB])
+			return fmt.Sprintf("at byte %d:\n fresh: …%s…\n reset: …%s…", i, a[lo:hiA], b[lo:hiB])
 		}
 	}
 	return fmt.Sprintf("length %d vs %d", len(a), len(b))
 }
 
-// TestTestbedResetByteIdentity drives each scenario on a fresh testbed and
-// on one arena recycled through every scenario twice — including
-// cloud→local→attacked transitions that cycle the endpoint, hub and
-// attacker pools — and requires identical fingerprints. This is the
-// contract that lets fleet campaigns flip ReuseTestbeds without changing a
-// single output byte.
+// TestTestbedResetByteIdentity drives each scenario on a new testbed and on
+// one testbed Reset through every scenario twice — including
+// cloud→local→attacked transitions — and requires identical fingerprints:
+// Reset must leave nothing of the previous home behind.
 func TestTestbedResetByteIdentity(t *testing.T) {
 	scenarios := resetScenarios()
 	fresh := make([]string, len(scenarios))
@@ -161,31 +159,31 @@ func TestTestbedResetByteIdentity(t *testing.T) {
 		fresh[i] = homeFingerprint(t, tb)
 	}
 
-	// Recycle one arena through the scenarios in an order that forces every
-	// pool transition, then revisit each scenario to prove the second
-	// recycling generation is still identical.
+	// Reset one testbed through the scenarios in an order that crosses every
+	// deployment shape, then revisit each scenario to prove a second
+	// generation is still identical.
 	order := []int{0, 1, 2, 3, 1, 2, 0, 3}
-	var arena *Testbed
+	var tb *Testbed
 	for step, i := range order {
 		sc := scenarios[i]
-		if arena == nil {
+		if tb == nil {
 			var err error
-			if arena, err = NewTestbed(sc.cfg); err != nil {
+			if tb, err = NewTestbed(sc.cfg); err != nil {
 				t.Fatalf("step %d (%s): build: %v", step, sc.name, err)
 			}
-		} else if err := arena.Reset(sc.cfg); err != nil {
+		} else if err := tb.Reset(sc.cfg); err != nil {
 			t.Fatalf("step %d (%s): reset: %v", step, sc.name, err)
 		}
-		if err := sc.drive(arena); err != nil {
+		if err := sc.drive(tb); err != nil {
 			t.Fatalf("step %d (%s): drive: %v", step, sc.name, err)
 		}
-		if got := homeFingerprint(t, arena); got != fresh[i] {
-			t.Errorf("step %d (%s): recycled home diverged from fresh\n%s", step, sc.name, firstDiff(fresh[i], got))
+		if got := homeFingerprint(t, tb); got != fresh[i] {
+			t.Errorf("step %d (%s): reset home diverged from fresh\n%s", step, sc.name, firstDiff(fresh[i], got))
 		}
 	}
 }
 
-// TestTestbedResetQueueDrained proves teardown leaves no tombstoned events
+// TestTestbedResetQueueDrained proves Reset leaves no pending events
 // behind: after a Reset the clock's queue depth gauge reads zero and the
 // rebuilt home starts from simulated time zero.
 func TestTestbedResetQueueDrained(t *testing.T) {

@@ -15,7 +15,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/simtime"
-	"repro/internal/sniff"
 	"repro/internal/tcpsim"
 )
 
@@ -77,22 +76,6 @@ type Testbed struct {
 	// deployment order — the fixed iteration order that keeps construction
 	// and startup deterministic.
 	ordered []string
-
-	// Arena pools. Reset parks the previous home's heavyweight components
-	// here; build revives them instead of allocating. Every revival goes
-	// through the component's Reset, which reinitialises it byte-identically
-	// to fresh construction, so reclaim order never shows in outputs — only
-	// retained backing-array capacities differ.
-	ipUsed  []*ipnet.Stack
-	ipFree  []*ipnet.Stack
-	tcpUsed []*tcpsim.Stack
-	tcpFree []*tcpsim.Stack
-	rndUsed []*simtime.Rand
-	rndFree []*simtime.Rand
-	capUsed []*sniff.Capture
-	capFree []*sniff.Capture
-	epPool  map[string]*cloud.EndpointServer
-	hubPool *cloud.LocalHub
 }
 
 // GatewayAddr is the home router's LAN address.
@@ -109,83 +92,37 @@ var routerWANAddr = ipaddr.MustParse("100.64.0.1")
 // NewTestbed builds the home: LAN + router + WAN, one endpoint server per
 // vendor domain, the integration server, a local hub if any HAP device is
 // selected, and all requested devices (started and connected).
-//
-// Construction allocates the arena (clock, registry, network, integration
-// server, pools) bare and then runs the same build path Reset runs, so a
-// fresh and a recycled testbed are the same code path end to end — the
-// foundation of the byte-identity contract.
 func NewTestbed(cfg TestbedConfig) (*Testbed, error) {
-	clk := simtime.NewClock()
-	tb := &Testbed{
-		Clock:       clk,
-		Net:         netsim.NewNetwork(clk, 0),
-		Metrics:     obs.NewRegistry(),
-		Endpoints:   make(map[string]*cloud.EndpointServer),
-		Devices:     make(map[string]*device.Device),
-		DeviceAddrs: make(map[string]ipaddr.Addr),
-		ServerAddrs: make(map[string]ipaddr.Addr),
-		byLabel:     make(map[string]device.Profile, len(device.Index())),
-		rng:         simtime.NewRand(0),
-		epPool:      make(map[string]*cloud.EndpointServer),
-	}
-	tb.Integration = cloud.NewIntegrationServer(clk, cloud.IntegrationConfig{})
-	if err := tb.build(cfg); err != nil {
+	tb := new(Testbed)
+	if err := tb.Reset(cfg); err != nil {
 		return nil, err
 	}
 	return tb, nil
 }
 
-// Reset reparameterises the testbed in place for a new configuration,
-// recycling the previous home's clock, registry, network topology, protocol
-// stacks and servers instead of allocating fresh ones. The recycled home is
-// byte-identical to NewTestbed(cfg): same addresses, same seeds, same
-// metric and trace output. On error the testbed is unusable and must be
-// discarded (the caller falls back to NewTestbed).
+// Reset rebuilds the testbed in place for a new configuration: it replaces
+// *tb with freshly allocated components (clock, network, registry,
+// integration server, randomness, indexes) and builds the home into them,
+// exactly as NewTestbed(cfg) does. Nothing of the previous home is reused.
+// On error the testbed is unusable and must be discarded.
 func (tb *Testbed) Reset(cfg TestbedConfig) error {
-	tb.teardown()
+	clk := simtime.NewClock()
+	*tb = Testbed{
+		Clock:       clk,
+		Net:         netsim.NewNetwork(clk, cfg.Seed),
+		Metrics:     obs.NewRegistry(),
+		Integration: cloud.NewIntegrationServer(clk, cfg.Integration),
+		Endpoints:   make(map[string]*cloud.EndpointServer),
+		Devices:     make(map[string]*device.Device),
+		DeviceAddrs: make(map[string]ipaddr.Addr),
+		ServerAddrs: make(map[string]ipaddr.Addr),
+		byLabel:     make(map[string]device.Profile, len(device.Index())),
+		rng:         simtime.NewRand(cfg.Seed + 1),
+	}
 	return tb.build(cfg)
 }
 
-// teardown parks the previous home's components in the arena pools and
-// clears every per-home index. Component state is NOT scrubbed here — each
-// pool's revival path runs the component's own Reset, so parking stays
-// O(components) cheap.
-func (tb *Testbed) teardown() {
-	// Clock first: invalidating every pending timer makes the component
-	// Resets' defensive Timer.Stop calls no-ops instead of heap operations.
-	tb.Clock.Reset()
-	tb.Metrics.Reset()
-	tb.ipFree = append(tb.ipFree, tb.ipUsed...)
-	clear(tb.ipUsed)
-	tb.ipUsed = tb.ipUsed[:0]
-	tb.tcpFree = append(tb.tcpFree, tb.tcpUsed...)
-	clear(tb.tcpUsed)
-	tb.tcpUsed = tb.tcpUsed[:0]
-	tb.rndFree = append(tb.rndFree, tb.rndUsed...)
-	clear(tb.rndUsed)
-	tb.rndUsed = tb.rndUsed[:0]
-	tb.capFree = append(tb.capFree, tb.capUsed...)
-	clear(tb.capUsed)
-	tb.capUsed = tb.capUsed[:0]
-	for domain, ep := range tb.Endpoints {
-		tb.epPool[domain] = ep
-	}
-	clear(tb.Endpoints)
-	if tb.LocalHub != nil {
-		tb.hubPool = tb.LocalHub
-		tb.LocalHub = nil
-	}
-	clear(tb.Devices)
-	clear(tb.DeviceAddrs)
-	clear(tb.ServerAddrs)
-	clear(tb.byLabel)
-	clear(tb.ordered)
-	tb.ordered = tb.ordered[:0]
-	tb.Router, tb.LAN, tb.WAN = nil, nil, nil
-}
-
-// build constructs a home into the (bare or torn-down) arena. It is the
-// single construction path shared by NewTestbed and Reset.
+// build constructs the home into the freshly allocated components.
 func (tb *Testbed) build(cfg TestbedConfig) error {
 	if cfg.LANLatency <= 0 {
 		cfg.LANLatency = 2 * time.Millisecond
@@ -196,23 +133,19 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 	tb.cfg = cfg
 	reg := tb.Metrics
 	// The trace capacity must be set before anything captures the ring:
-	// SetTraceCapacity replaces the Trace object (in place when the capacity
-	// is unchanged), so later Instrument calls would otherwise hold the
-	// discarded one.
+	// SetTraceCapacity replaces the Trace object, so later Instrument calls
+	// would otherwise hold the discarded one. A new registry already has
+	// the default capacity.
 	switch {
 	case cfg.TraceCap > 0:
 		reg.SetTraceCapacity(cfg.TraceCap)
 	case cfg.TraceCap < 0:
 		reg.SetTraceCapacity(0)
-	default:
-		reg.SetTraceCapacity(obs.DefaultTraceCap)
 	}
 	tb.Clock.Instrument(reg)
-	tb.Net.Reset(cfg.Seed)
 	tb.Net.Instrument(reg) // before segments so they get per-segment counters
 	tb.LAN = tb.Net.NewSegment("lan", cfg.LANLatency, cfg.Jitter)
 	tb.WAN = tb.Net.NewSegment("wan", cfg.WANLatency, cfg.Jitter)
-	tb.rng.Reseed(cfg.Seed + 1)
 	tb.nextHost, tb.nextWAN = 10, 10
 	for l, p := range device.Index() {
 		tb.byLabel[l] = p
@@ -226,7 +159,6 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 	tb.Router.MustAddIface(tb.WAN, "100.64.0.1/16")
 	tb.Router.Forwarding = true
 
-	tb.Integration.Reset(cfg.Integration)
 	tb.Integration.Instrument(reg)
 
 	// Resolve the full device set (pull in hubs for via-hub devices) in
@@ -251,7 +183,7 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 		}
 		add(l)
 	}
-	tb.ordered = append(tb.ordered, labels...)
+	tb.ordered = labels
 
 	// Create endpoint servers and the local hub as needed.
 	for _, l := range labels {
@@ -298,62 +230,9 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 	return nil
 }
 
-// newIPStack revives a pooled IP stack (or allocates one) on a new host.
+// newIPStack creates an IP stack on a new host.
 func (tb *Testbed) newIPStack(hostname string) *ipnet.Stack {
-	var ip *ipnet.Stack
-	if k := len(tb.ipFree); k > 0 {
-		ip, tb.ipFree[k-1] = tb.ipFree[k-1], nil
-		tb.ipFree = tb.ipFree[:k-1]
-		ip.Reset(tb.Net.NewHost(hostname))
-	} else {
-		ip = ipnet.NewStack(tb.Clock, tb.Net.NewHost(hostname))
-	}
-	tb.ipUsed = append(tb.ipUsed, ip)
-	return ip
-}
-
-// newTCPStack revives a pooled TCP stack (or allocates one) on an IP stack.
-func (tb *Testbed) newTCPStack(ip *ipnet.Stack, seed int64) *tcpsim.Stack {
-	var st *tcpsim.Stack
-	if k := len(tb.tcpFree); k > 0 {
-		st, tb.tcpFree[k-1] = tb.tcpFree[k-1], nil
-		tb.tcpFree = tb.tcpFree[:k-1]
-		st.Reset(ip, tcpsim.Config{}, seed)
-	} else {
-		st = tcpsim.NewStack(tb.Clock, ip, tcpsim.Config{}, seed)
-	}
-	tb.tcpUsed = append(tb.tcpUsed, st)
-	return st
-}
-
-// newRand revives a pooled randomness source (or allocates one). Reseed
-// yields exactly NewRand's sequence, so revival is unobservable.
-func (tb *Testbed) newRand(seed int64) *simtime.Rand {
-	var r *simtime.Rand
-	if k := len(tb.rndFree); k > 0 {
-		r, tb.rndFree[k-1] = tb.rndFree[k-1], nil
-		tb.rndFree = tb.rndFree[:k-1]
-		r.Reseed(seed)
-	} else {
-		r = simtime.NewRand(seed)
-	}
-	tb.rndUsed = append(tb.rndUsed, r)
-	return r
-}
-
-// newCapture revives a pooled sniff capture (or allocates one). Reset
-// returns it to NewCapture's state, so revival is unobservable.
-func (tb *Testbed) newCapture() *sniff.Capture {
-	var c *sniff.Capture
-	if k := len(tb.capFree); k > 0 {
-		c, tb.capFree[k-1] = tb.capFree[k-1], nil
-		tb.capFree = tb.capFree[:k-1]
-		c.Reset()
-	} else {
-		c = sniff.NewCapture(tb.Clock)
-	}
-	tb.capUsed = append(tb.capUsed, c)
-	return c
+	return ipnet.NewStack(tb.Clock, tb.Net.NewHost(hostname))
 }
 
 func (tb *Testbed) ensureLocalHub() error {
@@ -365,17 +244,9 @@ func (tb *Testbed) ensureLocalHub() error {
 	if err := ip.SetDefaultGateway(GatewayAddr); err != nil {
 		return err
 	}
-	hub := tb.hubPool
-	if hub != nil {
-		tb.hubPool = nil
-		if err := hub.Reset(ip, tb.rng); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if hub, err = cloud.NewLocalHub(tb.Clock, ip, tb.rng); err != nil {
-			return err
-		}
+	hub, err := cloud.NewLocalHub(tb.Clock, ip, tb.rng)
+	if err != nil {
+		return err
 	}
 	hub.Instrument(tb.Metrics)
 	tb.LocalHub = hub
@@ -398,19 +269,9 @@ func (tb *Testbed) addEndpoint(domain string) error {
 			epCfg.HTTP.SessionIdleTimeout = p.ServerIdleTimeout
 		}
 	}
-	// Pooled endpoints are keyed by domain so a recycled home with the same
-	// vendor mix reuses its session maps at their settled sizes.
-	ep, pooled := tb.epPool[domain]
-	if pooled {
-		delete(tb.epPool, domain)
-		if err := ep.Reset(ip, tb.rng, epCfg); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		if ep, err = cloud.NewEndpointServer(tb.Clock, ip, tb.rng, epCfg); err != nil {
-			return err
-		}
+	ep, err := cloud.NewEndpointServer(tb.Clock, ip, tb.rng, epCfg)
+	if err != nil {
+		return err
 	}
 	ep.Instrument(tb.Metrics)
 	tb.Endpoints[domain] = ep
@@ -434,7 +295,7 @@ func (tb *Testbed) addDevice(p device.Profile) error {
 	env := device.Env{
 		Clock: tb.Clock,
 		IP:    ip,
-		TCP:   tb.newTCPStack(ip, tb.cfg.Seed+int64(tb.nextHost)),
+		TCP:   tcpsim.NewStack(tb.Clock, ip, tcpsim.Config{}, tb.cfg.Seed+int64(tb.nextHost)),
 		RNG:   tb.rng,
 	}
 	if tr := tb.Metrics.Trace(); tr.Enabled() {

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/device"
-	"repro/internal/experiment"
 	"repro/internal/obs"
 )
 
@@ -35,18 +34,6 @@ type Campaign struct {
 	CheckpointPath string
 	// Template drives device-mix sampling; zero value selects the default.
 	Template device.PopulationTemplate
-	// ReuseTestbeds recycles one testbed arena per shard worker through
-	// experiment.Testbed.Reset instead of building each home's testbed from
-	// scratch. Purely an allocation optimisation: recycled homes are
-	// byte-identical to fresh ones (the experiment package's identity tests
-	// prove it), so the flag changes neither results nor campaign identity —
-	// checkpoints written with it off resume with it on and vice versa.
-	ReuseTestbeds bool
-	// Progress, when set, observes completion: once before live work
-	// starts (reporting the checkpoint-resumed shard count, zero on a
-	// fresh start) and then after every live completed shard, with the
-	// number of completed shards and the total for this run's range.
-	Progress func(done, total int)
 	// OnShard, when set, receives every live shard result as it lands, in
 	// completion order. Resumed state is not replayed shard-by-shard —
 	// compacted checkpoints no longer retain folded shards — it arrives
@@ -165,8 +152,8 @@ func (c Campaign) RunRange(first, last int) (Partial, error) {
 
 // runShards is the engine shared by Run and RunRange: seed an aggregator
 // for [first, last) — from the checkpoint when one exists — then fill the
-// pending shards through the worker pool. Progress/OnShard/OnResume done
-// and total counts are relative to the range.
+// pending shards through the worker pool. OnShard/OnResume done and total
+// counts are relative to the range.
 func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 	agg := c.newAggregator(c.Accumulator, first)
 	units := last - first
@@ -196,9 +183,6 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 				c.OnResume(p, done, units)
 			}
 		}
-	}
-	if c.Progress != nil {
-		c.Progress(done, units)
 	}
 	var pending []int
 	for i := agg.next; i < last; i++ {
@@ -283,9 +267,6 @@ func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, done
 		if c.OnShard != nil {
 			c.OnShard(s, done, total)
 		}
-		if c.Progress != nil {
-			c.Progress(done, total)
-		}
 	}
 	return runErr
 }
@@ -313,16 +294,8 @@ func (c Campaign) runShard(idx int) ShardResult {
 	// with it the discarded testbed's last reachable state) is released as
 	// soon as the next home starts.
 	snaps := obs.NewAccumulator()
-	// With ReuseTestbeds on, one arena cycles through the shard's homes;
-	// runHome hands it back (or a replacement) after each home. Amortised
-	// over ShardSize homes, steady-state testbed construction allocates
-	// almost nothing.
-	var arena *experiment.Testbed
 	for i := 0; i < n; i++ {
-		hr, tb := runHome(c.Spec, GenerateHome(pc, first+i), arena)
-		if c.ReuseTestbeds {
-			arena = tb
-		}
+		hr := runHome(c.Spec, GenerateHome(pc, first+i))
 		if hr.err != nil {
 			sr.HomesFailed++
 			if len(sr.Errors) < maxShardErrors {

@@ -25,11 +25,9 @@ const checkpointVersion = 3
 // be resumable: same spec, population and sharding → same shard results.
 //
 // Execution knobs that provably cannot change shard results stay out of
-// the identity: Workers (pure scheduling) and ReuseTestbeds (recycled
-// testbeds are byte-identical to fresh ones — the experiment package's
-// reset identity tests and fleet's TestReuseFlagOutsideCampaignIdentity
-// hold that line). A knob may only be excluded here alongside a test
-// proving resume-across-the-flag equals an uninterrupted run.
+// the identity: Workers is pure scheduling. A knob may only be excluded
+// here alongside a test proving resume-across-the-flag equals an
+// uninterrupted run.
 type identity struct {
 	Spec      Spec   `json:"spec"`
 	Homes     int    `json:"homes"`

@@ -47,20 +47,13 @@ type homeResult struct {
 // against its targets and returns the compact result. The home simulation
 // is single-threaded and owns all its state, so many runHome calls can
 // proceed concurrently on independent homes.
-//
-// reuse, when non-nil, is a testbed arena from a previous home: it is
-// recycled through Testbed.Reset instead of building from scratch, which is
-// byte-identical to a fresh build. The second return value is the arena to
-// pass to the next home — the same one, a newly built one, or nil if this
-// home produced no usable testbed (a failed Reset falls back to a fresh
-// build for this home rather than failing it).
-func runHome(spec Spec, home HomeSpec, reuse *experiment.Testbed) (res homeResult, arena *experiment.Testbed) {
+func runHome(spec Spec, home HomeSpec) (res homeResult) {
 	res = homeResult{index: home.Index, tallies: make(map[string]*ModelTally)}
 
 	targets := selectTargets(spec, home)
 	if len(targets) == 0 {
 		res.noTarget = true
-		return res, reuse
+		return res
 	}
 
 	// Per-home traces would dominate the merged snapshot and their
@@ -76,18 +69,10 @@ func runHome(spec Spec, home HomeSpec, reuse *experiment.Testbed) (res homeResul
 		Overrides:  home.Overrides,
 		TraceCap:   -1,
 	}
-	tb := reuse
-	if tb != nil {
-		if err := tb.Reset(cfg); err != nil {
-			tb = nil
-		}
-	}
-	if tb == nil {
-		var err error
-		if tb, err = experiment.NewTestbed(cfg); err != nil {
-			res.err = err
-			return res, nil
-		}
+	tb, err := experiment.NewTestbed(cfg)
+	if err != nil {
+		res.err = err
+		return res
 	}
 	defer func() {
 		res.alarms = tb.TotalAlarmCount()
@@ -98,13 +83,13 @@ func runHome(spec Spec, home HomeSpec, reuse *experiment.Testbed) (res homeResul
 	for _, r := range home.Rules {
 		if err := tb.InstallRule(r); err != nil {
 			res.err = err
-			return res, tb
+			return res
 		}
 	}
 	atk, err := tb.NewAttacker()
 	if err != nil {
 		res.err = err
-		return res, tb
+		return res
 	}
 	if spec.Attack == AttackReplay && spec.Replay != nil {
 		atk.Capture.RetainPayloads(spec.Replay.RetainBytes)
@@ -119,7 +104,7 @@ func runHome(spec Spec, home HomeSpec, reuse *experiment.Testbed) (res homeResul
 		h, err := tb.Hijack(atk, label)
 		if err != nil {
 			res.err = err
-			return res, tb
+			return res
 		}
 		hijackers[owner] = h
 	}
@@ -129,10 +114,10 @@ func runHome(spec Spec, home HomeSpec, reuse *experiment.Testbed) (res homeResul
 		h := hijackers[tb.SessionOwnerProfile(label).Label]
 		if err := attackTarget(tb, h, spec, label, res.tallies); err != nil {
 			res.err = fmt.Errorf("home %d target %s: %w", home.Index, label, err)
-			return res, tb
+			return res
 		}
 	}
-	return res, tb
+	return res
 }
 
 // selectTargets picks the campaign's targets in deployment order.

@@ -169,14 +169,8 @@ func LoadPartials(paths []string) (Campaign, []Partial, error) {
 func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 	c = c.withDefaults()
 	c.Spec.fill()
-	if err := c.Spec.Validate(); err != nil {
+	if err := c.validateRun(); err != nil {
 		return Result{}, err
-	}
-	if c.Homes <= 0 {
-		return Result{}, fmt.Errorf("fleet: campaign needs a positive number of homes, got %d", c.Homes)
-	}
-	if c.Accumulator != nil && c.Accumulator.Adds() != 0 {
-		return Result{}, fmt.Errorf("fleet: campaign accumulator already holds %d snapshots; MergePartials needs a fresh one", c.Accumulator.Adds())
 	}
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("fleet: no partials to merge")

@@ -27,22 +27,20 @@ func replayCampaign() Campaign {
 	}
 }
 
-// TestReplayCampaignWorkerAndReuseInvariance extends the engine's core
-// guarantee to the replay family: aggregated results are byte-identical
-// for any worker count and with or without arena recycling.
-func TestReplayCampaignWorkerAndReuseInvariance(t *testing.T) {
+// TestReplayCampaignWorkerInvariance extends the engine's core guarantee
+// to the replay family: aggregated results are byte-identical for any
+// worker count.
+func TestReplayCampaignWorkerInvariance(t *testing.T) {
 	var want []byte
-	run := func(workers int, reuse bool) {
-		t.Helper()
+	for _, workers := range []int{1, 4} {
 		c := replayCampaign()
 		c.Workers = workers
-		c.ReuseTestbeds = reuse
 		res, err := c.Run()
 		if err != nil {
-			t.Fatalf("workers=%d reuse=%v: %v", workers, reuse, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if res.TotalTrials == 0 {
-			t.Fatalf("workers=%d reuse=%v: campaign ran no trials", workers, reuse)
+			t.Fatalf("workers=%d: campaign ran no trials", workers)
 		}
 		var buf bytes.Buffer
 		if err := res.WriteJSON(&buf); err != nil {
@@ -50,16 +48,12 @@ func TestReplayCampaignWorkerAndReuseInvariance(t *testing.T) {
 		}
 		if want == nil {
 			want = buf.Bytes()
-			return
+			continue
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("workers=%d reuse=%v: result differs from baseline", workers, reuse)
+			t.Errorf("workers=%d: result differs from workers=1", workers)
 		}
 	}
-	run(1, false)
-	run(4, false)
-	run(1, true)
-	run(4, true)
 }
 
 // TestReplayCampaignOutcomes checks the family against ground truth: the

@@ -100,44 +100,6 @@ func sortedExactTallies(m map[string]*exactTally) []PartialTally {
 	return out
 }
 
-// aggregateRetained is the retain-all-then-merge aggregation: fold sorted
-// shard results into the campaign result, combining metrics via obs.Merge
-// in shard-index order. Run no longer uses it — aggregation streams
-// through an aggregator as shards land — but it stays as the executable
-// reference the byte-identity tests compare the streaming, resumed, and
-// multi-process paths against (TestStreamingAggregateMatchesRetained,
-// TestMergePartialsMatchesRetained).
-func (c Campaign) aggregateRetained(shards []ShardResult) Result {
-	res := Result{
-		Campaign:  c.Spec.Name,
-		Homes:     c.Homes,
-		Seed:      c.Seed,
-		ShardSize: c.ShardSize,
-		Spec:      c.Spec,
-	}
-	tallies := make(map[string]*exactTally)
-	snaps := make([]obs.Snapshot, 0, len(shards))
-	for _, s := range shards {
-		res.HomesNoTarget += s.HomesNoTarget
-		res.HomesFailed += s.HomesFailed
-		res.HomesAttacked += s.Homes - s.HomesNoTarget - s.HomesFailed
-		res.Alarms += s.Alarms
-		res.Errors = append(res.Errors, s.Errors...)
-		for _, t := range s.Tallies {
-			agg, ok := tallies[t.Model]
-			if !ok {
-				agg = &exactTally{t: ModelTally{Model: t.Model}}
-				tallies[t.Model] = agg
-			}
-			agg.fold(t)
-		}
-		snaps = append(snaps, s.Metrics)
-	}
-	res.finishTallies(tallies)
-	res.Metrics = obs.Merge(snaps...)
-	return res
-}
-
 // finishTallies folds the per-model tally map into the result's sorted
 // PerModel summaries and campaign totals. Shared by the retained reference
 // path and the streaming aggregator so their derived numbers cannot drift.
@@ -160,8 +122,7 @@ func (res *Result) finishTallies(tallies map[string]*exactTally) {
 	}
 }
 
-// aggregator is the streaming replacement for aggregateRetained: shard
-// results fold into the running campaign result as they land and are then
+// aggregator is the streaming campaign aggregation: shard results fold into the running campaign result as they land and are then
 // released — nothing is retained per shard. Fold order is part of the
 // byte-identity contract (error sampling order, trace concatenation), so
 // results arriving out of shard-index order wait in a small reorder window

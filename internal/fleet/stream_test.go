@@ -3,16 +3,52 @@ package fleet
 import (
 	"bytes"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
 )
 
-// TestStreamingAggregateMatchesRetained pins the tentpole guarantee: the
+// aggregateRetained is the retain-all-then-merge reference aggregation:
+// fold sorted shard results into the campaign result, combining metrics
+// via obs.Merge in shard-index order. Run streams through an aggregator
+// instead; the byte-identity tests compare the streaming, resumed and
+// multi-process paths against this oracle.
+func (c Campaign) aggregateRetained(shards []ShardResult) Result {
+	res := Result{
+		Campaign:  c.Spec.Name,
+		Homes:     c.Homes,
+		Seed:      c.Seed,
+		ShardSize: c.ShardSize,
+		Spec:      c.Spec,
+	}
+	tallies := make(map[string]*exactTally)
+	snaps := make([]obs.Snapshot, 0, len(shards))
+	for _, s := range shards {
+		res.HomesNoTarget += s.HomesNoTarget
+		res.HomesFailed += s.HomesFailed
+		res.HomesAttacked += s.Homes - s.HomesNoTarget - s.HomesFailed
+		res.Alarms += s.Alarms
+		res.Errors = append(res.Errors, s.Errors...)
+		for _, t := range s.Tallies {
+			agg, ok := tallies[t.Model]
+			if !ok {
+				agg = &exactTally{t: ModelTally{Model: t.Model}}
+				tallies[t.Model] = agg
+			}
+			agg.fold(t)
+		}
+		snaps = append(snaps, s.Metrics)
+	}
+	res.finishTallies(tallies)
+	res.Metrics = obs.Merge(snaps...)
+	return res
+}
+
+// TestStreamingAggregateMatchesRetained pins the streaming guarantee: the
 // streaming aggregator (fold-as-they-land, retain nothing) produces a
-// Result byte-identical to the seed's retain-all-then-merge reference
-// (aggregateRetained), across worker counts, testbed reuse, and a
-// checkpointed resume.
+// Result byte-identical to the retain-all-then-merge reference
+// (aggregateRetained), across worker counts and a checkpointed resume.
 func TestStreamingAggregateMatchesRetained(t *testing.T) {
 	// Reference: run every shard sequentially, retain the results, and
 	// aggregate them the old way.
@@ -27,20 +63,16 @@ func TestStreamingAggregateMatchesRetained(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		workers    int
-		reuse      bool
 		checkpoint bool
 	}{
-		{"workers=1", 1, false, false},
-		{"workers=4", 4, false, false},
-		{"workers=16", 16, false, false},
-		{"workers=4 reuse", 4, true, false},
-		{"workers=16 reuse", 16, true, false},
-		{"workers=4 checkpoint", 4, false, true},
+		{"workers=1", 1, false},
+		{"workers=4", 4, false},
+		{"workers=16", 16, false},
+		{"workers=4 checkpoint", 4, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testCampaign(t)
 			c.Workers = tc.workers
-			c.ReuseTestbeds = tc.reuse
 			if tc.checkpoint {
 				c.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 			}
@@ -120,7 +152,7 @@ func TestAggregatorReordersShards(t *testing.T) {
 
 // TestCampaignExternalAccumulator checks the -serve wiring contract: a
 // caller-supplied accumulator ends up holding the final metrics, readable
-// mid-run, and a stale one is rejected.
+// mid-run, and a stale one is rejected by Run and MergePartials alike.
 func TestCampaignExternalAccumulator(t *testing.T) {
 	acc := obs.NewAccumulator()
 	c := testCampaign(t)
@@ -152,5 +184,22 @@ func TestCampaignExternalAccumulator(t *testing.T) {
 	reuse.Accumulator = acc
 	if _, err := reuse.Run(); err == nil {
 		t.Fatal("Run accepted a non-fresh accumulator")
+	}
+
+	// MergePartials must refuse it too, even given partials that tile the
+	// campaign.
+	whole := testCampaign(t)
+	p, err := whole.RunRange(0, whole.withDefaults().shardCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge := testCampaign(t)
+	merge.Accumulator = acc
+	_, err = merge.MergePartials([]Partial{p})
+	if err == nil {
+		t.Fatal("MergePartials accepted a non-fresh accumulator")
+	}
+	if !strings.Contains(err.Error(), "accumulator") {
+		t.Fatalf("MergePartials refused for the wrong reason: %v", err)
 	}
 }

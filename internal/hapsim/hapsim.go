@@ -233,24 +233,6 @@ func NewHub(clk *simtime.Clock) *Hub {
 	return h
 }
 
-// Reset returns the hub to its freshly constructed state while keeping its
-// allocations: sessions are dropped, pending command timers cancelled, the
-// alarm log emptied (its internal relay to OnAlarm stays wired) and the
-// observer hooks cleared for the owner to rewire. A reset hub behaves
-// identically to NewHub(clk).
-func (h *Hub) Reset() {
-	clear(h.sessions)
-	for _, pc := range h.pending {
-		pc.timer.Stop()
-	}
-	clear(h.pending)
-	h.nextID = 1
-	h.alarms.Reset()
-	h.CommandTimeout = 10 * time.Second
-	h.OnEvent = nil
-	h.OnAlarm = nil
-}
-
 // Accept attaches hub protocol handling to an inbound TLS session.
 func (h *Hub) Accept(sess *tlssim.Conn) {
 	hs := &hubSession{sess: sess}

@@ -86,33 +86,6 @@ func NewServer(clk *simtime.Clock, cfg ServerConfig) *Server {
 	return s
 }
 
-// Reset returns the server to its freshly constructed state for a new
-// configuration while keeping its allocations. Live and half-open sessions
-// are dropped with their idle timers stopped, pending command timers are
-// cancelled, and the observer hooks are cleared for the owner to rewire
-// (the alarm log keeps its internal relay to OnAlarm). A reset server
-// behaves identically to NewServer(clk, cfg).
-func (s *Server) Reset(cfg ServerConfig) {
-	s.cfg = cfg
-	for _, ss := range s.active {
-		ss.idle.Stop()
-	}
-	clear(s.active)
-	for _, list := range s.halfOpen {
-		for _, ss := range list {
-			ss.idle.Stop()
-		}
-	}
-	clear(s.halfOpen)
-	for _, pc := range s.pending {
-		pc.timer.Stop()
-	}
-	clear(s.pending)
-	s.nextID = 1
-	s.alarms.Reset()
-	s.OnRequest, s.OnAlarm = nil, nil
-}
-
 // Accept attaches server protocol handling to an inbound TLS session.
 func (s *Server) Accept(sess *tlssim.Conn) *Session {
 	ss := &Session{server: s, sess: sess}

@@ -162,9 +162,6 @@ type Stack struct {
 	// safe to reuse per send because netsim copies the frame payload into
 	// its own pooled buffer before Send returns.
 	txbuf []byte
-	// ifaceFree pools detached interfaces (ARP client included) so a reset
-	// stack rebuilds its attachments without allocating.
-	ifaceFree []*Iface
 }
 
 // NewStack creates a network stack for the host.
@@ -174,28 +171,6 @@ func NewStack(clk *simtime.Clock, host *netsim.Host) *Stack {
 		host:     host,
 		handlers: make(map[Protocol]func(Packet)),
 	}
-}
-
-// Reset rebinds the stack to a (freshly created or revived) host and
-// returns it to its freshly constructed state while keeping its
-// allocations: interfaces are parked for AddIface to revive, routes and
-// handlers are dropped, and forwarding/divert behaviour reverts to the
-// defaults. A reset stack behaves byte-identically to NewStack(clk, host).
-func (s *Stack) Reset(host *netsim.Host) {
-	s.host = host
-	for i, ifc := range s.ifaces {
-		ifc.arp.Reset(nil, 0)
-		ifc.nic = nil
-		s.ifaceFree = append(s.ifaceFree, ifc)
-		s.ifaces[i] = nil
-	}
-	s.ifaces = s.ifaces[:0]
-	clear(s.routes)
-	s.routes = s.routes[:0]
-	clear(s.handlers)
-	s.Forwarding = false
-	s.Divert = nil
-	s.stats = Stats{}
 }
 
 // Host returns the owning host.
@@ -215,17 +190,12 @@ func (s *Stack) AddIface(seg *netsim.Segment, cidr string) (*Iface, error) {
 		return nil, err
 	}
 	nic := s.host.AttachNIC(seg)
-	ifc := &Iface{}
-	if k := len(s.ifaceFree); k > 0 {
-		ifc, s.ifaceFree[k-1] = s.ifaceFree[k-1], nil
-		s.ifaceFree = s.ifaceFree[:k-1]
-		ifc.arp.Reset(nic, pfx.Addr)
-	} else {
-		ifc.arp = arp.NewClient(s.clk, nic, pfx.Addr, arp.Config{})
+	ifc := &Iface{
+		nic:    nic,
+		addr:   pfx.Addr,
+		prefix: pfx,
+		arp:    arp.NewClient(s.clk, nic, pfx.Addr, arp.Config{}),
 	}
-	ifc.nic = nic
-	ifc.addr = pfx.Addr
-	ifc.prefix = pfx
 	nic.SetHandler(func(_ *netsim.NIC, f netsim.Frame) { s.receiveFrame(ifc, f) })
 	s.ifaces = append(s.ifaces, ifc)
 	s.routes = append(s.routes, Route{Prefix: pfx, Iface: ifc})

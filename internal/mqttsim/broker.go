@@ -102,34 +102,6 @@ func NewBroker(clk *simtime.Clock, cfg BrokerConfig) *Broker {
 	}
 }
 
-// Reset returns the broker to its freshly constructed state for a new
-// configuration while keeping its allocations. Live and half-open sessions
-// are dropped with their enforcement deadlines stopped, pending command
-// timers are cancelled, and the observer hooks are cleared for the owner
-// to rewire. A reset broker behaves identically to NewBroker(clk, cfg).
-func (b *Broker) Reset(cfg BrokerConfig) {
-	cfg.fill()
-	b.cfg = cfg
-	for _, s := range b.active {
-		s.deadline.Stop()
-	}
-	clear(b.active)
-	for _, list := range b.halfOpen {
-		for _, s := range list {
-			s.deadline.Stop()
-		}
-	}
-	clear(b.halfOpen)
-	for _, pc := range b.pending {
-		pc.timer.Stop()
-	}
-	clear(b.pending)
-	b.nextID = 1
-	clear(b.alarms)
-	b.alarms = b.alarms[:0]
-	b.OnConnect, b.OnPublish, b.OnAlarm = nil, nil, nil
-}
-
 // Accept attaches broker protocol handling to an inbound TLS session.
 func (b *Broker) Accept(sess *tlssim.Conn) *Session {
 	s := &Session{broker: b, sess: sess, subs: make(map[string]bool)}

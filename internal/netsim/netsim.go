@@ -63,22 +63,12 @@ type Network struct {
 	rng     *simtime.Rand
 	macSeq  uint32
 	hosts   map[string]*Host
-	segs    []*Segment
 	metrics *obs.Registry
 	// free is the in-flight-frame pool: each delivery owns a payload buffer
 	// and a rearm-in-place timer, recycled the moment the frame has been
 	// handed to every receiver. Steady-state frame transport allocates
 	// nothing once the pool has grown to the peak in-flight depth.
 	free []*delivery
-	// allDeliv tracks every delivery ever created so Reset can reclaim the
-	// ones still in flight (their timers were cancelled with the clock).
-	allDeliv []*delivery
-	// Topology pools: Reset parks every segment, host and NIC here, and the
-	// constructors revive them fully reinitialised, so a rebuilt topology of
-	// the same shape allocates nothing.
-	segFree  []*Segment
-	hostFree []*Host
-	nicFree  []*NIC
 }
 
 // NewNetwork creates a network on the given clock. The seed drives latency
@@ -89,53 +79,6 @@ func NewNetwork(clk *simtime.Clock, seed int64) *Network {
 		rng:   simtime.NewRand(seed),
 		hosts: make(map[string]*Host),
 	}
-}
-
-// Reset returns the network to its freshly constructed state for the given
-// seed while keeping its allocations: the RNG is reseeded in place, the
-// topology is torn down with every segment, host and NIC parked in pools
-// for the constructors to revive, and in-flight deliveries are reclaimed
-// (their timers stopped if still pending). Segments and hosts are rebuilt
-// by the caller; a reset network behaves byte-identically to
-// NewNetwork(clk, seed).
-func (n *Network) Reset(seed int64) {
-	n.rng.Reseed(seed)
-	n.macSeq = 0
-	n.metrics = nil
-	// Reclaim NICs through the segments (each NIC sits on exactly one), then
-	// the segments themselves. Handler and tap closures pin whole protocol
-	// stacks, so every reference is cleared before pooling.
-	for _, s := range n.segs {
-		for i, nic := range s.nics {
-			*nic = NIC{}
-			n.nicFree = append(n.nicFree, nic)
-			s.nics[i] = nil
-		}
-		nics, taps := s.nics[:0], s.taps[:0]
-		clear(s.taps)
-		*s = Segment{nics: nics, taps: taps}
-		n.segFree = append(n.segFree, s)
-	}
-	n.segs = n.segs[:0]
-	// Host reclaim order follows map iteration; pooled objects are fully
-	// reinitialised on revival, so the order is unobservable.
-	for _, h := range n.hosts {
-		for i := range h.nics {
-			h.nics[i] = nil
-		}
-		nics := h.nics[:0]
-		*h = Host{nics: nics}
-		//lint:allow maporder -- free-pool order is unobservable: revival reinitialises fully
-		n.hostFree = append(n.hostFree, h)
-	}
-	clear(n.hosts)
-	// Deliveries still in flight hold frame state and (unless the caller
-	// already reset the clock) a pending timer; both are released here.
-	for _, d := range n.allDeliv {
-		d.tm.Stop()
-		d.seg, d.from, d.f = nil, nil, Frame{}
-	}
-	n.free = append(n.free[:0], n.allDeliv...)
 }
 
 // delivery is one frame in flight: scheduled at send time, fired at
@@ -161,7 +104,6 @@ func (n *Network) getDelivery() *delivery {
 	if len(n.free) == 0 {
 		d := &delivery{net: n}
 		d.tm = n.clk.NewTimer(d.fire)
-		n.allDeliv = append(n.allDeliv, d)
 		return d
 	}
 	d := n.free[len(n.free)-1]
@@ -191,14 +133,8 @@ func (n *Network) NewSegment(name string, latency time.Duration, jitter float64)
 	if latency < 0 {
 		latency = 0
 	}
-	s := &Segment{}
-	if k := len(n.segFree); k > 0 {
-		s, n.segFree[k-1] = n.segFree[k-1], nil
-		n.segFree = n.segFree[:k-1]
-	}
-	s.net, s.name, s.latency, s.jitter = n, name, latency, jitter
+	s := &Segment{net: n, name: name, latency: latency, jitter: jitter}
 	s.met = newSegMetrics(n.metrics, name)
-	n.segs = append(n.segs, s)
 	return s
 }
 
@@ -207,12 +143,7 @@ func (n *Network) NewHost(name string) *Host {
 	if _, dup := n.hosts[name]; dup {
 		panic("netsim: duplicate host name " + name)
 	}
-	h := &Host{}
-	if k := len(n.hostFree); k > 0 {
-		h, n.hostFree[k-1] = n.hostFree[k-1], nil
-		n.hostFree = n.hostFree[:k-1]
-	}
-	h.net, h.name = n, name
+	h := &Host{net: n, name: name}
 	n.hosts[name] = h
 	return h
 }
@@ -408,13 +339,7 @@ func (h *Host) NICs() []*NIC {
 
 // AttachNIC connects the host to a segment with a fresh MAC address.
 func (h *Host) AttachNIC(seg *Segment) *NIC {
-	n := h.net
-	nic := &NIC{}
-	if k := len(n.nicFree); k > 0 {
-		nic, n.nicFree[k-1] = n.nicFree[k-1], nil
-		n.nicFree = n.nicFree[:k-1]
-	}
-	nic.host, nic.seg, nic.mac = h, seg, n.nextMAC()
+	nic := &NIC{host: h, seg: seg, mac: h.net.nextMAC()}
 	h.nics = append(h.nics, nic)
 	seg.nics = append(seg.nics, nic)
 	return nic

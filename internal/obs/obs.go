@@ -95,7 +95,6 @@ func compareMetric(nameA string, labelsA []Label, nameB string, labelsB []Label)
 // Counter is a monotonically increasing count.
 type Counter struct {
 	name   string
-	key    string
 	labels []Label
 	v      uint64
 }
@@ -127,7 +126,6 @@ func (c *Counter) Value() uint64 {
 // Gauge is an instantaneous value that also tracks its high-water mark.
 type Gauge struct {
 	name   string
-	key    string
 	labels []Label
 	v      int64
 	max    int64
@@ -173,7 +171,6 @@ func (g *Gauge) Max() int64 {
 // >= the value, or in the implicit +Inf overflow bucket.
 type Histogram struct {
 	name   string
-	key    string
 	labels []Label
 	bounds []float64
 	counts []uint64 // len(bounds)+1; last is +Inf
@@ -242,12 +239,9 @@ type Registry struct {
 	gauges   []*Gauge
 	hists    []*Histogram
 	byKey    map[string]any
-	// recycle parks handles across Reset so a recycled registry reaches a
-	// zero-alloc steady state once its key universe has been seen.
-	recycle map[string]any
-	// keybuf is the lookup-key scratch; handle constructors probe byKey and
-	// recycle with string(keybuf), allocating a key string only on a true
-	// first registration.
+	// keybuf is the lookup-key scratch; handle constructors probe byKey
+	// with string(keybuf), allocating a key string only on a true first
+	// registration.
 	keybuf []byte
 	trace  *Trace
 }
@@ -258,29 +252,6 @@ func NewRegistry() *Registry {
 		byKey: make(map[string]any),
 		trace: NewTrace(DefaultTraceCap),
 	}
-}
-
-// Reset returns the registry to its freshly constructed state while keeping
-// its allocations: every live handle is parked in a recycle pool and handed
-// back — zeroed — when the same name+labels are registered again, and the
-// trace ring is cleared in place. A reset registry's Snapshot is
-// byte-identical to a new registry's after the same registration and
-// mutation sequence.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	if r.recycle == nil {
-		r.recycle = make(map[string]any, len(r.byKey))
-	}
-	for k, m := range r.byKey {
-		r.recycle[k] = m
-		delete(r.byKey, k)
-	}
-	r.counters = r.counters[:0]
-	r.gauges = r.gauges[:0]
-	r.hists = r.hists[:0]
-	r.trace.Reset()
 }
 
 // insertSorted places h at its tuple-ordered position in s.
@@ -317,18 +288,8 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		}
 		return c
 	}
-	var c *Counter
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rc, ok := m.(*Counter); ok {
-			delete(r.recycle, rc.key)
-			rc.v = 0
-			c = rc
-		}
-	}
-	if c == nil {
-		c = &Counter{name: name, key: string(r.keybuf), labels: labels}
-	}
-	r.byKey[c.key] = c
+	c := &Counter{name: name, labels: labels}
+	r.byKey[string(r.keybuf)] = c
 	r.counters = insertSorted(r.counters, counterLess, c)
 	return c
 }
@@ -347,18 +308,8 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 		}
 		return g
 	}
-	var g *Gauge
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rg, ok := m.(*Gauge); ok {
-			delete(r.recycle, rg.key)
-			rg.v, rg.max = 0, 0
-			g = rg
-		}
-	}
-	if g == nil {
-		g = &Gauge{name: name, key: string(r.keybuf), labels: labels}
-	}
-	r.byKey[g.key] = g
+	g := &Gauge{name: name, labels: labels}
+	r.byKey[string(r.keybuf)] = g
 	r.gauges = insertSorted(r.gauges, gaugeLess, g)
 	return g
 }
@@ -383,21 +334,10 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 			panic(fmt.Sprintf("obs: histogram %s bounds not ascending", name))
 		}
 	}
-	var h *Histogram
-	if m, ok := r.recycle[string(r.keybuf)]; ok {
-		if rh, ok := m.(*Histogram); ok && boundsEqual(rh.bounds, bounds) {
-			delete(r.recycle, rh.key)
-			clear(rh.counts)
-			rh.sum, rh.n = 0, 0
-			h = rh
-		}
-	}
-	if h == nil {
-		b := make([]float64, len(bounds))
-		copy(b, bounds)
-		h = &Histogram{name: name, key: string(r.keybuf), labels: labels, bounds: b, counts: make([]uint64, len(b)+1)}
-	}
-	r.byKey[h.key] = h
+	b := make([]float64, len(bounds))
+	copy(b, bounds)
+	h := &Histogram{name: name, labels: labels, bounds: b, counts: make([]uint64, len(b)+1)}
+	r.byKey[string(r.keybuf)] = h
 	r.hists = insertSorted(r.hists, histogramLess, h)
 	return h
 }

@@ -118,13 +118,6 @@ func (l *AlarmLog) All() []Alarm {
 // Count returns the number of recorded alarms.
 func (l *AlarmLog) Count() int { return len(l.alarms) }
 
-// Reset discards the recorded alarms, keeping the observer hook and the
-// backing array. A reset log behaves identically to a fresh one.
-func (l *AlarmLog) Reset() {
-	clear(l.alarms)
-	l.alarms = l.alarms[:0]
-}
-
 // CountKind returns the number of alarms of one kind.
 func (l *AlarmLog) CountKind(kind string) int {
 	n := 0

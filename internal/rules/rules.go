@@ -213,11 +213,6 @@ func NewStore() *Store {
 	return &Store{values: make(map[stateKey]stateEntry)}
 }
 
-// Reset empties the store in place.
-func (s *Store) Reset() {
-	clear(s.values)
-}
-
 // Set records a device attribute value.
 func (s *Store) Set(device, attribute, value string, at simtime.Time) {
 	s.values[stateKey{device, attribute}] = stateEntry{value: value, updatedAt: at}
@@ -256,17 +251,6 @@ func NewEngine(clk *simtime.Clock) *Engine {
 
 // Store exposes the engine's state store.
 func (e *Engine) Store() *Store { return e.store }
-
-// Reset drops the installed rules, the execution trace and the state
-// store's contents, keeping the allocations and the Execute hook. A reset
-// engine behaves identically to NewEngine(clk).
-func (e *Engine) Reset() {
-	clear(e.rules)
-	e.rules = e.rules[:0]
-	clear(e.trace)
-	e.trace = e.trace[:0]
-	e.store.Reset()
-}
 
 // AddRule validates and installs a rule.
 func (e *Engine) AddRule(r Rule) error {

@@ -80,33 +80,6 @@ func (c *Clock) Instrument(reg *obs.Registry) {
 	c.mRunSteps = reg.Histogram("simtime_run_steps", obs.CountBuckets)
 }
 
-// Reset returns the clock to its freshly constructed state — virtual time
-// zero, an empty queue, the default step limit — while keeping the queue's
-// backing array. Every pending event is cancelled: its Timer reports
-// inactive and may be rearmed against the reset clock (the event
-// allocation survives, exactly as after Stop). Instrumentation handles are
-// dropped; call Instrument again once the registry has been reset. A reset
-// clock behaves byte-identically to NewClock().
-func (c *Clock) Reset() {
-	if c.inEvent {
-		panic("simtime: Reset during event execution")
-	}
-	// Invalidate each pending event's heap index before truncating, so a
-	// later Timer.Reset re-pushes instead of fixing a stale position, and
-	// nil the slots so the retained array pins nothing.
-	for i, ev := range c.events {
-		ev.index = -1
-		c.events[i] = nil
-	}
-	c.events = c.events[:0]
-	c.now = 0
-	c.seq = 0
-	c.steps = 0
-	c.running = false
-	c.maxSteps = defaultMaxSteps
-	c.mEvents, c.mRuns, c.mQueueHWM, c.mRunSteps = nil, nil, nil, nil
-}
-
 // SetStepLimit overrides the runaway-loop guard. A limit of 0 restores the
 // default.
 func (c *Clock) SetStepLimit(n uint64) {

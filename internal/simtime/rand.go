@@ -28,8 +28,7 @@ func NewRand(seed int64) *Rand {
 
 // Reseed rewinds the source to the start of the given seed's sequence, in
 // place. A reseeded Rand produces exactly the byte stream NewRand(seed)
-// would, without allocating — the testbed arena reuses its generators
-// across homes this way. math/rand's Rand.Seed also drops the bytes a
+// would, without allocating. math/rand's Rand.Seed also drops the bytes a
 // partial Read left buffered.
 func (r *Rand) Reseed(seed int64) { r.r.Seed(seed) }
 

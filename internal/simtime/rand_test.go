@@ -3,6 +3,7 @@ package simtime
 import (
 	"encoding/hex"
 	"testing"
+	"time"
 )
 
 // TestRandGolden pins NewRand(1)'s stream. Every seeded simulation result
@@ -32,5 +33,44 @@ func TestRandSeedAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { r = NewRand(42) }); n > 2 {
 		t.Errorf("NewRand allocates %v times, want at most 2", n)
+	}
+}
+
+// TestRandReseedByteIdentity pins Reseed's contract: it rewinds a Rand, in
+// place, to exactly the stream NewRand would produce for that seed, across
+// every draw kind.
+// The recycled generator ends on a partial Bytes read, which leaves bytes
+// buffered in math/rand's Rand; Reseed must drop them too.
+func TestRandReseedByteIdentity(t *testing.T) {
+	recycled := NewRand(7)
+	for i := 0; i < 100; i++ {
+		recycled.Int63()
+	}
+	var partial [3]byte
+	recycled.Bytes(partial[:])
+	recycled.Reseed(1234)
+	fresh := NewRand(1234)
+	for i := 0; i < 200; i++ {
+		switch i % 4 {
+		case 0:
+			if a, b := fresh.Intn(1000), recycled.Intn(1000); a != b {
+				t.Fatalf("draw %d: Intn %d != %d", i, a, b)
+			}
+		case 1:
+			if a, b := fresh.Float64(), recycled.Float64(); a != b {
+				t.Fatalf("draw %d: Float64 %v != %v", i, a, b)
+			}
+		case 2:
+			if a, b := fresh.Duration(time.Hour), recycled.Duration(time.Hour); a != b {
+				t.Fatalf("draw %d: Duration %v != %v", i, a, b)
+			}
+		case 3:
+			var ba, bb [8]byte
+			fresh.Bytes(ba[:])
+			recycled.Bytes(bb[:])
+			if ba != bb {
+				t.Fatalf("draw %d: Bytes %x != %x", i, ba, bb)
+			}
+		}
 	}
 }

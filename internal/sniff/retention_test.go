@@ -2,11 +2,8 @@ package sniff_test
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
-	"time"
 
-	"repro/internal/experiment"
 	"repro/internal/ipaddr"
 	"repro/internal/ipnet"
 	"repro/internal/netsim"
@@ -175,88 +172,5 @@ func TestOutOfOrderBufferCapDropsAndCounts(t *testing.T) {
 	}
 	if len(cap.Records()) != 0 {
 		t.Fatal("out-of-order segments produced records without the gap filling")
-	}
-}
-
-// TestResetMatchesFreshCapture drives a dirtied-then-Reset capture and a
-// brand new one through the same frame sequence and requires bit-identical
-// observations — the property pooled attacker captures rely on under
-// testbed reuse.
-func TestResetMatchesFreshCapture(t *testing.T) {
-	run := func(cap *sniff.Capture) ([]sniff.RecordMeta, []sniff.FlowKey) {
-		cap.RetainPayloads(100)
-		f := newFeeder(cap, 50000)
-		f.record(40, 'a')
-		f.record(40, 'b')
-		f.record(40, 'c')
-		g := newFeeder(cap, 50001)
-		g.record(12, 'x')
-		return cap.Records(), cap.Flows()
-	}
-
-	fresh := sniff.NewCapture(simtime.NewClock())
-	wantRecs, wantFlows := run(fresh)
-
-	dirty := sniff.NewCapture(simtime.NewClock())
-	dirty.RetainPayloads(30)
-	dirty.OnRecord = func(sniff.RecordMeta) {}
-	h := newFeeder(dirty, 40000)
-	h.record(200, 'q')
-	h.record(10, 'r')
-	if dirty.EvictedRecords() == 0 {
-		t.Fatal("dirtying run produced no evictions; test setup is too clean")
-	}
-
-	dirty.Reset()
-	if dirty.Retaining() != 0 || dirty.EvictedRecords() != 0 || dirty.EvictedBytes() != 0 ||
-		dirty.OOODropped() != 0 || len(dirty.Records()) != 0 || len(dirty.Flows()) != 0 {
-		t.Fatal("Reset left state behind")
-	}
-
-	gotRecs, gotFlows := run(dirty)
-	if !reflect.DeepEqual(gotRecs, wantRecs) {
-		t.Fatalf("reset capture diverges from fresh:\ngot  %+v\nwant %+v", gotRecs, wantRecs)
-	}
-	if !reflect.DeepEqual(gotFlows, wantFlows) {
-		t.Fatalf("reset flows diverge: got %v want %v", gotFlows, wantFlows)
-	}
-}
-
-// TestResetMatchesFreshCaptureOnTestbed repeats the reset-vs-fresh identity
-// over a real simulated home: same seed, same deployment, one capture fresh
-// and one recycled, byte-identical records including retained payloads.
-func TestResetMatchesFreshCaptureOnTestbed(t *testing.T) {
-	deploy := func(cap *sniff.Capture, budget int, labels ...string) *experiment.Testbed {
-		tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: 11, Devices: labels})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cap.RetainPayloads(budget)
-		tb.LAN.AddTap(cap.Tap()) // before Start: the SYN orients the flow
-		tb.Start()
-		return tb
-	}
-	observe := func(cap *sniff.Capture) []sniff.RecordMeta {
-		tb := deploy(cap, 4096, "P2")
-		if err := tb.Device("P2").TriggerEvent("switch", "on"); err != nil {
-			t.Fatal(err)
-		}
-		tb.Clock.RunFor(2 * time.Second)
-		return cap.Records()
-	}
-
-	want := observe(sniff.NewCapture(simtime.NewClock()))
-
-	recycled := sniff.NewCapture(simtime.NewClock())
-	tb := deploy(recycled, 64, "C2") // dirty it against a different home first
-	tb.Clock.RunFor(30 * time.Second)
-	recycled.Reset()
-
-	got := observe(recycled)
-	if len(got) == 0 {
-		t.Fatal("no records observed")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("recycled capture diverges from fresh (%d vs %d records)", len(got), len(want))
 	}
 }

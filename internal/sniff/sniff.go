@@ -114,21 +114,6 @@ func NewCapture(clk *simtime.Clock) *Capture {
 	return &Capture{clk: clk, flows: make(map[FlowKey]*flowState)}
 }
 
-// Reset returns the capture to its freshly constructed state — flows,
-// records, retention mode, eviction counters and observer hooks all
-// cleared — keeping its allocations, so pooled attacker captures behave
-// byte-identically to NewCapture(clk) under testbed reuse.
-func (c *Capture) Reset() {
-	clear(c.flows)
-	// clear before truncating so retained payload references are released.
-	clear(c.records)
-	c.records = c.records[:0]
-	c.retainBudget = 0
-	c.evictedRecords, c.evictedBytes, c.oooDropped = 0, 0, 0
-	c.mEvictedRecords, c.mEvictedBytes, c.mOOODropped = nil, nil, nil
-	c.OnRecord = nil
-}
-
 // RetainPayloads turns on raw payload retention with the given per-flow
 // byte budget (0 turns it off). Only records observed after the call are
 // retained; when a flow exceeds its budget the oldest retained payloads

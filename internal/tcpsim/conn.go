@@ -136,24 +136,6 @@ type Conn struct {
 	OnClose func(error)
 }
 
-// reinit returns a pooled connection to its zero protocol state, keeping
-// the allocations a connection reuses across lives: its stack binding, its
-// two timers (their closures bind this very Conn and the stack's clock),
-// the retransmission queue's backing array and the out-of-order map. A
-// revived connection behaves byte-identically to a fresh one.
-func (c *Conn) reinit() {
-	c.state = 0
-	c.rcvNxt = 0
-	c.retries = 0
-	c.srtt, c.rttSamples = 0, 0
-	c.kaProbes = 0
-	c.lastActivity = 0
-	c.appClosed, c.finRcvd, c.notified = false, false, false
-	c.closedErr = nil
-	c.stats = ConnStats{}
-	c.OnEstablished, c.OnData, c.OnClose = nil, nil, nil
-}
-
 // Local returns the connection's local endpoint.
 func (c *Conn) Local() Endpoint { return c.local }
 
@@ -588,15 +570,12 @@ func (c *Conn) teardown(err error) {
 	c.rtxTimer.Stop()
 	c.kaTimer.Stop()
 	// Unacknowledged chunks can no longer be (re)transmitted: recycle them.
-	// The queue truncates instead of dropping to nil so a pooled connection
-	// keeps its backing array for the next life.
-	for i := range c.rtxq {
-		if len(c.rtxq[i].payload) > 0 {
-			c.stack.putChunk(c.rtxq[i].payload)
+	for _, e := range c.rtxq {
+		if len(e.payload) > 0 {
+			c.stack.putChunk(e.payload)
 		}
-		c.rtxq[i] = rtxEntry{}
 	}
-	c.rtxq = c.rtxq[:0]
+	c.rtxq = nil
 	c.stack.removeConn(c)
 	c.stack.met.connClosed(err)
 	if c.stack.met.trace != nil {

@@ -89,64 +89,6 @@ type Stack struct {
 	// chunkFree pools send-chunk buffers (Conn.Send copies application
 	// bytes into one chunk per segment, held until acknowledged).
 	chunkFree [][]byte
-	// graveyard holds connections closed since the last Reset. They are not
-	// revived mid-epoch — application code may still inspect a closed Conn —
-	// but Reset moves them to connFree for newConn to reuse, timers and
-	// buffers included.
-	graveyard []*Conn
-	connFree  []*Conn
-}
-
-// Reset rebinds the stack to an IP layer and returns it to its freshly
-// constructed state while keeping its allocations: the RNG is reseeded in
-// place, listeners and connections are dropped (every connection — live or
-// already closed — is parked for newConn to revive), and the chunk pool is
-// retained when the MSS is unchanged. A reset stack behaves
-// byte-identically to NewStack(clk, ip, cfg, seed).
-func (s *Stack) Reset(ip *ipnet.Stack, cfg Config, seed int64) {
-	cfg.fill()
-	if cfg.MSS != s.cfg.MSS {
-		s.chunkFree = nil
-	}
-	s.cfg = cfg
-	s.ip = ip
-	s.rng.Reseed(seed)
-	clear(s.listeners)
-	// Live connections are reclaimed in map order; revived connections are
-	// fully reinitialised, so pool order is unobservable.
-	for _, c := range s.conns {
-		s.retire(c)
-		//lint:allow maporder -- free-pool order is unobservable: reinit fills every field
-		s.connFree = append(s.connFree, c)
-	}
-	clear(s.conns)
-	for _, c := range s.graveyard {
-		s.retire(c)
-	}
-	s.connFree = append(s.connFree, s.graveyard...)
-	clear(s.graveyard)
-	s.graveyard = s.graveyard[:0]
-	s.nextPort = 49152
-	s.SendRST = true
-	s.met = stackMetrics{}
-	ip.Handle(ipnet.ProtoTCP, s.HandlePacket)
-}
-
-// retire severs a connection's ties to the current epoch: timers stopped
-// (live connections may still have one pending when the clock was not
-// reset), queued chunks recycled, callbacks and payload references dropped.
-func (s *Stack) retire(c *Conn) {
-	c.rtxTimer.Stop()
-	c.kaTimer.Stop()
-	for i := range c.rtxq {
-		if len(c.rtxq[i].payload) > 0 {
-			s.putChunk(c.rtxq[i].payload)
-		}
-		c.rtxq[i] = rtxEntry{}
-	}
-	c.rtxq = c.rtxq[:0]
-	clear(c.ooo)
-	c.OnEstablished, c.OnData, c.OnClose = nil, nil, nil
 }
 
 // getChunk returns a pooled buffer of length n (n never exceeds the MSS:
@@ -349,19 +291,15 @@ func (s *Stack) HandlePacket(p ipnet.Packet) {
 func (s *Stack) newConn(local, remote Endpoint) *Conn {
 	s.met.connsOpened.Inc()
 	iss := uint32(s.rng.Int63())
-	c := &Conn{stack: s}
-	if k := len(s.connFree); k > 0 {
-		c, s.connFree[k-1] = s.connFree[k-1], nil
-		s.connFree = s.connFree[:k-1]
-		c.reinit()
+	return &Conn{
+		stack:  s,
+		local:  local,
+		remote: remote,
+		iss:    iss,
+		sndUna: iss,
+		sndNxt: iss,
+		rto:    s.cfg.RTOInitial,
 	}
-	c.local = local
-	c.remote = remote
-	c.iss = iss
-	c.sndUna = iss
-	c.sndNxt = iss
-	c.rto = s.cfg.RTOInitial
-	return c
 }
 
 func (s *Stack) sendRaw(from, to Endpoint, seg Segment) {
@@ -383,10 +321,6 @@ func (s *Stack) sendRaw(from, to Endpoint, seg Segment) {
 
 func (s *Stack) removeConn(c *Conn) {
 	delete(s.conns, connKey{c.local, c.remote})
-	// Closed connections wait in the graveyard until the next Reset rather
-	// than reviving immediately: callers may still hold the pointer and read
-	// its final state.
-	s.graveyard = append(s.graveyard, c)
 }
 
 // ConnCount reports the number of live connections (diagnostics and the

@@ -149,10 +149,6 @@ func (w *replayWindow) observe(seq uint64, size int) bool {
 	return true
 }
 
-func (w *replayWindow) reset() {
-	w.highest, w.mask, w.started = 0, 0, false
-}
-
 // sealExplicit encodes an application record for the explicit-sequence
 // modes: an 8-byte record sequence on the wire, followed by the AES-GCM
 // ciphertext (legacy nonce) or the raw plaintext (null cipher). The sender

@@ -148,40 +148,6 @@ func newConn(tcp *tcpsim.Conn, rng *simtime.Rand, isClient bool) *Conn {
 	return c
 }
 
-// Reset reinitialises the connection in place against a new transport and
-// randomness source, keeping its role (client or server) and its buffer
-// allocations. The handshake restarts from scratch: a fresh key share and
-// random are drawn from rng in the same order construction draws them, so a
-// reset connection behaves byte-identically to Client(tcp, rng) or
-// Server(tcp, rng) on the same inputs. Observer hooks and tracing are
-// cleared for the owner to rewire.
-func (c *Conn) Reset(tcp *tcpsim.Conn, rng *simtime.Rand) {
-	c.tcp = tcp
-	c.share = newShare(rng)
-	rng.Bytes(c.random[:])
-	c.peerRandom = [16]byte{}
-	c.established = false
-	c.closed = false
-	c.closeErr = nil
-	c.sendSeq, c.recvSeq = 0, 0
-	c.sendAEAD, c.recvAEAD = nil, nil
-	c.rbuf = c.rbuf[:0]
-	c.alertsRaised = 0
-	c.mode, c.window = ModeSeqBound, 0
-	c.recvWindow.reset()
-	c.trace, c.label = nil, ""
-	c.OnEstablished, c.OnMessage, c.OnClose = nil, nil, nil
-	tcp.OnData = c.onData
-	tcp.OnClose = func(err error) { c.teardown(err) }
-	if c.isClient {
-		if tcp.State() == tcpsim.StateEstablished {
-			c.sendHello()
-		} else {
-			tcp.OnEstablished = c.sendHello
-		}
-	}
-}
-
 // TCP returns the underlying transport connection.
 func (c *Conn) TCP() *tcpsim.Conn { return c.tcp }
 

@@ -1,6 +1,8 @@
 #!/bin/sh
 # Tier-1 verification: everything here must pass on every commit.
 #
+#   gofmt    — every Go file outside perfbench/ (analyzer fixtures
+#              included) is gofmt-clean
 #   build    — the whole module compiles
 #   vet      — static checks
 #   lint     — phantomlint (internal/analysis): determinism and zero-tax
@@ -12,6 +14,13 @@
 set -eu
 cd "$(dirname "$0")"
 
+echo "== gofmt"
+unformatted=$(gofmt -l *.go cmd examples internal)
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:"
+	echo "$unformatted"
+	exit 1
+fi
 echo "== go build"
 go build ./...
 echo "== go vet"
