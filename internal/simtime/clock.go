@@ -12,7 +12,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -27,7 +26,7 @@ type Time = time.Duration
 // usable; create one with NewClock.
 type Clock struct {
 	now      Time
-	events   eventHeap
+	events   eventQueue
 	seq      uint64
 	inEvent  bool
 	maxSteps uint64
@@ -110,7 +109,7 @@ func (c *Clock) At(t Time, fn func()) *Timer {
 	}
 	ev := &event{when: t, seq: c.seq, fn: fn}
 	c.seq++
-	heap.Push(&c.events, ev)
+	c.events.push(ev)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return &Timer{clock: c, ev: ev}
 }
@@ -128,13 +127,10 @@ func (c *Clock) Step() bool {
 }
 
 func (c *Clock) step() bool {
-	if c.events.Len() == 0 {
+	if len(c.events) == 0 {
 		return false
 	}
-	ev, ok := heap.Pop(&c.events).(*event)
-	if !ok {
-		panic("simtime: corrupt event heap")
-	}
+	ev := c.events.pop()
 	c.now = ev.when
 	c.runEvent(ev)
 	return true
@@ -206,7 +202,7 @@ func (c *Clock) NextEventAt() (Time, bool) {
 }
 
 func (c *Clock) peek() *event {
-	if c.events.Len() == 0 {
+	if len(c.events) == 0 {
 		return nil
 	}
 	return c.events[0]
@@ -256,7 +252,7 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	c := t.clock
-	heap.Remove(&c.events, t.ev.index)
+	c.events.remove(t.ev.index)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return true
 }
@@ -296,10 +292,10 @@ func (t *Timer) ResetAt(at Time) bool {
 	ev.seq = c.seq
 	c.seq++
 	if ev.index >= 0 {
-		heap.Fix(&c.events, ev.index)
+		c.events.fix(ev)
 		return true
 	}
-	heap.Push(&c.events, ev)
+	c.events.push(ev)
 	c.mQueueHWM.Set(int64(len(c.events)))
 	return false
 }
@@ -322,45 +318,113 @@ type event struct {
 	when Time
 	seq  uint64
 	fn   func()
-	// index is the event's position in the clock's heap, maintained by the
-	// heap callbacks; -1 when not scheduled (unarmed, ran, or stopped).
-	// Tracking it is what lets Timer.Stop remove in O(log n) and
+	// index is the event's position in the clock's queue, kept current by
+	// every queue operation; -1 when not scheduled (unarmed, ran, or
+	// stopped). Tracking it is what lets Timer.Stop remove in O(log n) and
 	// Timer.Reset rearm in place without allocating.
 	index int
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
+// before orders events by (when, seq). seq is unique per clock, so no two
+// events tie and any correct min-heap pops them in the same order.
+func (ev *event) before(o *event) bool {
+	if ev.when != o.when {
+		return ev.when < o.when
 	}
-	return h[i].seq < h[j].seq
+	return ev.seq < o.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// eventQueue is a 4-ary min-heap of events ordered by before. Sifting
+// moves a hole instead of swapping: the moving event is held aside, each
+// displaced parent or child shifts one slot, and the moving event is
+// stored once where the hole stops. That is one pointer store per level
+// (each a GC write barrier while marking) where a swap makes two, and the
+// wider fan-out halves the levels against a binary heap.
+type eventQueue []*event
+
+const queueArity = 4
+
+func (q *eventQueue) push(ev *event) {
+	*q = append(*q, ev)
+	q.up(ev, len(*q)-1)
 }
 
-func (h *eventHeap) Push(x any) {
-	ev, ok := x.(*event)
-	if !ok {
-		panic("simtime: push of non-event")
-	}
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// pop removes and returns the earliest event. The queue must be non-empty.
+func (q *eventQueue) pop() *event {
+	top := (*q)[0]
+	q.remove(0)
+	return top
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+// remove deletes the event at position i and marks it unscheduled.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	n := len(h) - 1
+	ev := h[i]
+	last := h[n]
+	h[n] = nil
+	*q = h[:n]
 	ev.index = -1
-	return ev
+	if i < n {
+		q.place(last, i)
+	}
+}
+
+// fix restores heap order after ev's key changed in place.
+func (q *eventQueue) fix(ev *event) { q.place(ev, ev.index) }
+
+// place puts ev into the hole at position i, sifting up if it precedes its
+// parent and down otherwise.
+func (q *eventQueue) place(ev *event, i int) {
+	if i > 0 && ev.before((*q)[(i-1)/queueArity]) {
+		q.up(ev, i)
+		return
+	}
+	q.down(ev, i)
+}
+
+// up moves the hole at i toward the root until ev's parent precedes ev,
+// then stores ev there.
+func (q *eventQueue) up(ev *event, i int) {
+	h := *q
+	for i > 0 {
+		p := (i - 1) / queueArity
+		parent := h[p]
+		if !ev.before(parent) {
+			break
+		}
+		h[i] = parent
+		parent.index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down moves the hole at i toward the leaves until no child precedes ev,
+// then stores ev there.
+func (q *eventQueue) down(ev *event, i int) {
+	h := *q
+	n := len(h)
+	for {
+		first := queueArity*i + 1
+		if first >= n {
+			break
+		}
+		m, end := first, min(first+queueArity, n)
+		for j := first + 1; j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		child := h[m]
+		if !child.before(ev) {
+			break
+		}
+		h[i] = child
+		child.index = i
+		i = m
+	}
+	h[i] = ev
+	ev.index = i
 }
