@@ -240,3 +240,33 @@ func TestPoisonUnknownVictimFails(t *testing.T) {
 		t.Fatal("poisoning an absent victim should fail")
 	}
 }
+
+// A long hold re-poisons on a timer for hours of virtual time, so one
+// re-poison round — the forged reply marshalled, carried and cached by the
+// victim — must allocate nothing once the frame pool has warmed up.
+func TestRepoisonRoundAllocFree(t *testing.T) {
+	e := newEnv()
+	victim := e.addHost("victim", "192.168.1.10")
+	gw := e.addHost("gw", "192.168.1.1")
+	attacker := e.addHost("attacker", "192.168.1.66")
+
+	const period = time.Second
+	sp := NewSpoofer(e.clk, attacker.client, period)
+	sp.Start()
+	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	e.clk.RunFor(2 * period) // resolve, first forged reply, one re-poison
+
+	before := victim.nic.Stats().FramesDelivered
+	const rounds = 100
+	if n := testing.AllocsPerRun(rounds, func() { e.clk.RunFor(period) }); n != 0 {
+		t.Fatalf("re-poison round allocates %.2f per op, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up run to the measured ones.
+	if got := victim.nic.Stats().FramesDelivered - before; got != rounds+1 {
+		t.Fatalf("victim received %d forged replies over %d rounds", got, rounds+1)
+	}
+	if m, _ := victim.client.Lookup(gw.client.Self()); m != attacker.nic.MAC() {
+		t.Fatalf("victim cache = %v, want attacker MAC %v", m, attacker.nic.MAC())
+	}
+	sp.Stop()
+}

@@ -131,31 +131,23 @@ func (s *Spoofer) Restore() {
 		if !ok {
 			continue
 		}
-		s.client.nic.Send(netsim.Frame{
-			Dst:  e.victimMAC,
-			Type: netsim.EtherTypeARP,
-			Payload: Packet{
-				Op:        OpReply,
-				SenderMAC: realMAC,
-				SenderIP:  e.claimedIP,
-				TargetMAC: e.victimMAC,
-				TargetIP:  e.victimIP,
-			}.Marshal(),
+		s.client.send(e.victimMAC, Packet{
+			Op:        OpReply,
+			SenderMAC: realMAC,
+			SenderIP:  e.claimedIP,
+			TargetMAC: e.victimMAC,
+			TargetIP:  e.victimIP,
 		})
 	}
 	s.entries = nil
 }
 
 func (s *Spoofer) sendForged(e spoofEntry) {
-	s.client.nic.Send(netsim.Frame{
-		Dst:  e.victimMAC,
-		Type: netsim.EtherTypeARP,
-		Payload: Packet{
-			Op:        OpReply,
-			SenderMAC: s.client.nic.MAC(), // the lie: claimedIP is-at attacker
-			SenderIP:  e.claimedIP,
-			TargetMAC: e.victimMAC,
-			TargetIP:  e.victimIP,
-		}.Marshal(),
+	s.client.send(e.victimMAC, Packet{
+		Op:        OpReply,
+		SenderMAC: s.client.nic.MAC(), // the lie: claimedIP is-at attacker
+		SenderIP:  e.claimedIP,
+		TargetMAC: e.victimMAC,
+		TargetIP:  e.victimIP,
 	})
 }

@@ -298,25 +298,30 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 	}
 }
 
+// drainRecords emits every complete record at the front of st.buf, then
+// moves the unconsumed tail to the front so the buffer keeps its capacity
+// and the next ingest appends without reallocating. Nothing keeps buf
+// bytes past the call: retained payloads are clones.
 func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
-	for len(st.buf) >= tlssim.HeaderLen {
-		n := int(st.buf[3])<<8 | int(st.buf[4])
-		total := tlssim.HeaderLen + n
-		if len(st.buf) < total {
-			return
+	off := 0
+	for len(st.buf)-off >= tlssim.HeaderLen {
+		rec := st.buf[off:]
+		total := tlssim.HeaderLen + (int(rec[3])<<8 | int(rec[4]))
+		if len(rec) < total {
+			break
 		}
 		meta := RecordMeta{
 			At:      c.clk.Now(),
 			Flow:    fs.key,
 			Dir:     dir,
-			Type:    tlssim.RecordType(st.buf[0]),
+			Type:    tlssim.RecordType(rec[0]),
 			WireLen: total,
 		}
 		if c.retainBudget > 0 {
-			// Clone before the truncation below reuses the stream buffer.
-			meta.Payload = append([]byte(nil), st.buf[:total]...)
+			// Clone: the compaction below reuses the stream buffer.
+			meta.Payload = append([]byte(nil), rec[:total]...)
 		}
-		st.buf = st.buf[total:]
+		off += total
 		idx := len(c.records)
 		c.records = append(c.records, meta)
 		if meta.Payload != nil {
@@ -325,6 +330,9 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 		if c.OnRecord != nil {
 			c.OnRecord(meta)
 		}
+	}
+	if off > 0 {
+		st.buf = st.buf[:copy(st.buf, st.buf[off:])]
 	}
 }
 

@@ -177,7 +177,10 @@ func (c *Conn) sampleRTT(sample simtime.Time) {
 	c.srtt = (7*c.srtt + sample) / 8
 }
 
-// Send queues stream data for transmission, segmenting at the MSS.
+// Send queues stream data for transmission, segmenting at the MSS. It
+// copies data before returning, so the caller may reuse the buffer at
+// once; tlssim seals every record into one per-connection scratch buffer
+// on the strength of it.
 func (c *Conn) Send(data []byte) error {
 	if c.appClosed || c.state == StateClosed {
 		return ErrClosed
@@ -458,25 +461,28 @@ func (c *Conn) processAck(ack uint32) {
 	if seqGT(ack, c.sndUna) {
 		c.sndUna = ack
 	}
-	progressed := false
-	for len(c.rtxq) > 0 {
-		e := c.rtxq[0]
+	acked := 0
+	for _, e := range c.rtxq {
 		if !seqLEQ(e.seq+e.seqLen(), ack) {
 			break
 		}
 		if !e.retransmits && e.sentAt > 0 {
 			c.sampleRTT(c.stack.clk.Now() - e.sentAt)
 		}
-		c.rtxq[0].payload = nil
-		c.rtxq = c.rtxq[1:]
 		if len(e.payload) > 0 {
 			c.stack.putChunk(e.payload)
 		}
-		progressed = true
+		acked++
 	}
-	if !progressed {
+	if acked == 0 {
 		return
 	}
+	// Shift the survivors to the front instead of reslicing past the
+	// retired entries, so the queue keeps its capacity and the next
+	// queueAndSend appends without reallocating.
+	rest := copy(c.rtxq, c.rtxq[acked:])
+	clear(c.rtxq[rest:])
+	c.rtxq = c.rtxq[:rest]
 	c.stopRTO()
 	c.armRTO()
 	if len(c.rtxq) != 0 {

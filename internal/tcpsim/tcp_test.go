@@ -573,3 +573,31 @@ func TestStreamSurvivesLossyLink(t *testing.T) {
 		t.Fatal("a 20%-loss link should force retransmissions")
 	}
 }
+
+// The per-frame send path allocates nothing after warm-up: the chunk comes
+// from the stack's pool, the retransmission queue keeps its capacity as
+// ACKed entries retire, and the frame buffers below recycle.
+func TestSendUntilAckedAllocFree(t *testing.T) {
+	e := newEnv(Config{})
+	cli, srv := e.connect(t, 443)
+	received := 0
+	srv.OnData = func(b []byte) { received += len(b) }
+	payload := make([]byte, 100)
+	const runs = 100
+	n := testing.AllocsPerRun(runs, func() {
+		if err := cli.Send(payload); err != nil {
+			t.Fatal(err)
+		}
+		e.clk.RunFor(10 * time.Millisecond) // one 2 ms round trip, with room
+		if len(cli.rtxq) != 0 {
+			t.Fatalf("%d segments still unacknowledged", len(cli.rtxq))
+		}
+	})
+	if n != 0 {
+		t.Fatalf("send-until-ACKed allocates %.2f per op, want 0", n)
+	}
+	// AllocsPerRun adds one warm-up run to the measured ones.
+	if want := (runs + 1) * len(payload); received != want {
+		t.Fatalf("server received %d bytes, want %d", received, want)
+	}
+}

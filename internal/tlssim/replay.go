@@ -2,6 +2,7 @@ package tlssim
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
@@ -149,31 +150,26 @@ func (w *replayWindow) observe(seq uint64, size int) bool {
 	return true
 }
 
-// sealExplicit encodes an application record for the explicit-sequence
-// modes: an 8-byte record sequence on the wire, followed by the AES-GCM
-// ciphertext (legacy nonce) or the raw plaintext (null cipher). The sender
-// still advances its own counter — the weakness is on the receive path,
-// which trusts the carried sequence.
-func (c *Conn) sealExplicit(typ RecordType, plain []byte) []byte {
+// sealExplicit appends an application record for the explicit-sequence
+// modes to dst: an 8-byte record sequence on the wire, followed by the
+// AES-GCM ciphertext (legacy nonce) or the raw plaintext (null cipher). The
+// sender still advances its own counter — the weakness is on the receive
+// path, which trusts the carried sequence.
+func (c *Conn) sealExplicit(dst []byte, typ RecordType, plain []byte) []byte {
 	seq := c.sendSeq
 	c.sendSeq++
-	var body []byte
-	if c.mode == ModeNullCipher {
-		body = make([]byte, explicitSeqLen+len(plain))
-		binary.BigEndian.PutUint64(body[:explicitSeqLen], seq)
-		copy(body[explicitSeqLen:], plain)
-	} else {
-		nonce := c.seqNonce(seq)
-		aad := c.additionalData(typ, seq, len(plain)+16)
-		ct := c.sendAEAD.Seal(nil, nonce, plain, aad)
-		body = make([]byte, explicitSeqLen, explicitSeqLen+len(ct))
-		binary.BigEndian.PutUint64(body[:explicitSeqLen], seq)
-		body = append(body, ct...)
+	n := explicitSeqLen + len(plain)
+	if c.mode != ModeNullCipher {
+		n += 16
 	}
-	rec := make([]byte, HeaderLen+len(body))
-	fillHeader(rec, typ, len(body))
-	copy(rec[HeaderLen:], body)
-	return rec
+	dst = appendHeader(slices.Grow(dst, HeaderLen+n), typ, n)
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	if c.mode == ModeNullCipher {
+		return append(dst, plain...)
+	}
+	nonce := c.seqNonce(seq)
+	aad := c.additionalData(typ, seq, len(plain)+16)
+	return c.sendAEAD.Seal(dst, nonce, plain, aad)
 }
 
 // processExplicitSeq handles legacy-nonce and null-cipher application

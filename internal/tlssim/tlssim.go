@@ -32,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -110,6 +111,9 @@ type Conn struct {
 	// both before Seal/Open returns, so one pair serves every record.
 	nonceBuf [12]byte
 	aadBuf   [13]byte
+	// txbuf is the record scratch for Send: tcpsim copies a record into
+	// its own chunks before Send returns, so one buffer serves them all.
+	txbuf []byte
 
 	// mode/window are the negotiated replay protections (see replay.go):
 	// clients pick them at construction, servers adopt them from the hello.
@@ -187,8 +191,8 @@ func (c *Conn) Send(msg []byte) error {
 	if len(msg) > maxPlaintext {
 		return ErrRecordTooLarge
 	}
-	rec := c.seal(RecordApplication, msg)
-	return c.tcp.Send(rec)
+	c.txbuf = c.sealTo(c.txbuf[:0], RecordApplication, msg)
+	return c.tcp.Send(c.txbuf)
 }
 
 // Close closes the session and its transport gracefully.
@@ -375,32 +379,33 @@ func (c *Conn) teardown(err error) {
 	}
 }
 
+// seal returns plain sealed as a fresh record of type typ.
 func (c *Conn) seal(typ RecordType, plain []byte) []byte {
+	return c.sealTo(nil, typ, plain)
+}
+
+// sealTo appends plain, sealed as one record of type typ, to dst: the
+// header first, then the AEAD output sealed onto it in place.
+func (c *Conn) sealTo(dst []byte, typ RecordType, plain []byte) []byte {
 	if c.mode != ModeSeqBound {
-		return c.sealExplicit(typ, plain)
+		return c.sealExplicit(dst, typ, plain)
 	}
+	n := len(plain) + 16
 	nonce := c.seqNonce(c.sendSeq)
-	aad := c.additionalData(typ, c.sendSeq, len(plain)+16)
-	body := c.sendAEAD.Seal(nil, nonce, plain, aad)
+	aad := c.additionalData(typ, c.sendSeq, n)
 	c.sendSeq++
-	rec := make([]byte, HeaderLen+len(body))
-	fillHeader(rec, typ, len(body))
-	copy(rec[HeaderLen:], body)
-	return rec
+	dst = appendHeader(slices.Grow(dst, HeaderLen+n), typ, n)
+	return c.sendAEAD.Seal(dst, nonce, plain, aad)
 }
 
 func plainRecord(typ RecordType, body []byte) []byte {
-	rec := make([]byte, HeaderLen+len(body))
-	fillHeader(rec, typ, len(body))
-	copy(rec[HeaderLen:], body)
-	return rec
+	rec := appendHeader(make([]byte, 0, HeaderLen+len(body)), typ, len(body))
+	return append(rec, body...)
 }
 
-func fillHeader(rec []byte, typ RecordType, n int) {
-	rec[0] = byte(typ)
-	rec[1] = 0x03
-	rec[2] = 0x03
-	binary.BigEndian.PutUint16(rec[3:5], uint16(n))
+// appendHeader appends a cleartext record header for an n-byte body.
+func appendHeader(b []byte, typ RecordType, n int) []byte {
+	return append(b, byte(typ), 0x03, 0x03, byte(n>>8), byte(n))
 }
 
 func (c *Conn) seqNonce(seq uint64) []byte {
