@@ -1,0 +1,44 @@
+package fleet
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"testing"
+)
+
+// TestCampaignOutputGolden pins the bytes two campaigns write, so a change
+// meant to leave every simulated stream alone (a faster queue, reused
+// buffers) proves it without hashing outputs by hand. Each constant is the
+// first 16 hex digits of the SHA-256 of Result.WriteJSON.
+func TestCampaignOutputGolden(t *testing.T) {
+	offline, err := ParseSpec([]byte(`{"attack":"offline","holdSecs":3600}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		spec  Spec
+		homes int
+		want  string
+	}{
+		{"default-64", DefaultSpec(), 64, "43acefbb13a04570"},
+		{"offline-hour-16", offline, 16, "9459f5698ca365f9"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Campaign{Spec: tc.spec, Homes: tc.homes, Workers: 2, Seed: 1}
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(resultJSON(t, res))
+			if got := hex.EncodeToString(sum[:])[:16]; got != tc.want {
+				t.Fatalf("output digest %s, want %s: the simulated streams changed. "+
+					"If that is intended, update these constants and bump "+
+					"checkpointVersion in the same commit, so no checkpoint "+
+					"written before the change resumes into a result after it.",
+					got, tc.want)
+			}
+		})
+	}
+}
