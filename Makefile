@@ -7,7 +7,7 @@ GO ?= go
 BENCHTIME ?= 2s
 BENCH_OUT ?= BENCH_hotpath.json
 BENCH_PKGS = . ./internal/simtime ./internal/tcpsim
-BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
+BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkOfflineHoldHour|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
 
 .PHONY: all build vet lint test race verify bench bench-json bench-check
 

@@ -13,6 +13,7 @@
 //	BenchmarkAblationMargin         — release-margin design sweep
 //	BenchmarkAblationBoundary       — detection-cliff sweep
 //	BenchmarkFleetCampaign          — fleet-scale campaign throughput
+//	BenchmarkOfflineHoldHour        — hour-long offline holds at fleet scale
 //	BenchmarkReplayCampaign         — record-and-replay family at fleet scale
 //
 // Each benchmark reports domain metrics alongside timing: achieved delay
@@ -337,6 +338,38 @@ func BenchmarkFleetCampaign(b *testing.B) {
 		var err error
 		res, err = c.Run()
 		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(homes)*float64(b.N)/b.Elapsed().Seconds(), "homes/s")
+	if res.TotalTrials > 0 {
+		b.ReportMetric(float64(res.TotalSuccesses)/float64(res.TotalTrials), "success-frac")
+		b.ReportMetric(float64(res.Metrics.Counter("fleet_alarms_total")), "alarms")
+	}
+}
+
+// BenchmarkOfflineHoldHour runs the offline attack at fleet scale: in
+// every home the attacker keeps one session blackholed for an hour of
+// virtual time while it re-poisons ARP caches on a timer (Finding 2). That
+// is the per-frame path — scheduler, ARP, frame delivery, capture — which
+// the other fleet benchmarks, dominated by per-home set-up, barely touch.
+// Unlike them it runs one fixed seed, so allocs/op does not depend on b.N.
+func BenchmarkOfflineHoldHour(b *testing.B) {
+	spec, err := fleet.ParseSpec([]byte(`{"attack":"offline","holdSecs":3600}`))
+	if err != nil {
+		b.Fatal(err)
+	}
+	const homes = 8
+	var res fleet.Result
+	for i := 0; i < b.N; i++ {
+		c := fleet.Campaign{
+			Spec:      spec,
+			Homes:     homes,
+			Workers:   runtime.GOMAXPROCS(0),
+			ShardSize: 4,
+			Seed:      1,
+		}
+		if res, err = c.Run(); err != nil {
 			b.Fatal(err)
 		}
 	}
