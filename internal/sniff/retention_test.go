@@ -49,9 +49,14 @@ func (f *feeder) record(n int, fill byte) []byte {
 	for i := tlssim.HeaderLen; i < len(rec); i++ {
 		rec[i] = fill
 	}
-	f.frame(tcpsim.Segment{Seq: f.nextSeq, Flags: tcpsim.FlagACK, Payload: rec}, f.src, f.dst)
-	f.nextSeq += uint32(len(rec))
+	f.stream(rec)
 	return rec
+}
+
+// stream sends b as the next in-order client-to-server segment.
+func (f *feeder) stream(b []byte) {
+	f.frame(tcpsim.Segment{Seq: f.nextSeq, Flags: tcpsim.FlagACK, Payload: b}, f.src, f.dst)
+	f.nextSeq += uint32(len(b))
 }
 
 func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
