@@ -255,3 +255,57 @@ func TestFamilies(t *testing.T) {
 		t.Fatalf("Families = %v, want %v", got, want)
 	}
 }
+
+// TestSeriesIdentityUnambiguous pins that a series is its (name, labels)
+// tuple, not a joined string: names and label values that contain the
+// punctuation of the rendered form never alias another series, in the
+// registry, in snapshot lookups or in a merge.
+func TestSeriesIdentityUnambiguous(t *testing.T) {
+	r := NewRegistry()
+	braced := r.Counter("a{b=c}")
+	labeled := r.Counter("a", L("b", "c"))
+	if braced == labeled {
+		t.Fatal(`Counter("a{b=c}") and Counter("a", b=c) returned the same handle`)
+	}
+	packed := r.Counter("x", L("k", "v}{k2=v2"))
+	split := r.Counter("x", L("k", "v"), L("k2", "v2"))
+	if packed == split {
+		t.Fatal(`Counter("x", k="v}{k2=v2") and Counter("x", k=v, k2=v2) returned the same handle`)
+	}
+	braced.Add(1)
+	labeled.Add(2)
+	packed.Add(3)
+	split.Add(4)
+	r.Gauge("g{b=c}").Set(5)
+	r.Gauge("g", L("b", "c")).Set(6)
+	r.Histogram("h", []float64{1}, L("k", "v}{k2=v2")).Observe(0.5)
+	r.Histogram("h", []float64{1}, L("k", "v"), L("k2", "v2")).Observe(7)
+
+	s := r.Snapshot()
+	if len(s.Counters) != 4 || len(s.Gauges) != 2 || len(s.Histograms) != 2 {
+		t.Fatalf("snapshot has %d counters, %d gauges, %d histograms; want 4, 2, 2",
+			len(s.Counters), len(s.Gauges), len(s.Histograms))
+	}
+	for _, m := range []Snapshot{s, Merge(s, s)} {
+		k := m.Counter("a{b=c}")
+		for _, c := range []struct {
+			got  uint64
+			want uint64
+		}{
+			{m.Counter("a{b=c}"), k},
+			{m.Counter("a", L("b", "c")), 2 * k},
+			{m.Counter("x", L("k", "v}{k2=v2")), 3 * k},
+			{m.Counter("x", L("k", "v"), L("k2", "v2")), 4 * k},
+			{uint64(m.Gauge("g{b=c}").Max), 5},
+			{uint64(m.Gauge("g", L("b", "c")).Max), 6},
+		} {
+			if c.got != c.want {
+				t.Fatalf("series read %d, want %d: identities alias in %+v", c.got, c.want, m)
+			}
+		}
+		h, ok := m.Histogram("h", L("k", "v"), L("k2", "v2"))
+		if !ok || h.Sum != 7*float64(k) {
+			t.Fatalf("histogram h{k=v,k2=v2} = %+v, %v; want sum %d", h, ok, 7*k)
+		}
+	}
+}

@@ -139,12 +139,14 @@ func (t *Trace) Events() []TraceEvent {
 	if t == nil || len(t.buf) == 0 {
 		return nil
 	}
-	out := make([]TraceEvent, 0, len(t.buf))
+	return t.appendEvents(make([]TraceEvent, 0, len(t.buf)))
+}
+
+// appendEvents appends the buffered events, oldest first, to dst.
+func (t *Trace) appendEvents(dst []TraceEvent) []TraceEvent {
 	if t.wrapped {
-		out = append(out, t.buf[t.next:]...)
-		out = append(out, t.buf[:t.next]...)
-	} else {
-		out = append(out, t.buf...)
+		dst = append(dst, t.buf[t.next:]...)
+		return append(dst, t.buf[:t.next]...)
 	}
-	return out
+	return append(dst, t.buf...)
 }
