@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -288,12 +289,12 @@ func (c Campaign) runShard(idx int) ShardResult {
 		RulesPerHome: c.Spec.RulesPerHome,
 	}
 	tallies := make(map[string]*ModelTally)
-	// Home snapshots stream into a per-shard accumulator as each home
-	// completes — the same left fold as obs.Merge over the retained list,
-	// so the shard metrics are byte-identical while a home's snapshot (and
-	// with it the discarded testbed's last reachable state) is released as
-	// soon as the next home starts.
-	snaps := obs.NewAccumulator()
+	// Each home's registry folds into a per-shard accumulator by series id
+	// as the home completes — the same left fold as obs.Merge over the
+	// homes' snapshots, so the shard metrics are byte-identical, without
+	// building a snapshot per home; the registry (the discarded testbed's
+	// last reachable state) is released as soon as the next home starts.
+	homes := obs.NewAccumulator()
 	for i := 0; i < n; i++ {
 		hr := runHome(c.Spec, GenerateHome(pc, first+i))
 		if hr.err != nil {
@@ -314,10 +315,18 @@ func (c Campaign) runShard(idx int) ShardResult {
 			agg.add(*t)
 		}
 		sr.Alarms += hr.alarms
-		snaps.Add(hr.snapshot)
+		homes.AddRegistry(hr.metrics)
+		// Yield between homes so the GC's background mark worker gets a
+		// processor. At GOMAXPROCS=2 its 25% share is one fractional
+		// worker that runs only when a processor schedules, and a fleet
+		// worker never blocks inside a shard: without the yield the mark
+		// waits for sysmon's 10 ms preemption while both workers allocate
+		// with write barriers on, pay mark assists, and count what they
+		// allocate as live, which inflates the next heap goal.
+		runtime.Gosched()
 	}
 	sr.Tallies = sortTallies(tallies)
-	sr.Metrics = snaps.State()
+	sr.Metrics = homes.State()
 	return sr
 }
 

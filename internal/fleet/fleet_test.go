@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/obs"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
@@ -134,5 +135,26 @@ func TestOfflineCampaignSkipsOnDemandSensors(t *testing.T) {
 				t.Errorf("home %d: offline hold targets on-demand sensor %s", i, l)
 			}
 		}
+	}
+}
+
+// TestHomeFoldAllocFree guards the per-home metrics fold: once a shard's
+// accumulator holds a home's series, folding the home's registry into it
+// by series id allocates nothing.
+func TestHomeFoldAllocFree(t *testing.T) {
+	spec := DefaultSpec()
+	spec.fill()
+	pc := PopulationConfig{Seed: 1, TimingJitter: spec.TimingJitter, RulesPerHome: spec.RulesPerHome}
+	var hr homeResult
+	for i := 0; hr.metrics == nil; i++ {
+		hr = runHome(spec, GenerateHome(pc, i))
+	}
+	if hr.err != nil {
+		t.Fatal(hr.err)
+	}
+	acc := obs.NewAccumulator()
+	acc.AddRegistry(hr.metrics)
+	if n := testing.AllocsPerRun(100, func() { acc.AddRegistry(hr.metrics) }); n != 0 {
+		t.Fatalf("AddRegistry of a warmed home registry made %.0f allocations, want 0", n)
 	}
 }

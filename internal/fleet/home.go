@@ -32,15 +32,16 @@ func (t *ModelTally) add(o ModelTally) {
 }
 
 // homeResult is the compact outcome of one home: per-model tallies plus
-// the testbed's metrics snapshot. The testbed itself is discarded — this
-// is what keeps a million-home campaign within bounded memory.
+// the testbed's metrics registry (nil when no testbed was built), which
+// the shard folds by series id. The rest of the testbed is discarded —
+// this is what keeps a million-home campaign within bounded memory.
 type homeResult struct {
 	index    int
 	err      error
 	noTarget bool
 	alarms   int
 	tallies  map[string]*ModelTally
-	snapshot obs.Snapshot
+	metrics  *obs.Registry
 }
 
 // runHome builds the home's testbed on demand, runs the campaign's attack
@@ -77,7 +78,7 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 	defer func() {
 		res.alarms = tb.TotalAlarmCount()
 		tb.Metrics.Counter("fleet_alarms_total").Add(uint64(res.alarms))
-		res.snapshot = tb.Metrics.Snapshot()
+		res.metrics = tb.Metrics
 	}()
 
 	for _, r := range home.Rules {
