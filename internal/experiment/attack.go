@@ -27,11 +27,11 @@ func (tb *Testbed) NewAttacker() (*core.Attacker, error) {
 // the session owner's LAN address, its server's address and port, and the
 // fingerprint model. Works for cloud and local deployments alike.
 func (tb *Testbed) HijackTarget(label string) (core.Target, error) {
-	p, ok := tb.byLabel[label]
+	p, ok := tb.profile(label)
 	if !ok {
 		return core.Target{}, fmt.Errorf("experiment: unknown device %q", label)
 	}
-	owner, err := device.SessionProfile(p, tb.byLabel)
+	owner, err := tb.sessionProfile(p)
 	if err != nil {
 		return core.Target{}, err
 	}

@@ -219,7 +219,7 @@ func installRule(tb *Testbed, r rules.Rule) error {
 	// Rules over HAP devices run on the local hub; everything else on the
 	// integration server.
 	if tb.LocalHub != nil {
-		if p, ok := tb.byLabel[r.Trigger.Device]; ok && p.ServerDomain == "local" {
+		if p, ok := tb.profile(r.Trigger.Device); ok && p.ServerDomain == "local" {
 			return tb.LocalHub.AddRule(r)
 		}
 	}

@@ -27,7 +27,7 @@ func (tb *Testbed) SessionOwnerProfile(label string) device.Profile {
 	if d := tb.SessionOwner(label); d != nil {
 		return d.Profile()
 	}
-	return tb.byLabel[label]
+	return tb.Profile(label)
 }
 
 // MeasuredFromProfile converts ground truth into the attacker's measured

@@ -31,7 +31,7 @@ func (tb *Testbed) NewLab(h *core.Hijacker, label string) (*core.Lab, error) {
 		return d.TriggerEvent(p.EventAttr, v)
 	}
 	if p.CommandAttr != "" {
-		owner, err := device.SessionProfile(p, tb.byLabel)
+		owner, err := tb.sessionProfile(p)
 		if err != nil {
 			return nil, err
 		}

@@ -85,7 +85,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 	owner := tb.SessionOwnerProfile(label)
 	res.Mode = owner.ReplayMode
 	res.Window = owner.ReplayWindow
-	res.CloudDedup = tb.byLabel[label].CloudDedup
+	res.CloudDedup = tb.Profile(label).CloudDedup
 
 	atk, err := tb.NewAttacker()
 	if err != nil {

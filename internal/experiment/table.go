@@ -290,7 +290,7 @@ func countAccepted(tb *Testbed, origin string) int {
 // parametersMatch validates the profiler output against ground truth with
 // a small tolerance.
 func parametersMatch(m core.Measured, truth device.Profile, tb *Testbed) bool {
-	owner, err := device.SessionProfile(truth, tb.byLabel)
+	owner, err := tb.sessionProfile(truth)
 	if err != nil {
 		return false
 	}

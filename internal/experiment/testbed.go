@@ -67,8 +67,9 @@ type Testbed struct {
 	// to the hub's LAN address).
 	ServerAddrs map[string]ipaddr.Addr
 
+	// cfg holds the home's Overrides; every other profile is looked up
+	// in the shared catalog index (see profile).
 	cfg      TestbedConfig
-	byLabel  map[string]device.Profile
 	rng      *simtime.Rand
 	nextHost int
 	nextWAN  int
@@ -116,7 +117,6 @@ func (tb *Testbed) Reset(cfg TestbedConfig) error {
 		Devices:     make(map[string]*device.Device),
 		DeviceAddrs: make(map[string]ipaddr.Addr),
 		ServerAddrs: make(map[string]ipaddr.Addr),
-		byLabel:     make(map[string]device.Profile, len(device.Index())),
 		rng:         simtime.NewRand(cfg.Seed + 1),
 	}
 	return tb.build(cfg)
@@ -147,12 +147,6 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 	tb.LAN = tb.Net.NewSegment("lan", cfg.LANLatency, cfg.Jitter)
 	tb.WAN = tb.Net.NewSegment("wan", cfg.WANLatency, cfg.Jitter)
 	tb.nextHost, tb.nextWAN = 10, 10
-	for l, p := range device.Index() {
-		tb.byLabel[l] = p
-	}
-	for _, p := range cfg.Overrides {
-		tb.byLabel[p.Label] = p
-	}
 
 	tb.Router = tb.newIPStack("router")
 	tb.Router.MustAddIface(tb.LAN, "192.168.1.1/24")
@@ -174,7 +168,7 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 		}
 	}
 	for _, l := range cfg.Devices {
-		p, ok := tb.byLabel[l]
+		p, ok := tb.profile(l)
 		if !ok {
 			return fmt.Errorf("experiment: unknown device label %q", l)
 		}
@@ -187,7 +181,7 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 
 	// Create endpoint servers and the local hub as needed.
 	for _, l := range labels {
-		p := tb.byLabel[l]
+		p := tb.Profile(l)
 		if p.Transport == device.TransportViaHub {
 			continue
 		}
@@ -206,7 +200,7 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 
 	// Create session-owning devices first, then children.
 	for _, l := range labels {
-		p := tb.byLabel[l]
+		p := tb.Profile(l)
 		if p.Transport == device.TransportViaHub {
 			continue
 		}
@@ -215,7 +209,7 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 		}
 	}
 	for _, l := range labels {
-		p := tb.byLabel[l]
+		p := tb.Profile(l)
 		if p.Transport != device.TransportViaHub {
 			continue
 		}
@@ -263,10 +257,22 @@ func (tb *Testbed) addEndpoint(domain string) error {
 	tb.addLANRoute(ip)
 	epCfg := cloud.EndpointConfig{Domain: domain}
 	// On-demand vendors reap idle sessions after their profile-specified
-	// server-side timeout (Finding 1's bound).
-	for _, p := range tb.byLabel {
+	// server-side timeout (Finding 1's bound): the longest over the whole
+	// catalog with the home's overrides applied.
+	reap := func(p *device.Profile) {
 		if p.ServerDomain == domain && p.ServerIdleTimeout > epCfg.HTTP.SessionIdleTimeout {
 			epCfg.HTTP.SessionIdleTimeout = p.ServerIdleTimeout
+		}
+	}
+	cat := device.Catalog()
+	for i := range cat {
+		if tb.override(cat[i].Label) < 0 {
+			reap(&cat[i])
+		}
+	}
+	for i := range tb.cfg.Overrides {
+		if tb.override(tb.cfg.Overrides[i].Label) == i {
+			reap(&tb.cfg.Overrides[i])
 		}
 	}
 	ep, err := cloud.NewEndpointServer(tb.Clock, ip, tb.rng, epCfg)
@@ -320,7 +326,7 @@ func (tb *Testbed) addDevice(p device.Profile) error {
 }
 
 func (tb *Testbed) registerAtServer(p device.Profile, owner string) {
-	ownerProfile := tb.byLabel[owner]
+	ownerProfile := tb.Profile(owner)
 	if ownerProfile.Transport == device.TransportHAP {
 		tb.LocalHub.RegisterDevice(p)
 		return
@@ -344,12 +350,49 @@ func (tb *Testbed) Start() {
 // Device returns a deployed device by label.
 func (tb *Testbed) Device(label string) *device.Device { return tb.Devices[label] }
 
-// Profile returns the catalog profile for a label.
-func (tb *Testbed) Profile(label string) device.Profile { return tb.byLabel[label] }
+// Profile returns the profile deployed under a label: the home's
+// override when it has one, else the catalog's (zero when neither has it).
+func (tb *Testbed) Profile(label string) device.Profile {
+	p, _ := tb.profile(label)
+	return p
+}
+
+// profile is Profile plus whether the label is known.
+func (tb *Testbed) profile(label string) (device.Profile, bool) {
+	if i := tb.override(label); i >= 0 {
+		return tb.cfg.Overrides[i], true
+	}
+	p, ok := device.Index()[label]
+	return p, ok
+}
+
+// override returns the index of the override in force for a label — the
+// last one that names it — or -1.
+func (tb *Testbed) override(label string) int {
+	for i := len(tb.cfg.Overrides) - 1; i >= 0; i-- {
+		if tb.cfg.Overrides[i].Label == label {
+			return i
+		}
+	}
+	return -1
+}
+
+// sessionProfile resolves the deployed profile that owns p's session: the
+// hub's for a via-hub device, p itself otherwise.
+func (tb *Testbed) sessionProfile(p device.Profile) (device.Profile, error) {
+	if p.Transport != device.TransportViaHub {
+		return p, nil
+	}
+	hub, ok := tb.profile(p.ViaHub)
+	if !ok {
+		return device.Profile{}, fmt.Errorf("experiment: %s references unknown hub %q", p.Label, p.ViaHub)
+	}
+	return hub, nil
+}
 
 // SessionOwner resolves the session-owning device for a label.
 func (tb *Testbed) SessionOwner(label string) *device.Device {
-	p := tb.byLabel[label]
+	p := tb.Profile(label)
 	if p.Transport == device.TransportViaHub {
 		return tb.Devices[p.ViaHub]
 	}
