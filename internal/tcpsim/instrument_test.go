@@ -130,3 +130,18 @@ func TestUninstrumentedStackUnaffected(t *testing.T) {
 		t.Fatal("conn stats must work without a registry")
 	}
 }
+
+// TestInstrumentAllocs guards what instrumenting a stack costs once its
+// series are known to the process: handles are found by series id, come
+// from chunks, and the callers' label slices stay on the stack. A testbed
+// instruments one stack per device, so this is paid per device per home.
+func TestInstrumentAllocs(t *testing.T) {
+	e := newEnv(Config{})
+	e.client.Instrument(obs.NewRegistry(), "client") // interns the series
+	n := testing.AllocsPerRun(100, func() {
+		e.client.Instrument(obs.NewRegistry(), "client")
+	})
+	if n > 16 {
+		t.Fatalf("Instrument into a fresh registry made %.0f allocations, want at most 16", n)
+	}
+}
