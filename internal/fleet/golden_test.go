@@ -6,12 +6,18 @@ import (
 	"testing"
 )
 
-// TestCampaignOutputGolden pins the bytes two campaigns write, so a change
+// TestCampaignOutputGolden pins the bytes three campaigns write, so a change
 // meant to leave every simulated stream alone (a faster queue, reused
-// buffers) proves it without hashing outputs by hand. Each constant is the
-// first 16 hex digits of the SHA-256 of Result.WriteJSON.
+// buffers) proves it without hashing outputs by hand. The cdelay case runs
+// the command branch of delayTrial over both HAP and cloud command windows.
+// Each constant is the first 16 hex digits of the SHA-256 of
+// Result.WriteJSON.
 func TestCampaignOutputGolden(t *testing.T) {
 	offline, err := ParseSpec([]byte(`{"attack":"offline","holdSecs":3600}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cdelay, err := ParseSpec([]byte(`{"attack":"cdelay","targets":{"classes":["plug","bulb","lock","thermostat","garage controller","camera"],"perHome":2}}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +29,7 @@ func TestCampaignOutputGolden(t *testing.T) {
 	}{
 		{"default-64", DefaultSpec(), 64, "43acefbb13a04570"},
 		{"offline-hour-16", offline, 16, "9459f5698ca365f9"},
+		{"cdelay-64", cdelay, 64, "00403c455ac0912c"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
