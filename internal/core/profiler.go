@@ -181,7 +181,7 @@ func (l *Lab) measurePattern(kaLen int, period time.Duration) (proto.Pattern, er
 	defer restore()
 
 	// Wait for a keep-alive to anchor the schedule.
-	if !l.runUntil(func() bool { return len(kaTimes) > 0 }, 2*period+l.IdleObservation) {
+	if !l.Clock.StepUntil(l.Clock.Now()+2*period+l.IdleObservation, func() bool { return len(kaTimes) > 0 }) {
 		return 0, fmt.Errorf("core: no keep-alive observed while measuring pattern")
 	}
 	anchor := kaTimes[len(kaTimes)-1]
@@ -192,7 +192,7 @@ func (l *Lab) measurePattern(kaLen int, period time.Duration) (proto.Pattern, er
 	}
 	eventAt := l.Clock.Now()
 	seen := len(kaTimes)
-	if !l.runUntil(func() bool { return len(kaTimes) > seen }, 2*period+time.Minute) {
+	if !l.Clock.StepUntil(l.Clock.Now()+2*period+time.Minute, func() bool { return len(kaTimes) > seen }) {
 		return 0, fmt.Errorf("core: no keep-alive after probe event")
 	}
 	nextKA := kaTimes[len(kaTimes)-1]
@@ -212,19 +212,17 @@ func (l *Lab) measureKeepAliveTimeout() (time.Duration, error) {
 	var samples []time.Duration
 	for i := 0; i < l.Trials; i++ {
 		op := l.Hijacker.DelayKeepAlive(0)
-		if !l.runUntil(func() bool { m, _ := op.Matched(); return m }, l.IdleObservation) {
+		if !l.waitMatched(op, l.IdleObservation) {
 			return 0, fmt.Errorf("core: keep-alive never captured (trial %d)", i)
 		}
 		_, matchedAt := op.Matched()
-		closedAt, ok := l.waitDeviceClose(op, l.UnboundedCap)
+		closedAt, ok := l.waitClose(op, (*Bridge).DeviceClosed, l.UnboundedCap)
 		if !ok {
 			return 0, fmt.Errorf("core: no teardown when holding keep-alive (trial %d)", i)
 		}
 		samples = append(samples, closedAt-matchedAt)
 		op.Release()
-		if err := l.recoverSession(); err != nil {
-			return 0, err
-		}
+		l.Clock.RunFor(l.Recovery)
 	}
 	return median(samples), nil
 }
@@ -245,7 +243,7 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 		if err := l.TriggerEvent(); err != nil {
 			return 0, 0, err
 		}
-		if !l.runUntil(func() bool { mt, _ := op.Matched(); return mt }, time.Minute) {
+		if !l.waitMatched(op, time.Minute) {
 			return 0, 0, fmt.Errorf("core: event never captured (trial %d)", i)
 		}
 		_, matchedAt := op.Matched()
@@ -262,12 +260,12 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 		if kaBound > 0 {
 			limit = kaBound + time.Minute
 		}
-		closedAt, closed := l.waitDeviceClose(op, limit)
+		closedAt, closed := l.waitClose(op, (*Bridge).DeviceClosed, limit)
 		switch {
 		case !closed:
 			// No teardown at all within the cap (HomeKit-style): keep
 			// holding to measure a server-side idle reap if one exists.
-			if srvAt, ok := l.waitServerClose(op, l.UnboundedCap); ok {
+			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, l.UnboundedCap); ok {
 				srvSamples = append(srvSamples, srvAt-matchedAt)
 			}
 		case m.HasKeepAlive && closedAt-matchedAt < kaBound-2*time.Second:
@@ -278,14 +276,12 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 			// server-side idle reap (the true delivery bound, Finding 1).
 			dedicated++
 			eventSamples = append(eventSamples, closedAt-matchedAt)
-			if srvAt, ok := l.waitServerClose(op, l.UnboundedCap); ok {
+			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, l.UnboundedCap); ok {
 				srvSamples = append(srvSamples, srvAt-matchedAt)
 			}
 		}
 		op.Release()
-		if err := l.recoverSession(); err != nil {
-			return 0, 0, err
-		}
+		l.Clock.RunFor(l.Recovery)
 	}
 	if dedicated > l.Trials/2 {
 		evTimeout = median(eventSamples)
@@ -311,7 +307,7 @@ func (l *Lab) measureCommandTimeout(m Measured) (time.Duration, error) {
 		if err := l.TriggerCommand(); err != nil {
 			return 0, err
 		}
-		if !l.runUntil(func() bool { mt, _ := op.Matched(); return mt }, time.Minute) {
+		if !l.waitMatched(op, time.Minute) {
 			return 0, fmt.Errorf("core: command never captured (trial %d)", i)
 		}
 		_, matchedAt := op.Matched()
@@ -333,9 +329,7 @@ func (l *Lab) measureCommandTimeout(m Measured) (time.Duration, error) {
 			}
 		}
 		op.Release()
-		if err := l.recoverSession(); err != nil {
-			return 0, err
-		}
+		l.Clock.RunFor(l.Recovery)
 	}
 	if dedicated > l.Trials/2 {
 		return median(samples), nil
@@ -352,27 +346,30 @@ const (
 	outcomeAlarm
 )
 
-func (l *Lab) waitCommandOutcome(op *DelayOp, since simtime.Time, limit time.Duration) (simtime.Time, outcomeKind) {
-	deadline := l.Clock.Now() + limit
-	for l.Clock.Now() < deadline {
+// waitCommandOutcome steps the clock until the held command's session
+// closes on either side or the lab server alarms after since, and returns
+// the first of these with its time.
+func (l *Lab) waitCommandOutcome(op *DelayOp, since simtime.Time, limit time.Duration) (at simtime.Time, kind outcomeKind) {
+	l.Clock.StepUntil(l.Clock.Now()+limit, func() bool {
 		if op.bridge != nil {
-			if closed, at := op.bridge.ServerClosed(); closed {
-				return at, outcomeServer
+			if closed, t := op.bridge.ServerClosed(); closed {
+				at, kind = t, outcomeServer
+				return true
 			}
-			if closed, at := op.bridge.DeviceClosed(); closed {
-				return at, outcomeDevice
+			if closed, t := op.bridge.DeviceClosed(); closed {
+				at, kind = t, outcomeDevice
+				return true
 			}
 		}
 		if l.ServerAlarmAt != nil {
-			if at, ok := l.ServerAlarmAt(); ok && at > since {
-				return at, outcomeAlarm
+			if t, ok := l.ServerAlarmAt(); ok && t > since {
+				at, kind = t, outcomeAlarm
+				return true
 			}
 		}
-		if !l.step(deadline) {
-			break
-		}
-	}
-	return 0, outcomeNone
+		return false
+	})
+	return at, kind
 }
 
 // --- plumbing ---
@@ -409,7 +406,7 @@ func (l *Lab) waitForKeepAlive() bool {
 		}
 	})
 	defer restore()
-	if !l.runUntil(func() bool { return exchanged }, l.IdleObservation) {
+	if !l.Clock.StepUntil(l.Clock.Now()+l.IdleObservation, func() bool { return exchanged }) {
 		return false
 	}
 	// Small settle so the response also reaches the device.
@@ -417,66 +414,23 @@ func (l *Lab) waitForKeepAlive() bool {
 	return true
 }
 
-func (l *Lab) waitDeviceClose(op *DelayOp, limit time.Duration) (simtime.Time, bool) {
-	deadline := l.Clock.Now() + limit
-	for {
+// waitMatched steps the clock until op captures its record or limit
+// passes.
+func (l *Lab) waitMatched(op *DelayOp, limit time.Duration) bool {
+	return l.Clock.StepUntil(l.Clock.Now()+limit, func() bool { return op.matched })
+}
+
+// waitClose steps the clock until one side of op's session has closed, as
+// reported by side ((*Bridge).DeviceClosed or ServerClosed), or limit
+// passes, and returns when the close happened.
+func (l *Lab) waitClose(op *DelayOp, side func(*Bridge) (bool, simtime.Time), limit time.Duration) (at simtime.Time, closed bool) {
+	closed = l.Clock.StepUntil(l.Clock.Now()+limit, func() bool {
 		if op.bridge != nil {
-			if closed, at := op.bridge.DeviceClosed(); closed {
-				return at, true
-			}
+			closed, at = side(op.bridge)
 		}
-		if l.Clock.Now() >= deadline || !l.step(deadline) {
-			return 0, false
-		}
-	}
-}
-
-func (l *Lab) waitServerClose(op *DelayOp, limit time.Duration) (simtime.Time, bool) {
-	deadline := l.Clock.Now() + limit
-	for {
-		if op.bridge != nil {
-			if closed, at := op.bridge.ServerClosed(); closed {
-				return at, true
-			}
-		}
-		if l.Clock.Now() >= deadline || !l.step(deadline) {
-			return 0, false
-		}
-	}
-}
-
-// recoverSession settles state between trials and waits for the device
-// session to re-establish through the hijacker.
-func (l *Lab) recoverSession() error {
-	l.Clock.RunFor(l.Recovery)
-	if b, ok := l.Hijacker.CurrentBridge(); ok && b.Alive() {
-		return nil
-	}
-	// On-demand devices have no standing session; nothing to wait for.
-	return nil
-}
-
-// runUntil advances the clock until cond holds or cap elapses.
-func (l *Lab) runUntil(cond func() bool, limit time.Duration) bool {
-	deadline := l.Clock.Now() + limit
-	for !cond() {
-		if l.Clock.Now() >= deadline || !l.step(deadline) {
-			return cond()
-		}
-	}
-	return true
-}
-
-// step executes the next event if it is before deadline; otherwise it
-// advances the clock to the deadline and reports false.
-func (l *Lab) step(deadline simtime.Time) bool {
-	next, ok := l.Clock.NextEventAt()
-	if !ok || next > deadline {
-		l.Clock.RunUntil(deadline)
-		return false
-	}
-	l.Clock.Step()
-	return true
+		return closed
+	})
+	return at, closed
 }
 
 func median(ds []time.Duration) time.Duration {

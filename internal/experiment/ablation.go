@@ -5,8 +5,6 @@ import (
 	"io"
 	"strings"
 	"time"
-
-	"repro/internal/device"
 )
 
 // MarginPoint is one release-margin setting evaluated over several trials:
@@ -56,36 +54,24 @@ func marginPoint(label string, margin time.Duration, trials int, seed int64) Mar
 		res.Err = err
 		return res
 	}
-	h.ArmPredictor(measuredFromProfile(mustOwner(tb, label)))
+	h.ArmPredictor(MeasuredFromProfile(tb.SessionOwnerProfile(label)))
 
 	var total time.Duration
 	for i := 0; i < trials; i++ {
-		alarmsBefore := tb.TotalAlarmCount()
-		acceptedBefore := countAccepted(tb, lab.EventOrigin)
 		op := h.MaxEDelay(lab.EventOrigin, margin)
-		released := false
-		var held time.Duration
-		op.OnReleased = func(d time.Duration) { released, held = true, d }
-		if err := lab.TriggerEvent(); err != nil {
+		f, err := tb.HoldTrial(op, lab.TriggerEvent, lab.EventOrigin, 10*time.Minute)
+		if err != nil {
 			res.Err = err
 			return res
 		}
-		deadline := tb.Clock.Now() + 10*time.Minute
-		for !released && tb.Clock.Now() < deadline {
-			if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-				break
-			}
-			tb.Clock.Step()
-		}
-		tb.Clock.RunFor(5 * time.Second)
-		if !released {
+		if !f.Released {
 			continue // the session died holding; neither stealthy nor accepted
 		}
-		total += held
-		if tb.SessionOwner(label).Connected() && tb.TotalAlarmCount() == alarmsBefore {
+		total += f.Held
+		if tb.SessionOwner(label).Connected() && f.NewAlarms == 0 {
 			res.Stealthy++
 		}
-		if countAccepted(tb, lab.EventOrigin) > acceptedBefore {
+		if f.Accepted {
 			res.Accepted++
 		}
 		// Let the session recover (or reconnect) between trials.
@@ -95,10 +81,6 @@ func marginPoint(label string, margin time.Duration, trials int, seed int64) Mar
 		res.MeanDelay = total / time.Duration(trials)
 	}
 	return res
-}
-
-func mustOwner(tb *Testbed, label string) device.Profile {
-	return tb.SessionOwner(label).Profile()
 }
 
 // BoundaryPoint is one hold duration around a device's window edge: does
@@ -140,7 +122,6 @@ func boundaryPoint(label string, hold time.Duration, seed int64) BoundaryPoint {
 		return res
 	}
 	tb.Start()
-	owner := tb.SessionOwner(label)
 	bridge, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge for %s", label)
@@ -157,9 +138,8 @@ func boundaryPoint(label string, hold time.Duration, seed int64) BoundaryPoint {
 
 	died, _ := bridge.DeviceClosed()
 	res.SessionDied = died
-	res.EventAccepted = countAccepted(tb, label) > 0
+	res.EventAccepted = tb.AcceptedEventCount(label) > 0
 	res.Alarms = tb.TotalAlarmCount()
-	_ = owner
 	return res
 }
 

@@ -178,7 +178,7 @@ func runCase(c Case, seed int64) (res CaseResult) {
 			}
 		}
 		for _, r := range c.Rules {
-			if err := installRule(tb, r); err != nil {
+			if err := tb.InstallRule(r); err != nil {
 				return false, "", 0, err
 			}
 		}
@@ -213,17 +213,6 @@ func runCase(c Case, seed int64) (res CaseResult) {
 		res.Err = fmt.Errorf("attack: %w", err)
 	}
 	return res
-}
-
-func installRule(tb *Testbed, r rules.Rule) error {
-	// Rules over HAP devices run on the local hub; everything else on the
-	// integration server.
-	if tb.LocalHub != nil {
-		if p, ok := tb.profile(r.Trigger.Device); ok && p.ServerDomain == "local" {
-			return tb.LocalHub.AddRule(r)
-		}
-	}
-	return tb.Integration.AddRule(r)
 }
 
 // notificationLatency returns the latency of the first notification, if

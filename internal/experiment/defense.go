@@ -101,36 +101,20 @@ func ackPoint(label string, profile device.Profile, ackTimeout time.Duration, se
 
 	// Attack with ground-truth-equivalent knowledge (the attacker can
 	// re-profile hardened devices just as easily).
-	m := measuredFromProfile(profile)
+	m := MeasuredFromProfile(profile)
 	h.ArmPredictor(m)
 	lab, err := tb.NewLab(h, label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	achieved, _, err := demonstrateEventDelay(tb, h, lab, TableOptions{Margin: 2 * time.Second, UnboundedDemo: time.Hour})
+	achieved, _, err := demonstrateDelay(tb, h, lab, TableOptions{Margin: 2 * time.Second, UnboundedDemo: time.Hour}, false)
 	if err != nil {
 		res.Err = err
 		return res
 	}
 	res.AchievedDelay = achieved
 	return res
-}
-
-// measuredFromProfile converts ground truth into the attacker's measured
-// form (used where re-running the profiler would only reproduce it).
-func measuredFromProfile(p device.Profile) core.Measured {
-	return core.Measured{
-		Model:             p.Label,
-		HasKeepAlive:      p.KeepAlivePeriod > 0,
-		KeepAlivePeriod:   p.KeepAlivePeriod,
-		Pattern:           p.KeepAlivePattern,
-		KeepAliveTimeout:  p.KeepAliveTimeout,
-		EventTimeout:      p.EventTimeout,
-		CommandTimeout:    p.CommandTimeout,
-		ServerIdleTimeout: p.ServerIdleTimeout,
-		OnDemand:          p.Transport == device.TransportHTTPOnDemand,
-	}
 }
 
 // TimestampDefenseResult reports the VII-B evaluation: what timestamp

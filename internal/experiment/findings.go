@@ -66,7 +66,7 @@ func runFinding1(seed int64) (res FindingResult) {
 	tb.Clock.RunFor(hold + time.Minute)
 
 	deviceGaveUp := tb.Device("M7").LogCount("closed") > 0
-	accepted := countAccepted(tb, "M7") == 1
+	accepted := tb.AcceptedEventCount("M7") == 1
 	alarms := tb.TotalAlarmCount()
 	res.Holds = deviceGaveUp && accepted && alarms == 0
 	res.Detail = fmt.Sprintf("device timed out locally=%v, event accepted after %v=%v, server alarms=%d",

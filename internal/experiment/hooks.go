@@ -13,12 +13,34 @@ import (
 // InstallRule installs a TCA rule on the right automation server for its
 // trigger device: rules over local (HAP) devices run on the local hub,
 // everything else on the integration server.
-func (tb *Testbed) InstallRule(r rules.Rule) error { return installRule(tb, r) }
+func (tb *Testbed) InstallRule(r rules.Rule) error {
+	if tb.LocalHub != nil {
+		if p, ok := tb.profile(r.Trigger.Device); ok && p.ServerDomain == "local" {
+			return tb.LocalHub.AddRule(r)
+		}
+	}
+	return tb.Integration.AddRule(r)
+}
 
 // AcceptedEventCount reports how many events from the given origin device
 // the automation servers have accepted so far — the ground truth for "did
 // the delayed message still land".
-func (tb *Testbed) AcceptedEventCount(origin string) int { return countAccepted(tb, origin) }
+func (tb *Testbed) AcceptedEventCount(origin string) int {
+	n := 0
+	if tb.LocalHub != nil {
+		for _, ev := range tb.LocalHub.Events() {
+			if ev.Device == origin {
+				n++
+			}
+		}
+	}
+	for _, ev := range tb.Integration.Events() {
+		if ev.Device == origin {
+			n++
+		}
+	}
+	return n
+}
 
 // SessionOwnerProfile resolves the deployed (override-adjusted) profile of
 // the session owner for a label: the device itself, or its hub for via-hub
@@ -32,5 +54,18 @@ func (tb *Testbed) SessionOwnerProfile(label string) device.Profile {
 
 // MeasuredFromProfile converts ground truth into the attacker's measured
 // form — what an attacker who already profiled this model (the paper's
-// one-time per-model effort) would arm its predictor with.
-func MeasuredFromProfile(p device.Profile) core.Measured { return measuredFromProfile(p) }
+// one-time per-model effort) would arm its predictor with, and what
+// experiments use where re-running the profiler would only reproduce it.
+func MeasuredFromProfile(p device.Profile) core.Measured {
+	return core.Measured{
+		Model:             p.Label,
+		HasKeepAlive:      p.KeepAlivePeriod > 0,
+		KeepAlivePeriod:   p.KeepAlivePeriod,
+		Pattern:           p.KeepAlivePattern,
+		KeepAliveTimeout:  p.KeepAliveTimeout,
+		EventTimeout:      p.EventTimeout,
+		CommandTimeout:    p.CommandTimeout,
+		ServerIdleTimeout: p.ServerIdleTimeout,
+		OnDemand:          p.Transport == device.TransportHTTPOnDemand,
+	}
+}

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/device"
@@ -64,4 +65,37 @@ func (tb *Testbed) NewLab(h *core.Hijacker, label string) (*core.Lab, error) {
 		}
 	}
 	return lab, nil
+}
+
+// HoldFacts is what one hold trial observed. It carries no verdict: each
+// caller judges the trial by its own rule.
+type HoldFacts struct {
+	// Released reports that the hold ended by release, before the limit
+	// or during the settle after it.
+	Released bool
+	// Held is how long the message was held; zero unless Released.
+	Held time.Duration
+	// Accepted reports that the automation servers accepted an event from
+	// the trial's origin during the trial.
+	Accepted bool
+	// NewAlarms counts the server-side alarms raised during the trial.
+	NewAlarms int
+}
+
+// HoldTrial runs one hold trial: it fires trigger, steps the clock until op
+// releases or limit passes, lets the release settle for 5 s and reports
+// what happened (Section IV-C's hold, checked as in Section VI-C). op must
+// be armed and not yet matched; HoldTrial takes over its OnReleased hook.
+func (tb *Testbed) HoldTrial(op *core.DelayOp, trigger func() error, origin string, limit time.Duration) (HoldFacts, error) {
+	var f HoldFacts
+	op.OnReleased = func(d time.Duration) { f.Released, f.Held = true, d }
+	alarms, accepted := tb.TotalAlarmCount(), tb.AcceptedEventCount(origin)
+	if err := trigger(); err != nil {
+		return f, err
+	}
+	tb.Clock.StepUntil(tb.Clock.Now()+limit, func() bool { return f.Released })
+	tb.Clock.RunFor(5 * time.Second)
+	f.Accepted = tb.AcceptedEventCount(origin) > accepted
+	f.NewAlarms = tb.TotalAlarmCount() - alarms
+	return f, nil
 }

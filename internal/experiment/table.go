@@ -171,7 +171,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	// Demonstrate the maximum stealthy delays.
 	h.ArmPredictor(m)
 	markPhase(tb, "phase_start", "demo-event", 0)
-	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrateEventDelay(tb, h, lab, opts)
+	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts, false)
 	markPhase(tb, "phase_end", "demo-event", int64(row.EventDelayAchieved))
 	if err != nil {
 		row.Err = err
@@ -179,7 +179,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	}
 	if row.HasCommands && lab.TriggerCommand != nil {
 		markPhase(tb, "phase_start", "demo-command", 0)
-		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrateCommandDelay(tb, h, lab, opts)
+		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts, true)
 		markPhase(tb, "phase_end", "demo-command", int64(row.CommandDelayAchieved))
 		if err != nil {
 			row.Err = err
@@ -190,76 +190,37 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	return row
 }
 
-// demonstrateEventDelay holds one event for the maximum predicted-safe
-// time (or UnboundedDemo when no timeout bounds it) and verifies the
-// event is still accepted.
-func demonstrateEventDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions) (time.Duration, bool, error) {
+// demonstrateDelay holds one event, or one command when command is set,
+// for the maximum predicted-safe time (or UnboundedDemo when no timeout
+// bounds it) and checks that the hold released and, for an event, that
+// the event was still accepted.
+func demonstrateDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions, command bool) (time.Duration, bool, error) {
 	m := h.Predictor().Measured()
+	kind, origin, trigger := "event", lab.EventOrigin, lab.TriggerEvent
 	_, _, bounded := m.EventWindow()
-
-	var achieved time.Duration
-	released := false
+	maxDelay, delay := h.MaxEDelay, h.EDelay
+	if command {
+		kind, origin, trigger = "command", lab.CommandOrigin, lab.TriggerCommand
+		_, _, bounded = m.CommandWindow()
+		maxDelay, delay = h.MaxCDelay, h.CDelay
+	}
 	var op *core.DelayOp
 	if bounded {
-		op = h.MaxEDelay(lab.EventOrigin, opts.Margin)
+		op = maxDelay(origin, opts.Margin)
 	} else {
-		op = h.EDelay(lab.EventOrigin, opts.UnboundedDemo)
+		op = delay(origin, opts.UnboundedDemo)
 	}
-	op.OnReleased = func(d time.Duration) { achieved, released = d, true }
-
-	eventsBefore := countAccepted(tb, lab.EventOrigin)
-	if err := lab.TriggerEvent(); err != nil {
+	f, err := tb.HoldTrial(op, trigger, origin, opts.UnboundedDemo+10*time.Minute)
+	if err != nil {
 		return 0, false, err
 	}
-	limit := opts.UnboundedDemo + 10*time.Minute
-	deadline := tb.Clock.Now() + limit
-	for !released && tb.Clock.Now() < deadline {
-		if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-			tb.Clock.RunUntil(deadline)
-			break
-		}
-		tb.Clock.Step()
+	if !f.Released {
+		return 0, false, fmt.Errorf("experiment: %s %s delay never released", origin, kind)
 	}
-	tb.Clock.RunFor(5 * time.Second)
-	if !released {
-		return 0, false, fmt.Errorf("experiment: %s event delay never released", lab.EventOrigin)
+	if !command && !f.Accepted {
+		return 0, false, fmt.Errorf("experiment: %s delayed event not accepted", origin)
 	}
-	if countAccepted(tb, lab.EventOrigin) <= eventsBefore {
-		return 0, false, fmt.Errorf("experiment: %s delayed event not accepted", lab.EventOrigin)
-	}
-	return achieved, !bounded, nil
-}
-
-func demonstrateCommandDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions) (time.Duration, bool, error) {
-	m := h.Predictor().Measured()
-	_, _, bounded := m.CommandWindow()
-
-	var achieved time.Duration
-	released := false
-	var op *core.DelayOp
-	if bounded {
-		op = h.MaxCDelay(lab.CommandOrigin, opts.Margin)
-	} else {
-		op = h.CDelay(lab.CommandOrigin, opts.UnboundedDemo)
-	}
-	op.OnReleased = func(d time.Duration) { achieved, released = d, true }
-	if err := lab.TriggerCommand(); err != nil {
-		return 0, false, err
-	}
-	limit := opts.UnboundedDemo + 10*time.Minute
-	deadline := tb.Clock.Now() + limit
-	for !released && tb.Clock.Now() < deadline {
-		if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-			tb.Clock.RunUntil(deadline)
-			break
-		}
-		tb.Clock.Step()
-	}
-	tb.Clock.RunFor(5 * time.Second)
-	if !released {
-		return 0, false, fmt.Errorf("experiment: %s command delay never released", lab.CommandOrigin)
-	}
-	return achieved, !bounded, nil
+	return f.Held, !bounded, nil
 }
 
 // markPhase records an attack-phase boundary in the testbed's flight
@@ -268,23 +229,6 @@ func markPhase(tb *Testbed, event, name string, value int64) {
 	if tr := tb.Metrics.Trace(); tr.Enabled() {
 		tr.Emit(tb.Clock.Now(), "experiment", event, name, value)
 	}
-}
-
-func countAccepted(tb *Testbed, origin string) int {
-	n := 0
-	if tb.LocalHub != nil {
-		for _, ev := range tb.LocalHub.Events() {
-			if ev.Device == origin {
-				n++
-			}
-		}
-	}
-	for _, ev := range tb.Integration.Events() {
-		if ev.Device == origin {
-			n++
-		}
-	}
-	return n
 }
 
 // parametersMatch validates the profiler output against ground truth with

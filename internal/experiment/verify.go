@@ -102,36 +102,21 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 
 	for i := 0; i < opts.Trials; i++ {
 		// Random phase within the keep-alive cycle.
-		wait := rng.DurationRange(3*time.Second, 40*time.Second)
-		tb.Clock.RunFor(wait)
-
-		alarmsBefore := tb.TotalAlarmCount()
-		acceptedBefore := countAccepted(tb, lab.EventOrigin)
+		tb.Clock.RunFor(rng.DurationRange(3*time.Second, 40*time.Second))
 		op := h.MaxEDelay(lab.EventOrigin, opts.Margin)
-		released := false
-		op.OnReleased = func(time.Duration) { released = true }
-		if err := lab.TriggerEvent(); err != nil {
+		f, err := tb.HoldTrial(op, lab.TriggerEvent, lab.EventOrigin, 20*time.Minute)
+		if err != nil {
 			res.Err = err
 			return res
 		}
-		deadline := tb.Clock.Now() + 20*time.Minute
-		for !released && tb.Clock.Now() < deadline {
-			if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-				break
-			}
-			tb.Clock.Step()
-		}
-		tb.Clock.RunFor(5 * time.Second)
-		if !released {
+		if !f.Released {
 			res.Err = fmt.Errorf("experiment: verification trial %d never released", i)
 			return res
 		}
-		sessionAlive := tb.SessionOwner(label).Connected()
-		noAlarm := tb.TotalAlarmCount() == alarmsBefore
-		if sessionAlive && noAlarm {
+		if tb.SessionOwner(label).Connected() && f.NewAlarms == 0 {
 			res.TimeoutsAvoided++
 		}
-		if countAccepted(tb, lab.EventOrigin) > acceptedBefore {
+		if f.Accepted {
 			res.Accepted++
 		}
 		tb.Clock.RunFor(10 * time.Second)
@@ -139,10 +124,14 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 	return res
 }
 
+// verifyUnbounded runs its hour-long holds as one RunFor each instead of
+// through HoldTrial: the hold ends on its own timer, and a single run keeps
+// simtime_runs_total and simtime_run_steps, which the paper run's -metrics
+// bytes pin, as they are.
 func verifyUnbounded(tb *Testbed, h *core.Hijacker, lab *core.Lab, res VerifyResult) VerifyResult {
 	for i := 0; i < res.Trials; i++ {
 		alarmsBefore := tb.TotalAlarmCount()
-		acceptedBefore := countAccepted(tb, lab.EventOrigin)
+		acceptedBefore := tb.AcceptedEventCount(lab.EventOrigin)
 		op := h.EDelay(lab.EventOrigin, time.Hour)
 		released := false
 		op.OnReleased = func(time.Duration) { released = true }
@@ -158,7 +147,7 @@ func verifyUnbounded(tb *Testbed, h *core.Hijacker, lab *core.Lab, res VerifyRes
 		if tb.SessionOwner(res.Label).Connected() && tb.TotalAlarmCount() == alarmsBefore {
 			res.TimeoutsAvoided++
 		}
-		if countAccepted(tb, lab.EventOrigin) > acceptedBefore {
+		if tb.AcceptedEventCount(lab.EventOrigin) > acceptedBefore {
 			res.Accepted++
 		}
 	}

@@ -233,34 +233,17 @@ func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Sp
 		}
 	}
 
-	var achieved time.Duration
-	released := false
-	op.OnReleased = func(d time.Duration) { achieved, released = d, true }
-
-	alarmsBefore := tb.TotalAlarmCount()
-	acceptedBefore := tb.AcceptedEventCount(origin)
-	if err := trigger(); err != nil {
+	// The limit guards against an op that never matches (e.g. a lost
+	// trigger).
+	f, err := tb.HoldTrial(op, trigger, origin, simTimeBound(spec, m))
+	if err != nil {
 		return 0, false, err
 	}
-	// Drive the simulation until the hold releases; the deadline guards
-	// against an op that never matches (e.g. a lost trigger).
-	deadline := tb.Clock.Now() + simTimeBound(spec, m)
-	for !released && tb.Clock.Now() < deadline {
-		if next, ok := tb.Clock.NextEventAt(); !ok || next > deadline {
-			tb.Clock.RunUntil(deadline)
-			break
-		}
-		tb.Clock.Step()
-	}
-	tb.Clock.RunFor(5 * time.Second)
-	if !released {
+	if !f.Released {
 		return 0, false, fmt.Errorf("fleet: delay never released")
 	}
-	success := tb.TotalAlarmCount() == alarmsBefore
-	if spec.Attack == AttackEDelay && tb.AcceptedEventCount(origin) <= acceptedBefore {
-		success = false
-	}
-	return achieved, success, nil
+	success := f.NewAlarms == 0 && (spec.Attack != AttackEDelay || f.Accepted)
+	return f.Held, success, nil
 }
 
 // replayTrial runs one record-and-replay attempt: trigger a genuine

@@ -6,9 +6,9 @@
 // virtual time execute in milliseconds of wall time.
 //
 // The Clock is intentionally single-threaded: callbacks run on the goroutine
-// that calls Step, Run, RunUntil or RunFor. Simulation code therefore needs
-// no locking, which both simplifies the protocol state machines built on top
-// and guarantees determinism.
+// that calls Step, StepUntil, Run, RunUntil or RunFor. Simulation code
+// therefore needs no locking, which both simplifies the protocol state
+// machines built on top and guarantees determinism.
 package simtime
 
 import (
@@ -182,6 +182,30 @@ func (c *Clock) RunUntil(t Time) {
 // the clock by exactly d from its value at the call.
 func (c *Clock) RunFor(d time.Duration) {
 	c.RunUntil(c.now + d)
+}
+
+// StepUntil executes events one at a time until done reports true or the
+// deadline is reached, and reports done's final value. done is checked
+// before the first event and after each one, so an event exactly at the
+// deadline runs and is seen. When no event remains at or before the
+// deadline, the clock advances to it through RunUntil; a deadline already
+// reached runs nothing.
+//
+// The events run through Step, which opens no run of its own, so a wait
+// that ends on done adds nothing to simtime_runs_total; only the final
+// advance to the deadline counts as one run of zero steps.
+func (c *Clock) StepUntil(deadline Time, done func() bool) bool {
+	for !done() {
+		if c.now >= deadline {
+			return false
+		}
+		if ev := c.peek(); ev == nil || ev.when > deadline {
+			c.RunUntil(deadline)
+			return done()
+		}
+		c.Step()
+	}
+	return true
 }
 
 // Pending reports the number of scheduled, uncancelled events. Stopped

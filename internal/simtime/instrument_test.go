@@ -132,3 +132,56 @@ func TestUninstrumentedClockUnaffected(t *testing.T) {
 		t.Fatal("uninstrumented clock failed to run events")
 	}
 }
+
+// TestStepUntil pins the edges of the one step-until-deadline loop: when
+// done is checked, whether an event at the deadline runs, where the clock
+// ends and which of those paths count as a run.
+func TestStepUntil(t *testing.T) {
+	const never = -1
+	cases := []struct {
+		name     string
+		start    Time   // the clock is advanced here before the events are scheduled
+		events   []Time // absolute event times
+		deadline Time
+		doneAt   int // done holds once this many events ran; never for always false
+		want     bool
+		wantNow  Time
+		wantRan  int
+		wantRuns uint64
+	}{
+		{"done before deadline", 0, []Time{time.Second, 2 * time.Second, 3 * time.Second}, 10 * time.Second, 2, true, 2 * time.Second, 2, 0},
+		{"event at deadline runs and is seen", 0, []Time{5 * time.Second}, 5 * time.Second, 1, true, 5 * time.Second, 1, 0},
+		{"event at deadline runs, done still false", 0, []Time{5 * time.Second, 6 * time.Second}, 5 * time.Second, never, false, 5 * time.Second, 1, 0},
+		{"next event past deadline", 0, []Time{2 * time.Second, 8 * time.Second}, 5 * time.Second, never, false, 5 * time.Second, 1, 1},
+		{"empty queue", 0, nil, 5 * time.Second, never, false, 5 * time.Second, 0, 1},
+		{"deadline reached, done false", 5 * time.Second, []Time{5 * time.Second}, 5 * time.Second, never, false, 5 * time.Second, 0, 0},
+		{"deadline passed, done true", 5 * time.Second, []Time{5 * time.Second}, 3 * time.Second, 0, true, 5 * time.Second, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewClock()
+			c.RunUntil(tc.start)
+			ran := 0
+			for _, at := range tc.events {
+				c.At(at, func() { ran++ })
+			}
+			reg := obs.NewRegistry()
+			c.Instrument(reg)
+			got := c.StepUntil(tc.deadline, func() bool { return tc.doneAt != never && ran >= tc.doneAt })
+			if got != tc.want || c.Now() != tc.wantNow || ran != tc.wantRan {
+				t.Fatalf("StepUntil = %v at %v after %d events, want %v at %v after %d",
+					got, c.Now(), ran, tc.want, tc.wantNow, tc.wantRan)
+			}
+			if c.Pending() != len(tc.events)-ran {
+				t.Fatalf("Pending = %d, want %d", c.Pending(), len(tc.events)-ran)
+			}
+			snap := reg.Snapshot()
+			if runs := snap.Counter("simtime_runs_total"); runs != tc.wantRuns {
+				t.Fatalf("runs_total = %d, want %d", runs, tc.wantRuns)
+			}
+			if events := snap.Counter("simtime_events_total"); events != uint64(tc.wantRan) {
+				t.Fatalf("events_total = %d, want %d", events, tc.wantRan)
+			}
+		})
+	}
+}
