@@ -33,8 +33,9 @@ import (
 // sub-minute). EXPERIMENTS.md marks which rows are prose-exact.
 // The roster is static, so it is assembled once and shared: Catalog and
 // Index return views that callers must treat as read-only. Per-home
-// parameter overrides go through copies (ByLabel, Profile.WithTimingJitter),
-// never through these shared views.
+// parameter overrides are separate Profile values (Profile.WithTimingJitter
+// returns a copy) that a testbed consults before the catalog; nothing
+// writes them into these shared views.
 func Catalog() []Profile {
 	catalogOnce.Do(buildCatalog)
 	return catalogCache
@@ -345,18 +346,6 @@ func homeKit() []Profile {
 		mk("A16", "Nanoleaf Essentials Bulb", "Nanoleaf", "bulb", 402, 408, "switch", []string{"on", "off"}, "switch"),
 		mk("A17", "Ecobee3 Lite (HomeKit)", "Ecobee", "thermostat", 700, 705, "heating", []string{"on", "off"}, "heating"),
 	}
-}
-
-// ByLabel indexes the catalog into a fresh map the caller may mutate
-// (testbeds overlay per-home profile overrides on their copy). Read-only
-// callers should prefer Index, which shares one immutable map.
-func ByLabel() map[string]Profile {
-	cat := Catalog()
-	m := make(map[string]Profile, len(cat))
-	for _, p := range cat {
-		m[p.Label] = p
-	}
-	return m
 }
 
 // Index returns the shared label→profile index. The map is built once and

@@ -34,7 +34,7 @@ func TestCatalogLabelsUnique(t *testing.T) {
 }
 
 func TestCatalogStructurallySound(t *testing.T) {
-	byLabel := ByLabel()
+	byLabel := Index()
 	for _, p := range Catalog() {
 		if p.Model == "" || p.Vendor == "" || p.Class == "" {
 			t.Errorf("%s: missing identity fields", p.Label)
@@ -88,7 +88,7 @@ func TestCatalogStructurallySound(t *testing.T) {
 }
 
 func TestPaperProseValuesEncodedExactly(t *testing.T) {
-	byLabel := ByLabel()
+	byLabel := Index()
 	st := byLabel["H1"]
 	if st.KeepAlivePeriod != 31*time.Second || st.KeepAliveTimeout != 16*time.Second ||
 		st.KeepAlivePattern != proto.PatternOnIdle || st.KeepAliveLen != 40 {
@@ -120,7 +120,7 @@ func TestPaperProseValuesEncodedExactly(t *testing.T) {
 func TestEventWindowsMatchPaperAggregate(t *testing.T) {
 	// "Event messages of all tested devices can be delayed for longer than
 	// 30 seconds except the SimpliSafe keypad."
-	byLabel := ByLabel()
+	byLabel := Index()
 	for _, p := range CloudProfiles() {
 		sp, err := SessionProfile(p, byLabel)
 		if err != nil {
@@ -213,7 +213,7 @@ func TestMaxCommandDelay(t *testing.T) {
 }
 
 func TestSessionProfileResolution(t *testing.T) {
-	byLabel := ByLabel()
+	byLabel := Index()
 	c2 := byLabel["C2"]
 	sp, err := SessionProfile(c2, byLabel)
 	if err != nil {
@@ -269,7 +269,7 @@ func TestTopicHelpers(t *testing.T) {
 // must exceed the raw protocol encoding of its messages, or padding could
 // not reach them and the fingerprint signatures would be wrong.
 func TestDeclaredLengthsFitEncodings(t *testing.T) {
-	byLabel := ByLabel()
+	byLabel := Index()
 	for _, p := range Catalog() {
 		owner, err := SessionProfile(p, byLabel)
 		if err != nil {

@@ -28,7 +28,7 @@ func TestEcosystemsCoverEveryViaHubDevice(t *testing.T) {
 
 func TestSampleDevicesDeterministicAndValid(t *testing.T) {
 	tmpl := device.DefaultPopulationTemplate()
-	byLabel := device.ByLabel()
+	byLabel := device.Index()
 	for seed := int64(0); seed < 50; seed++ {
 		a := tmpl.SampleDevices(simtime.NewRand(seed))
 		b := tmpl.SampleDevices(simtime.NewRand(seed))
