@@ -37,7 +37,10 @@ test:
 race:
 	$(GO) test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/
 
-verify: build vet lint test race
+# verify is the tier-1 gate. verify.sh is its one definition (gofmt, build,
+# vet, lint, test, race), so `make verify` and CI run the same checks.
+verify:
+	./verify.sh
 
 bench:
 	$(GO) test -bench=. -benchmem .
