@@ -1,26 +1,19 @@
 // Command phantomlint runs the repository's custom determinism and
-// zero-tax-tracing analyzers (internal/analysis/...) over Go packages.
-//
-// Standalone (the mode verify.sh, make lint and CI use):
+// zero-tax-tracing analyzers (internal/analysis/...) over Go packages:
 //
 //	go run ./cmd/phantomlint ./...            # analyze everything
 //	go run ./cmd/phantomlint -run maporder ./internal/sniff/
 //	go run ./cmd/phantomlint -json ./...      # machine-readable findings
 //	go run ./cmd/phantomlint -list            # describe the suite
 //
-// Packages are analyzed in dependency waves (imports before importers) so
-// cross-package facts — taint summaries, wall-clock-boundary marks — are
-// always complete when a package is reached; within a wave, packages run
-// concurrently (-parallel). Output is byte-identical at any parallelism.
+// The matched packages are type-checked from source against their
+// dependencies' export data in the build cache, then analyzed in
+// dependency waves (imports before importers) so cross-package facts —
+// taint summaries, wall-clock-boundary marks — are complete when a
+// package is reached.
 //
 // Exit status is 0 when no findings survive //lint:allow suppression,
 // 1 when findings are reported, 2 on usage or load errors.
-//
-// The binary also speaks the `go vet -vettool` unit-checker protocol
-// (see vettool.go):
-//
-//	go build -o /tmp/phantomlint ./cmd/phantomlint
-//	go vet -vettool=/tmp/phantomlint ./...
 package main
 
 import (
@@ -28,47 +21,34 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/detflow"
+	"repro/internal/analysis/determinism"
 	"repro/internal/analysis/goroutineguard"
 	"repro/internal/analysis/load"
 	"repro/internal/analysis/maporder"
-	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/timerguard"
 	"repro/internal/analysis/traceguard"
-	"repro/internal/analysis/wallclockboundary"
 )
 
 // suite is the phantomlint analyzer set, in reporting order.
 var suite = []*analysis.Analyzer{
-	detflow.Analyzer,
+	determinism.Analyzer,
 	goroutineguard.Analyzer,
 	maporder.Analyzer,
-	simdeterminism.Analyzer,
 	timerguard.Analyzer,
 	traceguard.Analyzer,
-	wallclockboundary.Analyzer,
 }
 
 func main() {
-	// The vet driver invokes the tool as `phantomlint -V=full` and then
-	// `phantomlint <file>.cfg`; detect that protocol before flag parsing
-	// so the standalone flags don't collide with vet's.
-	if vettoolMain(suite) {
-		return
-	}
-
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	parallelFlag := flag.Int("parallel", runtime.GOMAXPROCS(0), "max packages analyzed concurrently per dependency wave")
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON (suppressed findings included, marked)")
 	verboseFlag := flag.Bool("v", false, "report wall time and wave schedule to stderr")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: phantomlint [-list] [-run name,name] [-parallel n] [-json] [-v] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: phantomlint [-list] [-run name,name] [-json] [-v] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -105,8 +85,7 @@ func main() {
 
 	// JSON output keeps suppressed findings (flagged) so downstream
 	// tooling can audit //lint:allow usage; only live findings fail.
-	findings, _, err := analysis.RunGraph(pkgs, analyzers, analysis.GraphOptions{
-		Parallel:          *parallelFlag,
+	findings, err := analysis.RunGraph(pkgs, analyzers, analysis.GraphOptions{
 		IncludeSuppressed: *jsonFlag,
 	})
 	if err != nil {
@@ -121,8 +100,8 @@ func main() {
 		for i, w := range waves {
 			sizes[i] = fmt.Sprint(len(w))
 		}
-		fmt.Fprintf(os.Stderr, "phantomlint: %d packages in %d waves [%s], parallel=%d\n",
-			len(pkgs), len(waves), strings.Join(sizes, " "), *parallelFlag)
+		fmt.Fprintf(os.Stderr, "phantomlint: %d packages in %d waves [%s]\n",
+			len(pkgs), len(waves), strings.Join(sizes, " "))
 		fmt.Fprintf(os.Stderr, "phantomlint: load %.2fs, analysis %.2fs, total %.2fs\n",
 			loaded.Sub(start).Seconds(), done.Sub(loaded).Seconds(), done.Sub(start).Seconds())
 	}

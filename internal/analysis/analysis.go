@@ -1,17 +1,16 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary: an Analyzer inspects one
-// type-checked package through a Pass and reports Diagnostics. Since
-// phantomlint v2 the framework is interprocedural: analyzers can declare
-// prerequisite analyzers (Requires) and exchange serializable Facts about
-// package-level objects and packages, propagated in dependency order by
-// the graph runner (graph.go) and across `go vet -vettool` compilation
-// units by the fact store's Encode/Decode (facts.go).
+// type-checked package through a Pass and reports Diagnostics. The
+// framework is interprocedural: analyzers exchange Facts about
+// package-level objects and packages, which the graph runner (graph.go)
+// carries in dependency order through one in-memory store (facts.go).
 //
-// The shapes (Analyzer, Pass, Diagnostic, Fact) deliberately mirror
-// x/tools so the phantomlint analyzers can be ported to the upstream
-// framework by swapping an import path once the module is allowed
-// third-party dependencies. Until then everything here builds on the
-// standard library's go/ast and go/types alone.
+// The names (Analyzer, Pass, Diagnostic, Fact) follow x/tools so the
+// analyzers read like upstream ones, but porting them would not be an
+// import swap: x/tools also needs each analyzer's fact types declared so
+// facts can cross process boundaries, while phantomlint analyzes a whole
+// tree in one process. Everything here builds on the standard library's
+// go/ast and go/types alone.
 //
 // The suite exists to machine-check the reproduction's load-bearing
 // conventions (see DESIGN.md §10 and §15):
@@ -43,18 +42,9 @@ type Analyzer struct {
 	// Doc is the one-paragraph description shown by `phantomlint -list`.
 	Doc string
 	// Run inspects the package behind pass and reports findings through
-	// pass.Report. The interface{} result mirrors x/tools (analyzers there
-	// can return values consumed via Requires); phantomlint analyzers
-	// communicate through facts instead and return nil.
+	// pass.Report. The interface{} result mirrors x/tools; phantomlint
+	// analyzers communicate through facts instead and return nil.
 	Run func(pass *Pass) (interface{}, error)
-	// Requires lists analyzers that must run on the same package first —
-	// typically fact producers whose summaries this analyzer consumes.
-	// The graph runner expands and orders the set automatically.
-	Requires []*Analyzer
-	// FactTypes declares the fact types this analyzer may export, as
-	// nil pointers of the concrete type (e.g. (*FuncTaint)(nil)). Only
-	// declared types can be serialized across vettool compilation units.
-	FactTypes []Fact
 }
 
 // Pass hands one type-checked package to an Analyzer.
@@ -68,8 +58,8 @@ type Pass struct {
 	// suppression before surfacing it.
 	Report func(Diagnostic)
 
-	store *Store
-	allow allowSet
+	facts factStore
+	dirs  directives
 }
 
 // Reportf reports a finding at pos. It is the analyzers' usual entry point.
@@ -83,58 +73,50 @@ func (p *Pass) Reportf(pos token.Pos, msg string) {
 // sanitizer, not just a silenced diagnostic, so suppressions don't
 // cascade findings onto every transitive caller.
 func (p *Pass) Allowed(analyzer string, pos token.Pos) bool {
-	if p.allow == nil {
-		return false
-	}
-	return p.allow.suppressed(analyzer, p.Fset.Position(pos))
+	return p.dirs.allow.granted(analyzer, p.Fset.Position(pos))
+}
+
+// Bridged reports whether a //lint:bridge comment names the analyzer at
+// pos: on a declaration, it marks a sanctioned seam whose body the
+// analyzer does not police (see suppress.go).
+func (p *Pass) Bridged(analyzer string, pos token.Pos) bool {
+	return p.dirs.bridge.granted(analyzer, p.Fset.Position(pos))
 }
 
 // ExportObjectFact attaches f to obj, which must be a package-level
 // object (or method) of the package under analysis. The fact becomes
 // visible to analyzers of importing packages via ImportObjectFact.
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.store == nil {
-		return
-	}
 	key, ok := ObjectKey(obj)
 	if !ok {
-		return // local objects cannot carry serializable facts
+		return // local objects cannot carry facts
 	}
-	if obj.Pkg() == nil || obj.Pkg().Path() != p.Pkg.Path() {
+	if obj.Pkg().Path() != p.Pkg.Path() {
 		panic("analysis: ExportObjectFact on object of another package")
 	}
-	p.store.export(p.Pkg.Path(), key, f)
+	p.facts.export(p.Pkg.Path(), key, f)
 }
 
 // ImportObjectFact copies the fact of f's concrete type previously
-// exported on obj (by any analyzer, in this process or a dependency
-// compilation unit) into f, reporting whether one was found.
+// exported on obj (by any analyzer, on this package or a dependency)
+// into f, reporting whether one was found.
 func (p *Pass) ImportObjectFact(obj types.Object, f Fact) bool {
-	if p.store == nil || obj == nil || obj.Pkg() == nil {
-		return false
-	}
 	key, ok := ObjectKey(obj)
 	if !ok {
 		return false
 	}
-	return p.store.lookup(obj.Pkg().Path(), key, f)
+	return p.facts.lookup(obj.Pkg().Path(), key, f)
 }
 
 // ExportPackageFact attaches f to the package under analysis.
 func (p *Pass) ExportPackageFact(f Fact) {
-	if p.store == nil {
-		return
-	}
-	p.store.export(p.Pkg.Path(), "", f)
+	p.facts.export(p.Pkg.Path(), "", f)
 }
 
 // ImportPackageFact copies the package fact of f's concrete type
 // previously exported on pkg into f, reporting whether one was found.
 func (p *Pass) ImportPackageFact(pkg *types.Package, f Fact) bool {
-	if p.store == nil || pkg == nil {
-		return false
-	}
-	return p.store.lookup(pkg.Path(), "", f)
+	return p.facts.lookup(pkg.Path(), "", f)
 }
 
 // Diagnostic is one finding: a position and a message.
@@ -151,8 +133,9 @@ type Finding struct {
 	Pos      token.Position
 	Message  string
 	// Suppressed marks a finding silenced by a //lint:allow comment.
-	// Run and the text drivers drop suppressed findings; the -json
-	// output retains them flagged, so tooling can audit suppressions.
+	// RunGraph drops suppressed findings unless asked to keep them; the
+	// -json output retains them flagged, so tooling can audit
+	// suppressions.
 	Suppressed bool
 }
 
@@ -164,17 +147,6 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	TypesInfo  *types.Info
-}
-
-// Run applies each analyzer to each package in dependency order and
-// returns the surviving findings ordered by file, line, column, then
-// analyzer name. Findings suppressed by a //lint:allow comment (see
-// suppress.go) are dropped here, so every driver — phantomlint, the
-// vettool mode, analysistest — shares one suppression semantics. It is
-// the serial convenience form of RunGraph.
-func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	findings, _, err := RunGraph(pkgs, analyzers, GraphOptions{})
-	return findings, err
 }
 
 func sortFindings(fs []Finding) {

@@ -14,16 +14,17 @@
 // findings with no matching expectation, and expectations with no matching
 // finding, fail the test. The fixture's import path is its directory path
 // relative to testdata/src, which is what lets fixtures exercise
-// path-scoped analyzer behavior (e.g. simdeterminism's repro/internal/*
+// path-scoped analyzer behavior (e.g. determinism's repro/internal/*
 // scope and its cmd/ allowlist).
 //
 // Interprocedural analyzers need more than one package: list every
 // fixture package in dependency order (imported packages first). All
 // listed packages are type-checked into one graph — a fixture may import
 // an earlier fixture by its testdata import path, or any real package the
-// module can resolve — and analyzed with analysis.RunGraph, so facts flow
-// from fixture dependencies into fixture dependents exactly as they do in
-// the production drivers.
+// module can resolve, which the stdlib source importer checks from
+// source — and analyzed with analysis.RunGraph, so facts flow from
+// fixture dependencies into fixture dependents exactly as they do in
+// phantomlint.
 package analysistest
 
 import (
@@ -63,15 +64,12 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 		wants = append(wants, ws...)
 	}
 
-	findings, _, err := analysis.RunGraph(pkgs, []*analysis.Analyzer{a}, analysis.GraphOptions{})
+	findings, err := analysis.RunGraph(pkgs, []*analysis.Analyzer{a}, analysis.GraphOptions{})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}
 
 	for _, f := range findings {
-		if f.Analyzer != a.Name {
-			continue // required fact producers may also report; only the analyzer under test is scored
-		}
 		if !claim(wants, f) {
 			t.Errorf("%s:%d: unexpected %s finding: %s", f.Pos.Filename, f.Pos.Line, a.Name, f.Message)
 		}

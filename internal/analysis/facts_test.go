@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -12,14 +11,14 @@ import (
 
 // noteFact is the test fact type.
 type noteFact struct {
-	Note string `json:"note"`
+	Note string
 }
 
 func (*noteFact) AFact() {}
 
 // otherFact exercises multi-type keys.
 type otherFact struct {
-	N int `json:"n"`
+	N int
 }
 
 func (*otherFact) AFact() {}
@@ -95,9 +94,7 @@ func local() {
 }
 
 func TestStoreRoundTrip(t *testing.T) {
-	a := &Analyzer{Name: "a", FactTypes: []Fact{(*noteFact)(nil), (*otherFact)(nil)}, Run: func(*Pass) (interface{}, error) { return nil, nil }}
-	s := NewStore([]*Analyzer{a})
-
+	s := make(factStore)
 	s.export("p", "F", &noteFact{Note: "hello"})
 	s.export("p", "", &noteFact{Note: "pkg-level"})
 	s.export("p", "F", &otherFact{N: 7})
@@ -127,81 +124,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStoreEncodeDecode(t *testing.T) {
-	a := &Analyzer{Name: "a", FactTypes: []Fact{(*noteFact)(nil)}, Run: func(*Pass) (interface{}, error) { return nil, nil }}
-	s := NewStore([]*Analyzer{a})
-	s.export("dep", "F", &noteFact{Note: "from dep"})
-	s.export("dep", "", &noteFact{Note: "dep pkg"})
-
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Byte determinism: encoding twice gives identical bytes.
-	data2, _ := s.Encode()
-	if !bytes.Equal(data, data2) {
-		t.Error("Encode is not deterministic")
-	}
-
-	s2 := NewStore([]*Analyzer{a})
-	if err := s2.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	var nf noteFact
-	if !s2.lookup("dep", "F", &nf) || nf.Note != "from dep" {
-		t.Errorf("decoded object fact: %+v", nf)
-	}
-	if !s2.lookup("dep", "", &nf) || nf.Note != "dep pkg" {
-		t.Errorf("decoded package fact: %+v", nf)
-	}
-
-	// Inherited facts are re-encoded so they flow through indirect
-	// dependencies: decode dep facts, add own, encode — both present.
-	s2.export("mid", "G", &noteFact{Note: "own"})
-	data3, _ := s2.Encode()
-	s3 := NewStore([]*Analyzer{a})
-	if err := s3.Decode(data3); err != nil {
-		t.Fatal(err)
-	}
-	if !s3.lookup("dep", "F", &nf) {
-		t.Error("inherited fact dropped on re-encode")
-	}
-	if !s3.lookup("mid", "G", &nf) {
-		t.Error("own fact missing after re-encode")
-	}
-}
-
-func TestStoreDecodeEdgeCases(t *testing.T) {
-	a := &Analyzer{Name: "a", FactTypes: []Fact{(*noteFact)(nil)}, Run: func(*Pass) (interface{}, error) { return nil, nil }}
-	s := NewStore([]*Analyzer{a})
-
-	if err := s.Decode(nil); err != nil {
-		t.Errorf("empty data should be a no-op, got %v", err)
-	}
-	if err := s.Decode([]byte(`{"version":99,"facts":[]}`)); err == nil {
-		t.Error("version mismatch should error")
-	}
-	// Unknown fact types are skipped, known ones still land.
-	doc := `{"version":1,"facts":[
-		{"pkg":"p","obj":"F","type":"future.UnknownFact","data":{"x":1}},
-		{"pkg":"p","obj":"F","type":"repro/internal/analysis.noteFact","data":{"note":"kept"}}]}`
-	if err := s.Decode([]byte(doc)); err != nil {
-		t.Fatalf("decode with unknown type: %v", err)
-	}
-	var nf noteFact
-	if !s.lookup("p", "F", &nf) || nf.Note != "kept" {
-		t.Errorf("known fact alongside unknown: %+v", nf)
-	}
-}
-
 func TestExportObjectFactOwnership(t *testing.T) {
 	fset := token.NewFileSet()
 	dep := checkSrc(t, fset, "dep", `package dep; func F() {}`, nil)
 	top := checkSrc(t, fset, "top", `package top; import "dep"; func G() { dep.F() }`, map[string]*types.Package{"dep": dep.Pkg})
 
-	a := &Analyzer{Name: "a", FactTypes: []Fact{(*noteFact)(nil)}, Run: func(*Pass) (interface{}, error) { return nil, nil }}
-	store := NewStore([]*Analyzer{a})
-	pass := &Pass{Analyzer: a, Fset: fset, Pkg: top.Pkg, store: store}
+	pass := &Pass{Fset: fset, Pkg: top.Pkg, facts: make(factStore)}
 
 	defer func() {
 		if recover() == nil {

@@ -1,65 +1,20 @@
-// The graph runner: dependency-ordered, wave-parallel analysis.
+// The graph runner: dependency-ordered analysis.
 //
 // Facts flow along import edges, so a package's analyzers may only run
 // once every analyzed dependency has finished. Waves makes that order
 // explicit: wave 0 holds packages importing no other analyzed package,
 // wave k packages whose analyzed imports all sit in earlier waves.
-// Packages within one wave cannot import each other, so RunGraph runs
-// each wave's packages concurrently (bounded by GraphOptions.Parallel)
-// and still presents every analyzer a fully-populated fact store for
-// everything it can reach. Findings are accumulated per package and
-// sorted once at the end, so the output is byte-identical for any
-// parallelism level.
+// RunGraph analyzes the waves in order, one package at a time, so every
+// pass sees a complete fact store for everything it can reach.
 package analysis
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "sort"
 
 // GraphOptions tunes RunGraph.
 type GraphOptions struct {
-	// Parallel caps concurrently analyzed packages per wave; <= 1 runs
-	// serially.
-	Parallel int
-	// Store receives exported facts; nil allocates a fresh one. The
-	// vettool seeds it with decoded dependency facts.
-	Store *Store
 	// IncludeSuppressed retains //lint:allow-suppressed findings in the
 	// result, marked Finding.Suppressed, instead of dropping them.
 	IncludeSuppressed bool
-	// FactsOnly runs only fact-producing analyzers (and their requires)
-	// and reports nothing — the vettool's dependency-unit mode.
-	FactsOnly bool
-}
-
-// Expand returns analyzers plus their transitive Requires, deduplicated,
-// in an order that runs every prerequisite before its dependents. The
-// order is deterministic in the input order. Cycles panic: they are
-// programming errors in the suite definition.
-func Expand(analyzers []*Analyzer) []*Analyzer {
-	var out []*Analyzer
-	state := make(map[*Analyzer]int) // 0 unseen, 1 visiting, 2 done
-	var visit func(a *Analyzer)
-	visit = func(a *Analyzer) {
-		switch state[a] {
-		case 1:
-			panic(fmt.Sprintf("analysis: Requires cycle through %s", a.Name))
-		case 2:
-			return
-		}
-		state[a] = 1
-		for _, r := range a.Requires {
-			visit(r)
-		}
-		state[a] = 2
-		out = append(out, a)
-	}
-	for _, a := range analyzers {
-		visit(a)
-	}
-	return out
 }
 
 // Waves partitions pkgs into dependency waves: every package's analyzed
@@ -106,65 +61,24 @@ func Waves(pkgs []*Package) [][]*Package {
 	return waves
 }
 
-// RunGraph applies the analyzers (expanded with their Requires) to the
-// packages in dependency-wave order, threading facts through the store,
-// and returns the findings sorted by position then analyzer — the same
-// bytes for any Parallel setting. The returned store holds every
-// exported fact; the vettool serializes it onward.
-func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Finding, *Store, error) {
-	expanded := Expand(analyzers)
-	if opts.FactsOnly {
-		var producers []*Analyzer
-		for _, a := range expanded {
-			if len(a.FactTypes) > 0 {
-				producers = append(producers, a)
-			}
-		}
-		expanded = Expand(producers)
-	}
-	store := opts.Store
-	if store == nil {
-		store = NewStore(analyzers)
-	}
-
+// RunGraph applies the analyzers to the packages in dependency-wave
+// order, threading facts through one store, and returns the findings
+// sorted by position then analyzer. Findings suppressed by a
+// //lint:allow comment (see suppress.go) are dropped unless
+// opts.IncludeSuppressed, so phantomlint and analysistest share one
+// suppression semantics.
+func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Finding, error) {
+	facts := make(factStore)
 	var all []Finding
 	for _, wave := range Waves(pkgs) {
-		parallel := opts.Parallel
-		if parallel > len(wave) {
-			parallel = len(wave)
-		}
-		if parallel <= 1 {
-			for _, pkg := range wave {
-				fs, err := runPackage(pkg, expanded, store, opts.FactsOnly)
-				if err != nil {
-					return nil, nil, err
-				}
-				all = append(all, fs...)
+		for _, pkg := range wave {
+			fs, err := runPackage(pkg, analyzers, facts)
+			if err != nil {
+				return nil, err
 			}
-			continue
-		}
-		results := make([][]Finding, len(wave))
-		errs := make([]error, len(wave))
-		sem := make(chan struct{}, parallel)
-		var wg sync.WaitGroup
-		for i, pkg := range wave {
-			wg.Add(1)
-			go func(i int, pkg *Package) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i], errs[i] = runPackage(pkg, expanded, store, opts.FactsOnly)
-			}(i, pkg)
-		}
-		wg.Wait()
-		for i := range wave {
-			if errs[i] != nil {
-				return nil, nil, errs[i]
-			}
-			all = append(all, results[i]...)
+			all = append(all, fs...)
 		}
 	}
-
 	if !opts.IncludeSuppressed {
 		kept := all[:0]
 		for _, f := range all {
@@ -175,37 +89,33 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Find
 		all = kept
 	}
 	sortFindings(all)
-	return all, store, nil
+	return all, nil
 }
 
-// runPackage applies the already-expanded analyzer sequence to one
-// package, resolving suppression as findings are reported.
-func runPackage(pkg *Package, expanded []*Analyzer, store *Store, factsOnly bool) ([]Finding, error) {
-	allow := collectAllows(pkg.Fset, pkg.Files)
+// runPackage applies the analyzers to one package, resolving suppression
+// as findings are reported.
+func runPackage(pkg *Package, analyzers []*Analyzer, facts factStore) ([]Finding, error) {
+	dirs := collectDirectives(pkg.Fset, pkg.Files)
 	var out []Finding
-	for _, a := range expanded {
+	for _, a := range analyzers {
+		name := a.Name
 		pass := &Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
 			Pkg:       pkg.Pkg,
 			TypesInfo: pkg.TypesInfo,
-			store:     store,
-			allow:     allow,
-		}
-		name := a.Name
-		if factsOnly {
-			pass.Report = func(Diagnostic) {}
-		} else {
-			pass.Report = func(d Diagnostic) {
+			facts:     facts,
+			dirs:      dirs,
+			Report: func(d Diagnostic) {
 				posn := pkg.Fset.Position(d.Pos)
 				out = append(out, Finding{
 					Analyzer:   name,
 					Pos:        posn,
 					Message:    d.Message,
-					Suppressed: allow.suppressed(name, posn),
+					Suppressed: dirs.allow.granted(name, posn),
 				})
-			}
+			},
 		}
 		if _, err := a.Run(pass); err != nil {
 			return nil, err

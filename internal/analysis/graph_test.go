@@ -40,27 +40,11 @@ func TestWaves(t *testing.T) {
 	}
 }
 
-func TestExpand(t *testing.T) {
-	base := &Analyzer{Name: "base", Run: func(*Pass) (interface{}, error) { return nil, nil }}
-	mid := &Analyzer{Name: "mid", Requires: []*Analyzer{base}, Run: base.Run}
-	top := &Analyzer{Name: "top", Requires: []*Analyzer{mid, base}, Run: base.Run}
-
-	var names []string
-	for _, a := range Expand([]*Analyzer{top}) {
-		names = append(names, a.Name)
-	}
-	if want := []string{"base", "mid", "top"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("Expand order = %v, want %v", names, want)
-	}
-}
-
 // markEveryFunc reports one finding per package-level function and
 // exports a noteFact naming the package.
 func markEveryFunc(name string) *Analyzer {
-	var a *Analyzer
-	a = &Analyzer{
-		Name:      name,
-		FactTypes: []Fact{(*noteFact)(nil)},
+	return &Analyzer{
+		Name: name,
 		Run: func(pass *Pass) (interface{}, error) {
 			scope := pass.Pkg.Scope()
 			for _, n := range scope.Names() {
@@ -72,39 +56,13 @@ func markEveryFunc(name string) *Analyzer {
 			return nil, nil
 		},
 	}
-	return a
-}
-
-func TestRunGraphDeterministicAcrossParallelism(t *testing.T) {
-	serial, _, err := RunGraph(chainPkgs(t), []*Analyzer{markEveryFunc("mark")}, GraphOptions{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != 4 {
-		t.Fatalf("want 4 findings, got %d", len(serial))
-	}
-	for trial := 0; trial < 5; trial++ {
-		par, _, err := RunGraph(chainPkgs(t), []*Analyzer{markEveryFunc("mark")}, GraphOptions{Parallel: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Positions differ between fresh filesets, so compare the stable
-		// parts: analyzer, message, order.
-		for i := range serial {
-			if par[i].Message != serial[i].Message || par[i].Analyzer != serial[i].Analyzer {
-				t.Fatalf("trial %d: finding %d differs: %+v vs %+v", trial, i, par[i], serial[i])
-			}
-		}
-	}
 }
 
 // readDepFacts reports, for each import, the fact its dependency's F
 // carries — proving facts flow down waves.
 func readDepFacts() *Analyzer {
-	producer := markEveryFunc("producer")
 	return &Analyzer{
-		Name:     "reader",
-		Requires: []*Analyzer{producer},
+		Name: "reader",
 		Run: func(pass *Pass) (interface{}, error) {
 			for _, imp := range pass.Pkg.Imports() {
 				fn, ok := imp.Scope().Lookup("F").(*types.Func)
@@ -122,7 +80,11 @@ func readDepFacts() *Analyzer {
 }
 
 func TestRunGraphFactFlow(t *testing.T) {
-	findings, store, err := RunGraph(chainPkgs(t), []*Analyzer{readDepFacts()}, GraphOptions{Parallel: 4})
+	// The producer runs before the reader on each package, and every
+	// package after its dependencies, so the reader sees each import's
+	// fact.
+	analyzers := []*Analyzer{markEveryFunc("producer"), readDepFacts()}
+	findings, err := RunGraph(chainPkgs(t), analyzers, GraphOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,11 +100,6 @@ func TestRunGraphFactFlow(t *testing.T) {
 	if len(reads) != 2 || !(contains(reads, want[0]) && contains(reads, want[1])) {
 		t.Errorf("fact-flow findings = %v, want %v", reads, want)
 	}
-	// The returned store holds every exported fact.
-	var nf noteFact
-	if !store.lookup("chain/a", "F", &nf) || nf.Note != "chain/a.F" {
-		t.Errorf("store missing chain/a fact: %+v", nf)
-	}
 }
 
 func contains(xs []string, s string) bool {
@@ -152,20 +109,6 @@ func contains(xs []string, s string) bool {
 		}
 	}
 	return false
-}
-
-func TestRunGraphFactsOnly(t *testing.T) {
-	findings, store, err := RunGraph(chainPkgs(t), []*Analyzer{readDepFacts()}, GraphOptions{FactsOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("FactsOnly should report nothing, got %d findings", len(findings))
-	}
-	var nf noteFact
-	if !store.lookup("chain/a", "F", &nf) {
-		t.Error("FactsOnly should still compute producer facts")
-	}
 }
 
 func TestRunGraphSuppression(t *testing.T) {
@@ -178,7 +121,7 @@ func F() {}
 func G() {}
 `, nil)
 
-	def, _, err := RunGraph([]*Package{pkg}, []*Analyzer{markEveryFunc("mark")}, GraphOptions{})
+	def, err := RunGraph([]*Package{pkg}, []*Analyzer{markEveryFunc("mark")}, GraphOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +129,7 @@ func G() {}
 		t.Errorf("suppressed finding leaked: %+v", def)
 	}
 
-	all, _, err := RunGraph([]*Package{pkg}, []*Analyzer{markEveryFunc("mark")}, GraphOptions{IncludeSuppressed: true})
+	all, err := RunGraph([]*Package{pkg}, []*Analyzer{markEveryFunc("mark")}, GraphOptions{IncludeSuppressed: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,13 @@
 // Package load turns `go list` package patterns into type-checked
-// analysis.Packages using only the standard library: go list enumerates
-// the packages, go/parser parses them, and go/types checks them with the
-// stdlib source importer resolving imports (stdlib and module-local alike)
-// from source.
+// analysis.Packages using only the standard library: `go list -deps
+// -export` enumerates the matched packages and compiles every dependency
+// into the build cache, go/parser parses the matched packages, and
+// go/types checks them with imports read from that export data.
 //
 // This is the offline stand-in for golang.org/x/tools/go/packages, which
-// the module cannot vendor. Imports are always resolved through one shared
-// source-importer instance, so transitive dependencies are type-checked at
-// most once per Packages call and every import of a given path yields the
-// identical *types.Package.
+// the module cannot vendor. One gc importer serves the whole call, so
+// every import of a given path yields the identical *types.Package, and
+// nothing is type-checked from source but the packages to analyze.
 package load
 
 import (
@@ -22,10 +21,9 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"sync"
 
 	"repro/internal/analysis"
 )
@@ -34,14 +32,16 @@ import (
 type listedPackage struct {
 	ImportPath string
 	Dir        string
-	Name       string
 	GoFiles    []string
+	Export     string // export data file in the build cache
+	DepOnly    bool   // a dependency, not matched by the patterns
 }
 
 // Packages loads, parses and type-checks the packages matched by patterns
 // (e.g. "./..."), resolving them relative to dir. Only non-test Go files
 // are analyzed: the determinism and tracing invariants govern simulation
 // code, and tests legitimately use wall-clock timeouts and ad-hoc output.
+// Packages come back in `go list -deps` order, dependencies first.
 func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -50,42 +50,24 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	fset := token.NewFileSet()
-
-	// Parsing is embarrassingly parallel (token.FileSet serializes its own
-	// file registration); type-checking stays serial below because the
-	// shared source importer is not safe for concurrent use.
-	var withFiles []listedPackage
+	exports := make(map[string]string, len(listed))
 	for _, lp := range listed {
-		if len(lp.GoFiles) > 0 {
-			withFiles = append(withFiles, lp)
+		exports[lp.ImportPath] = lp.Export
+	}
+	fset := token.NewFileSet()
+	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		if exports[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
 		}
-	}
-	parsed := make([][]*ast.File, len(withFiles))
-	errs := make([]error, len(withFiles))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, lp := range withFiles {
-		wg.Add(1)
-		go func(i int, lp listedPackage) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			parsed[i], errs[i] = parsePackage(fset, lp)
-		}(i, lp)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
+		return os.Open(exports[path])
+	})
 
-	imp := importer.ForCompiler(fset, "source", nil)
 	var pkgs []*analysis.Package
-	for i, lp := range withFiles {
-		pkg, err := check(fset, imp, lp, parsed[i])
+	for _, lp := range listed {
+		if lp.DepOnly || len(lp.GoFiles) == 0 {
+			continue
+		}
+		pkg, err := check(fset, imp, lp)
 		if err != nil {
 			return nil, err
 		}
@@ -94,21 +76,8 @@ func Packages(dir string, patterns ...string) ([]*analysis.Package, error) {
 	return pkgs, nil
 }
 
-// parsePackage parses one listed package's non-test files.
-func parsePackage(fset *token.FileSet, lp listedPackage) ([]*ast.File, error) {
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("load: %v", err)
-		}
-		files = append(files, f)
-	}
-	return files, nil
-}
-
 func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json=ImportPath,Dir,Name,GoFiles"}, patterns...)
+	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var stdout, stderr bytes.Buffer
@@ -132,8 +101,17 @@ func goList(dir string, patterns []string) ([]listedPackage, error) {
 	return out, nil
 }
 
-// check type-checks one parsed package against the shared importer.
-func check(fset *token.FileSet, imp types.Importer, lp listedPackage, files []*ast.File) (*analysis.Package, error) {
+// check parses one listed package's non-test files and type-checks them
+// against the shared importer.
+func check(fset *token.FileSet, imp types.Importer, lp listedPackage) (*analysis.Package, error) {
+	var files []*ast.File
+	for _, name := range lp.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+		if err != nil {
+			return nil, fmt.Errorf("load: %v", err)
+		}
+		files = append(files, f)
+	}
 	info := NewInfo()
 	conf := types.Config{Importer: imp}
 	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)

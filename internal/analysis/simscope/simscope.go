@@ -1,10 +1,10 @@
-// Package simscope answers the one question several phantomlint
-// analyzers share: is this package on the simulation side of the
-// wall-clock seam? Simulation packages are the ones whose results are
-// contractually pure functions of (seed, config) — repro/internal/*
-// minus the subtrees that legitimately live on the wall-clock side.
-// Keeping the answer in one place keeps simdeterminism, detflow and
-// goroutineguard from drifting apart on what "sim code" means.
+// Package simscope answers the one question the phantomlint analyzers
+// share: is this package on the simulation side of the wall-clock seam?
+// Simulation packages are the ones whose results are contractually pure
+// functions of (seed, config) — repro/internal/* minus the subtrees that
+// legitimately live on the wall-clock side. Keeping the answer in one
+// place keeps determinism and goroutineguard from drifting apart on what
+// "sim code" means.
 package simscope
 
 import "strings"
@@ -21,9 +21,9 @@ var exemptPrefixes = []string{
 // the determinism contract. cmd/* and examples/* own the wall-clock side
 // and are out of scope by construction (they are not under
 // repro/internal/). Note repro/internal/obs/serve IS in scope here: it
-// may link the network (wallclockboundary exempts it by charter) but its
-// goroutine discipline and any taint it would launder into sim-visible
-// state still matter.
+// may link the network (determinism exempts its imports by charter) but
+// its goroutine discipline and any taint it would launder into
+// sim-visible state still matter.
 func Sim(path string) bool {
 	if !strings.HasPrefix(path, "repro/internal/") {
 		return false

@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Suppression comments.
+// Directive comments.
 //
 // A finding is suppressed by a comment of the form
 //
@@ -17,69 +17,79 @@ import (
 // "--" is a free-form justification. The mechanism is deliberately narrow:
 // one line of reach, named analyzers only, so a suppression can never
 // silently swallow findings it was not written for.
+//
+// A //lint:bridge comment has the same grammar and the same reach. It
+// marks the declaration that starts on its line or the next as a
+// sanctioned seam between simulated and wall-clock time, which the named
+// analyzer reads through Pass.Bridged.
 
-const allowPrefix = "lint:allow"
+const (
+	allowPrefix  = "lint:allow"
+	bridgePrefix = "lint:bridge"
+)
 
-// allowSet maps file name → line → set of analyzer names allowed on that
-// line. A comment grants its own line and the following line, so both the
-// same-line and line-above placements resolve to simple line lookups.
-type allowSet map[string]map[int]map[string]bool
+// grants maps file name → line → set of analyzer names a directive names
+// on that line.
+type grants map[string]map[int]map[string]bool
 
-func (s allowSet) suppressed(analyzer string, pos token.Position) bool {
-	lines := s[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[pos.Line][analyzer]
+func (g grants) granted(analyzer string, pos token.Position) bool {
+	return g[pos.Filename][pos.Line][analyzer]
 }
 
-func (s allowSet) add(file string, line int, analyzers []string) {
-	lines := s[file]
+// grant records a directive's names at pos on its own line (same-line
+// placement) and on the next line (placement directly above), so both
+// placements resolve to simple line lookups.
+func (g grants) grant(pos token.Position, names []string) {
+	if len(names) == 0 {
+		return
+	}
+	lines := g[pos.Filename]
 	if lines == nil {
 		lines = make(map[int]map[string]bool)
-		s[file] = lines
+		g[pos.Filename] = lines
 	}
-	set := lines[line]
-	if set == nil {
-		set = make(map[string]bool)
-		lines[line] = set
-	}
-	for _, a := range analyzers {
-		set[a] = true
+	for _, line := range [2]int{pos.Line, pos.Line + 1} {
+		set := lines[line]
+		if set == nil {
+			set = make(map[string]bool)
+			lines[line] = set
+		}
+		for _, n := range names {
+			set[n] = true
+		}
 	}
 }
 
-// collectAllows scans every comment in the package for lint:allow
-// directives.
-func collectAllows(fset *token.FileSet, files []*ast.File) allowSet {
-	set := make(allowSet)
+// directives holds a package's //lint:allow and //lint:bridge grants.
+type directives struct {
+	allow, bridge grants
+}
+
+// collectDirectives scans every comment in the package for lint:allow
+// and lint:bridge directives.
+func collectDirectives(fset *token.FileSet, files []*ast.File) directives {
+	d := directives{allow: make(grants), bridge: make(grants)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				names := parseAllow(c.Text)
-				if names == nil {
-					continue
-				}
 				pos := fset.Position(c.Pos())
-				// Grant the comment's own line (same-line placement) and
-				// the next line (placement directly above the finding).
-				set.add(pos.Filename, pos.Line, names)
-				set.add(pos.Filename, pos.Line+1, names)
+				d.allow.grant(pos, parseDirective(allowPrefix, c.Text))
+				d.bridge.grant(pos, parseDirective(bridgePrefix, c.Text))
 			}
 		}
 	}
-	return set
+	return d
 }
 
-// parseAllow extracts the analyzer names from one comment's text, or nil
-// if it is not a lint:allow directive.
-func parseAllow(text string) []string {
+// parseDirective extracts the analyzer names from one comment's text, or
+// nil if it is not a directive with the given prefix.
+func parseDirective(prefix, text string) []string {
 	body, ok := strings.CutPrefix(text, "//")
 	if !ok {
 		return nil // /* */ comments are not directives
 	}
 	body = strings.TrimSpace(body)
-	rest, ok := strings.CutPrefix(body, allowPrefix)
+	rest, ok := strings.CutPrefix(body, prefix)
 	if !ok {
 		return nil
 	}

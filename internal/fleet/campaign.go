@@ -207,7 +207,7 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 // path, leaking every worker blocked on the unbuffered results channel
 // plus the feeder.
 //
-//lint:bridge detflow -- completion order is reconciled here: the aggregator's reorder window folds shards in index order, so the result is order-independent
+//lint:bridge determinism -- completion order is reconciled here: the aggregator's reorder window folds shards in index order, so the result is order-independent
 func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, done, total int) error {
 	if len(pending) == 0 {
 		return nil
