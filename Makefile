@@ -19,12 +19,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint runs the phantomlint suite (internal/analysis: detflow,
-# goroutineguard, maporder, simdeterminism, timerguard, traceguard,
-# wallclockboundary) over the whole module. See DESIGN.md §10 for what each
-# analyzer enforces and the //lint:allow suppression policy. Also usable
-# as `go vet -vettool=$(go build -o /tmp/pl ./cmd/phantomlint && echo
-# /tmp/pl) ./...`.
+# lint runs the phantomlint suite (internal/analysis: determinism,
+# goroutineguard, maporder, timerguard, traceguard) over the whole module.
+# See DESIGN.md §10 for what each analyzer enforces and the //lint:allow
+# suppression policy.
 lint:
 	$(GO) run ./cmd/phantomlint ./...
 

@@ -45,7 +45,7 @@ type ProgressReport struct {
 // ProgressTracker folds shard results into running campaign progress.
 //
 // It sits on the wall-clock side of the sim/wall seam: the fleet package
-// never reads a clock (simdeterminism fences that), so the tracker is
+// never reads a clock (phantomlint fences that), so the tracker is
 // handed its start instant at construction and the current instant on
 // every read. Writes arrive on the campaign's collector goroutine via
 // OnShard; reads may come from any goroutine (the /progress HTTP handler),

@@ -7,7 +7,7 @@
 // through a read hook the caller wires up (typically obs.Accumulator.State
 // and fleet.ProgressTracker.ReportAt), so a scrape observes a consistent
 // prefix of the campaign without ever touching the workers. The inverse
-// direction is fenced by the phantomlint wallclockboundary analyzer: sim
+// direction is fenced by the phantomlint determinism analyzer: sim
 // packages must never import this package (or net, or net/http).
 //
 // Endpoints:
