@@ -59,7 +59,7 @@ import (
 // subset whose per-run snapshots carry flight-recorder events, i.e. the
 // commands -trace accepts.
 var (
-	metricsCommands = []string{"table1", "table2", "table3", "verify", "findings", "defense", "replay", "all"}
+	metricsCommands = []string{"table1", "table2", "table3", "verify", "findings", "defense", "replay", "all", "fleet"}
 	traceCommands   = []string{"table1", "table2", "table3", "verify", "replay", "all"}
 )
 
@@ -302,7 +302,7 @@ func run(args []string) error {
 	} else if err := runOne(cmd); err != nil {
 		return err
 	}
-	if err := writeMetrics(*metricsOut, *metricsFormat, cmd, acc); err != nil {
+	if err := writeMetrics(*metricsOut, *metricsFormat, cmd, acc.State()); err != nil {
 		return err
 	}
 	return writeTrace(*traceOut, *traceFormat, cmd, traceSrcs.snapshot())
@@ -387,12 +387,11 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		}
 	}
 
-	// The campaign folds shard metrics into acc as they land; the tracker
-	// folds the same shard results into running progress. Both sit on the
-	// wall-clock side: the serve plane reads them concurrently while the
-	// collector writes, and neither can perturb the aggregate — results
-	// stay byte-identical with -serve on or off.
-	acc := obs.NewAccumulator()
+	// The tracker keeps the campaign's last observation of its own
+	// aggregate: the stderr progress line, /progress and /metrics all read
+	// it. It sits on the wall-clock side: the serve plane reads it
+	// concurrently while the collector writes, and it cannot perturb the
+	// aggregate — results stay byte-identical with -serve on or off.
 	trackHomes := *homes
 	if *shardRange != "" {
 		trackHomes = rangeHomes(rangeFirst, rangeLast, *shardSize, *homes)
@@ -405,29 +404,17 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		ShardSize:      *shardSize,
 		Seed:           *seed,
 		CheckpointPath: *checkpointPath,
-		Accumulator:    acc,
-		OnShard: func(s fleet.ShardResult, done, total int) {
-			tracker.OnShard(s, done, total)
-			fmt.Fprintln(os.Stderr, tracker.LineAt(time.Now()))
-		},
-		OnResume: func(p fleet.Partial, done, total int) {
-			tracker.OnResume(p, done, total)
-			fmt.Fprintln(os.Stderr, tracker.LineAt(time.Now()))
+		Observe: func(p fleet.Progress) {
+			tracker.Observe(p)
+			fmt.Fprintln(os.Stderr, tracker.ReportAt(time.Now()).Line())
 		},
 	}
 
 	if *serveAddr != "" {
+		// Fleet homes run traceless, so the plane serves no /trace.
 		srv, err := serve.Start(*serveAddr, serve.Plane{
-			Metrics:  acc.State,
+			Metrics:  tracker.Metrics,
 			Progress: func() any { return tracker.ReportAt(time.Now()) },
-			// Fleet homes run traceless, so /trace serves a valid empty
-			// trace unless a future spec turns the recorder on.
-			TraceSources: func() []timeline.Source {
-				if t := acc.State().Trace; len(t) > 0 {
-					return []timeline.Source{{Name: "fleet", Events: t}}
-				}
-				return nil
-			},
 		})
 		if err != nil {
 			return err
@@ -451,7 +438,7 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 	if err := writeResult(*outPath, res); err != nil {
 		return err
 	}
-	return writeMetrics(*metricsOut, *metricsFormat, "fleet", acc)
+	return writeMetrics(*metricsOut, *metricsFormat, "fleet", res.Metrics)
 }
 
 // mergeFleet folds completed -shard-range partials into the final campaign
@@ -462,8 +449,6 @@ func mergeFleet(paths []string, outPath, metricsOut, metricsFormat string) error
 	if err != nil {
 		return err
 	}
-	acc := obs.NewAccumulator()
-	c.Accumulator = acc
 	res, err := c.MergePartials(parts)
 	if err != nil {
 		return err
@@ -471,7 +456,7 @@ func mergeFleet(paths []string, outPath, metricsOut, metricsFormat string) error
 	if err := writeResult(outPath, res); err != nil {
 		return err
 	}
-	return writeMetrics(metricsOut, metricsFormat, "fleet", acc)
+	return writeMetrics(metricsOut, metricsFormat, "fleet", res.Metrics)
 }
 
 // parseShardRange parses the -shard-range A:B flag value.
@@ -539,14 +524,14 @@ func (t *traceStore) snapshot() []timeline.Source {
 	return append([]timeline.Source(nil), t.srcs...)
 }
 
-// writeMetrics dumps the run's accumulated metrics to path, in the
-// requested encoding. A run that produced no snapshots has nothing
+// writeMetrics dumps cmd's merged metrics snapshot to path, in the
+// requested encoding. A command that produces no snapshots has nothing
 // meaningful to write — that is a usage error, not an empty file.
-func writeMetrics(path, format, cmd string, acc *obs.Accumulator) error {
+func writeMetrics(path, format, cmd string, snap obs.Snapshot) error {
 	if path == "" {
 		return nil
 	}
-	if acc.Adds() == 0 {
+	if !supports(metricsCommands, cmd) {
 		return fmt.Errorf("-metrics: command %q produces no metrics (supported: %s)", cmd, strings.Join(metricsCommands, ", "))
 	}
 	f, err := os.Create(path)
@@ -554,11 +539,11 @@ func writeMetrics(path, format, cmd string, acc *obs.Accumulator) error {
 		return fmt.Errorf("metrics output: %w", err)
 	}
 	if format == "openmetrics" {
-		err = obs.WriteOpenMetrics(f, acc.State())
+		err = obs.WriteOpenMetrics(f, snap)
 	} else {
 		enc := json.NewEncoder(f)
 		enc.SetIndent("", "  ")
-		err = enc.Encode(acc.State())
+		err = enc.Encode(snap)
 	}
 	if err != nil {
 		f.Close()

@@ -177,7 +177,7 @@ func TestRunTraceRejectsBadUsage(t *testing.T) {
 
 func TestWriteMetricsRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	err := writeMetrics(path, "json", "recon", obs.NewAccumulator())
+	err := writeMetrics(path, "json", "recon", obs.Snapshot{})
 	if err == nil {
 		t.Fatal("empty snapshot set should be rejected")
 	}

@@ -147,6 +147,9 @@ type Package struct {
 	Files      []*ast.File
 	Pkg        *types.Package
 	TypesInfo  *types.Info
+	// FactsOnly marks a dependency loaded for the facts it exports:
+	// RunGraph analyzes it and drops its findings.
+	FactsOnly bool
 }
 
 func sortFindings(fs []Finding) {

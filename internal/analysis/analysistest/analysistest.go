@@ -21,16 +21,15 @@
 // fixture package in dependency order (imported packages first). All
 // listed packages are type-checked into one graph — a fixture may import
 // an earlier fixture by its testdata import path, or any real package the
-// module can resolve, which the stdlib source importer checks from
-// source — and analyzed with analysis.RunGraph, so facts flow from
-// fixture dependencies into fixture dependents exactly as they do in
-// phantomlint.
+// module can resolve, read from export data through the same importer
+// phantomlint uses (load.Importer) — and analyzed with analysis.RunGraph,
+// so facts flow from fixture dependencies into fixture dependents exactly
+// as they do in phantomlint.
 package analysistest
 
 import (
 	"fmt"
 	"go/ast"
-	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
@@ -38,6 +37,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -51,17 +51,40 @@ import (
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
-	imp := &fixtureImporter{
-		checked:  make(map[string]*types.Package),
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	var pkgs []*analysis.Package
-	var wants []*expectation
+	fixtures := make([][]*ast.File, len(pkgPaths))
+	seen := make(map[string]bool) // fixture paths, then the real imports
 	for _, path := range pkgPaths {
-		pkg, ws := loadFixture(t, fset, imp, testdata, path)
-		imp.checked[path] = pkg.Pkg
-		pkgs = append(pkgs, pkg)
+		seen[path] = true
+	}
+	var wants []*expectation
+	var real []string // the fixtures' imports of real packages
+	for i, path := range pkgPaths {
+		files, ws := parseFixture(t, fset, testdata, path)
+		fixtures[i] = files
 		wants = append(wants, ws...)
+		for _, f := range files {
+			for _, spec := range f.Imports {
+				if p, err := strconv.Unquote(spec.Path.Value); err == nil && !seen[p] {
+					seen[p] = true
+					real = append(real, p)
+				}
+			}
+		}
+	}
+	exports, err := load.Importer(fset, ".", real...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imp := &fixtureImporter{checked: make(map[string]*types.Package), exports: exports}
+	var pkgs []*analysis.Package
+	for i, path := range pkgPaths {
+		info := load.NewInfo()
+		tpkg, err := (&types.Config{Importer: imp}).Check(path, fset, fixtures[i], info)
+		if err != nil {
+			t.Fatalf("%s: type-checking fixture: %v", path, err)
+		}
+		imp.checked[path] = tpkg
+		pkgs = append(pkgs, &analysis.Package{ImportPath: path, Fset: fset, Files: fixtures[i], Pkg: tpkg, TypesInfo: info})
 	}
 
 	findings, err := analysis.RunGraph(pkgs, []*analysis.Analyzer{a}, analysis.GraphOptions{})
@@ -88,19 +111,19 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgPaths ...string
 }
 
 // fixtureImporter resolves already-type-checked fixture packages first,
-// then falls back to the module's source importer for real packages.
-// That lets a fixture package import another fixture by its testdata
-// path even though no such directory exists in the module proper.
+// then real packages from their export data. That lets a fixture package
+// import another fixture by its testdata path even though no such
+// directory exists in the module proper.
 type fixtureImporter struct {
-	checked  map[string]*types.Package
-	fallback types.Importer
+	checked map[string]*types.Package
+	exports types.Importer
 }
 
 func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
 	if pkg, ok := fi.checked[path]; ok {
 		return pkg, nil
 	}
-	return fi.fallback.Import(path)
+	return fi.exports.Import(path)
 }
 
 // expectation is one want-regexp and whether a finding consumed it.
@@ -112,9 +135,9 @@ type expectation struct {
 	matched bool
 }
 
-// loadFixture parses and type-checks one fixture package, returning it
-// with the want-expectations harvested from its comments.
-func loadFixture(t *testing.T, fset *token.FileSet, imp types.Importer, testdata, pkgPath string) (*analysis.Package, []*expectation) {
+// parseFixture parses one fixture package, returning its files with the
+// want-expectations harvested from their comments.
+func parseFixture(t *testing.T, fset *token.FileSet, testdata, pkgPath string) ([]*ast.File, []*expectation) {
 	t.Helper()
 	dir := filepath.Join(testdata, "src", filepath.FromSlash(pkgPath))
 	entries, err := os.ReadDir(dir)
@@ -142,14 +165,7 @@ func loadFixture(t *testing.T, fset *token.FileSet, imp types.Importer, testdata
 	if len(files) == 0 {
 		t.Fatalf("%s: fixture dir %s has no Go files", pkgPath, dir)
 	}
-
-	info := load.NewInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		t.Fatalf("%s: type-checking fixture: %v", pkgPath, err)
-	}
-	return &analysis.Package{ImportPath: pkgPath, Fset: fset, Files: files, Pkg: tpkg, TypesInfo: info}, wants
+	return files, wants
 }
 
 // claim marks the first unmatched expectation on the finding's line whose

@@ -22,7 +22,8 @@
 //
 //   - direct uses of the wall clock, the global math/rand stream and
 //     crypto GenerateKey;
-//   - calls to tainted functions, with every reached kind's chain;
+//   - calls to tainted functions, in function bodies and package-level
+//     var initializers alike, with every reached kind's chain;
 //   - value references to tainted functions (`hook = helper.Stamp`),
 //     which would smuggle a tainted callable past every call-site check;
 //   - imports of real networking or repro/internal/obs/serve, directly or
@@ -45,6 +46,7 @@ package determinism
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
 	"sort"
 	"strconv"
@@ -201,10 +203,18 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	}
 	var decls []*ast.FuncDecl // function bodies, minus sanctioned bridges
+	var vars []*ast.GenDecl   // package-level var declarations
 	for _, f := range files {
 		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && !pass.Bridged(analyzerName, fd.Pos()) {
-				decls = append(decls, fd)
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Body != nil && !pass.Bridged(analyzerName, d.Pos()) {
+					decls = append(decls, d)
+				}
+			case *ast.GenDecl:
+				if d.Tok == token.VAR {
+					vars = append(vars, d)
+				}
 			}
 		}
 	}
@@ -219,7 +229,10 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		reportRefs(pass, f)
 	}
 	for _, fd := range decls {
-		reportCalls(pass, fd)
+		reportCalls(pass, fd.Body)
+	}
+	for _, gd := range vars {
+		reportCalls(pass, gd)
 	}
 	return nil, nil
 }
@@ -361,14 +374,15 @@ func reportSources(pass *analysis.Pass, f *ast.File) {
 	})
 }
 
-// reportCalls reports the calls in fd to tainted functions, rendering
-// every reached kind with its chain, e.g.
+// reportCalls reports the calls under n — a function body or a
+// package-level var declaration, whose initializers run at package init —
+// to tainted functions, rendering every reached kind with its chain, e.g.
 //
 //	call to keyhelp.MakeKey consumes a scheduler-dependent number of
 //	reader bytes (keyhelp.MakeKey → keyhelp.newKey → ecdh.GenerateKey):
 //	sim results must stay pure in (seed, config)
-func reportCalls(pass *analysis.Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
+func reportCalls(pass *analysis.Pass, n ast.Node) {
+	ast.Inspect(n, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

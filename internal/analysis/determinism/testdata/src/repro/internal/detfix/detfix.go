@@ -20,6 +20,10 @@ func stampNow() int64 {
 	return keyhelp.Stamp() // want `call to keyhelp\.Stamp reads the wall clock \(keyhelp\.Stamp → time\.Now\)`
 }
 
+// bootStamp's initializer runs at package init, outside every function
+// body, and is policed like one.
+var bootStamp = keyhelp.Stamp() // want `call to keyhelp\.Stamp reads the wall clock \(keyhelp\.Stamp → time\.Now\)`
+
 func waitFirst(a, b <-chan int) int {
 	return keyhelp.WaitEither(a, b) // want `call to keyhelp\.WaitEither resolves on goroutine completion order \(keyhelp\.WaitEither → multi-case select\)`
 }

@@ -62,8 +62,9 @@ func Waves(pkgs []*Package) [][]*Package {
 }
 
 // RunGraph applies the analyzers to the packages in dependency-wave
-// order, threading facts through one store, and returns the findings
-// sorted by position then analyzer. Findings suppressed by a
+// order, threading facts through one store, and returns the findings of
+// every package not marked FactsOnly, sorted by position then analyzer.
+// Findings suppressed by a
 // //lint:allow comment (see suppress.go) are dropped unless
 // opts.IncludeSuppressed, so phantomlint and analysistest share one
 // suppression semantics.
@@ -76,7 +77,9 @@ func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Find
 			if err != nil {
 				return nil, err
 			}
-			all = append(all, fs...)
+			if !pkg.FactsOnly {
+				all = append(all, fs...)
+			}
 		}
 	}
 	if !opts.IncludeSuppressed {

@@ -102,6 +102,29 @@ func TestRunGraphFactFlow(t *testing.T) {
 	}
 }
 
+// TestRunGraphFactsOnlyDependencies: a dependency marked FactsOnly still
+// exports its facts to the packages that import it, and none of its own
+// findings survive.
+func TestRunGraphFactsOnlyDependencies(t *testing.T) {
+	pkgs := chainPkgs(t)
+	for _, p := range pkgs {
+		p.FactsOnly = p.ImportPath == "chain/a" || p.ImportPath == "chain/b"
+	}
+	analyzers := []*Analyzer{markEveryFunc("producer"), readDepFacts()}
+	findings, err := RunGraph(pkgs, analyzers, GraphOptions{IncludeSuppressed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.Analyzer+": "+f.Message)
+	}
+	want := []string{"producer: func F in chain/c", "reader: chain/c sees chain/b.F", "producer: func F in chain/d"}
+	if len(got) != len(want) || !contains(got, want[0]) || !contains(got, want[1]) || !contains(got, want[2]) {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+}
+
 func contains(xs []string, s string) bool {
 	for _, x := range xs {
 		if x == s {

@@ -95,20 +95,6 @@ func MergedMetrics(rows []TableRow) obs.Snapshot {
 	return obs.Merge(snaps...)
 }
 
-// WriteMetricsJSON writes the merged metrics of rows as indented JSON.
-func WriteMetricsJSON(w io.Writer, rows []TableRow) error {
-	return WriteSnapshotsJSON(w, []obs.Snapshot{MergedMetrics(rows)})
-}
-
-// WriteSnapshotsJSON merges arbitrary run snapshots (table rows, case
-// arms, verification or defense runs) and writes the result as indented
-// JSON — the -metrics output shape for every measuring command.
-func WriteSnapshotsJSON(w io.Writer, snaps []obs.Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(obs.Merge(snaps...))
-}
-
 // CaseResultJSON is the export shape of a Table III case outcome.
 type CaseResultJSON struct {
 	Case        int    `json:"case"`

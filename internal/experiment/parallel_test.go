@@ -65,7 +65,7 @@ func encodeRows(t *testing.T, rows []TableRow) []byte {
 	if err := WriteRowsJSON(&buf, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteMetricsJSON(&buf, rows); err != nil {
+	if err := json.NewEncoder(&buf).Encode(MergedMetrics(rows)); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

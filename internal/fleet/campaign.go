@@ -35,26 +35,25 @@ type Campaign struct {
 	CheckpointPath string
 	// Template drives device-mix sampling; zero value selects the default.
 	Template device.PopulationTemplate
-	// OnShard, when set, receives every live shard result as it lands, in
-	// completion order. Resumed state is not replayed shard-by-shard —
-	// compacted checkpoints no longer retain folded shards — it arrives
-	// once through OnResume instead. All calls happen on the collector
-	// goroutine, and the callback observes results only — it cannot alter
-	// aggregation.
-	OnShard func(s ShardResult, done, total int)
-	// OnResume, when set, is called once when a checkpoint seeds the run:
-	// p is the resumed partial aggregate (folded prefix plus any retained
-	// out-of-order window shards), done counts its completed shards and
-	// total the shards of this run's range. Not called on a fresh start.
-	OnResume func(p Partial, done, total int)
-	// Accumulator, when set, is the streaming sink for shard metrics: the
-	// collector folds each shard's snapshot into it in shard-index order as
-	// results land, and the final Result.Metrics is its end state. External
-	// readers (the -serve observability plane) may call State() at any time
-	// from any goroutine; what they see is always the aggregate of a prefix
-	// of the campaign's shards. It must be fresh (zero Adds) when Run
-	// starts — Run owns the fold. When nil, Run uses a private accumulator.
-	Accumulator *obs.Accumulator
+	// Observe, when set, watches the run through the aggregator's own
+	// state: the collector calls it after each landed shard's checkpoint
+	// save, and once more, before any live shard, when a checkpoint seeds
+	// the run. All calls happen on the collector goroutine; the observer
+	// reads results only and cannot alter aggregation.
+	Observe func(Progress)
+}
+
+// Progress is one observation of a running campaign or shard range.
+type Progress struct {
+	// Partial is the aggregate so far: the folded prefix plus the
+	// out-of-order window. The same value the step's checkpoint saved; it
+	// is not mutated afterwards, so an observer may keep it.
+	Partial Partial
+	// Total is the number of shards in the run's range.
+	Total int
+	// Resumed marks the call a checkpoint restore makes. Its Partial's
+	// shards were run by an earlier process, not this one.
+	Resumed bool
 }
 
 // ShardResult is the deterministic outcome of one shard: a pure function
@@ -97,9 +96,6 @@ func (c Campaign) validateRun() error {
 	}
 	if c.Homes <= 0 {
 		return fmt.Errorf("fleet: campaign needs a positive number of homes, got %d", c.Homes)
-	}
-	if c.Accumulator != nil && c.Accumulator.Adds() != 0 {
-		return fmt.Errorf("fleet: campaign accumulator already holds %d snapshots; the run needs a fresh one", c.Accumulator.Adds())
 	}
 	return nil
 }
@@ -153,12 +149,11 @@ func (c Campaign) RunRange(first, last int) (Partial, error) {
 
 // runShards is the engine shared by Run and RunRange: seed an aggregator
 // for [first, last) — from the checkpoint when one exists — then fill the
-// pending shards through the worker pool. OnShard/OnResume done and total
-// counts are relative to the range.
+// pending shards through the worker pool. Progress totals are relative to
+// the range.
 func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
-	agg := c.newAggregator(c.Accumulator, first)
+	agg := c.newAggregator(first)
 	units := last - first
-	done := 0
 	var ck *checkpointer
 	if c.CheckpointPath != "" {
 		ck = newCheckpointer(c.CheckpointPath, c.identity())
@@ -179,9 +174,8 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 			if err := agg.restore(p); err != nil {
 				return nil, err
 			}
-			done = p.Shards()
-			if c.OnResume != nil {
-				c.OnResume(p, done, units)
+			if c.Observe != nil {
+				c.Observe(Progress{Partial: p, Total: units, Resumed: true})
 			}
 		}
 	}
@@ -191,7 +185,7 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 			pending = append(pending, i)
 		}
 	}
-	if err := c.collect(agg, ck, pending, done, units); err != nil {
+	if err := c.collect(agg, ck, pending, units); err != nil {
 		return nil, err
 	}
 	if agg.next != last || len(agg.window) != 0 {
@@ -208,7 +202,7 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 // plus the feeder.
 //
 //lint:bridge determinism -- completion order is reconciled here: the aggregator's reorder window folds shards in index order, so the result is order-independent
-func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, done, total int) error {
+func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, total int) error {
 	if len(pending) == 0 {
 		return nil
 	}
@@ -251,22 +245,27 @@ func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, done
 	// Single collector: completion order varies with the worker pool, but
 	// nothing order-sensitive happens here — the aggregator's reorder
 	// window restores index order before folding, and each checkpoint save
-	// persists the folded prefix plus that window.
+	// persists the folded prefix plus that window. The step's Partial is
+	// built once, for the save and the observer, and not at all when
+	// neither is set.
 	for s := range results {
 		if runErr != nil {
 			continue // cancelled: drain until the pool shuts down
 		}
-		done++
 		agg.add(s)
+		if ck == nil && c.Observe == nil {
+			continue
+		}
+		p := agg.partial()
 		if ck != nil {
-			if err := ck.save(agg.partial()); err != nil {
+			if err := ck.save(p); err != nil {
 				runErr = err
 				close(stop)
 				continue
 			}
 		}
-		if c.OnShard != nil {
-			c.OnShard(s, done, total)
+		if c.Observe != nil {
+			c.Observe(Progress{Partial: p, Total: total})
 		}
 	}
 	return runErr

@@ -16,7 +16,7 @@ import (
 // starting point the corruption table below mutates.
 func windowedPartial(t *testing.T, c Campaign) Partial {
 	t.Helper()
-	g := c.newAggregator(nil, 0)
+	g := c.newAggregator(0)
 	g.add(c.runShard(0))
 	g.add(c.runShard(2))
 	p := g.partial()
@@ -143,7 +143,7 @@ func TestCheckpointRejectsV1(t *testing.T) {
 func TestCheckpointRejectsV2(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(nil, 0)
+	g := c.newAggregator(0)
 	g.add(c.runShard(0))
 	data, err := json.Marshal(checkpointFile{
 		Version:     2,
@@ -210,8 +210,8 @@ func TestKillAndResumeEveryShard(t *testing.T) {
 	run.Workers = 1
 	run.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	var snapshots [][]byte
-	run.OnShard = func(ShardResult, int, int) {
-		// Saves happen before OnShard, so this reads the state just written.
+	run.Observe = func(Progress) {
+		// Saves happen before Observe, so this reads the state just written.
 		data, err := os.ReadFile(run.CheckpointPath)
 		if err != nil {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func FuzzCheckpointDecode(f *testing.F) {
 	spec.Trials = 1
 	c := Campaign{Spec: spec, Homes: 24, ShardSize: 4, Seed: 7}.withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(nil, 0)
+	g := c.newAggregator(0)
 	g.add(c.runShard(0))
 	g.add(c.runShard(2))
 	valid := checkpointFile{

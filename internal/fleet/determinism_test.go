@@ -81,7 +81,7 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	interrupted = interrupted.withDefaults()
 	interrupted.Spec.fill()
-	g := interrupted.newAggregator(nil, 0)
+	g := interrupted.newAggregator(0)
 	for idx := 0; idx < interrupted.shardCount()/2; idx++ {
 		g.add(interrupted.runShard(idx))
 	}

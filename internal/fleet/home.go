@@ -205,7 +205,9 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, spec Spec, label str
 
 // delayTrial runs one maximum-stealthy delay: hold the target's next
 // event (or command) to the margin before the predicted timeout, release,
-// and check delivery plus stealth.
+// and check delivery plus stealth. Both families succeed by one rule: the
+// held message took effect (the event was accepted, or the device
+// reported the state the command set) and no alarm was raised.
 func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec, m core.Measured, label string) (time.Duration, bool, error) {
 	var bounded bool
 	var op *core.DelayOp
@@ -242,8 +244,7 @@ func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Sp
 	if !f.Released {
 		return 0, false, fmt.Errorf("fleet: delay never released")
 	}
-	success := f.NewAlarms == 0 && (spec.Attack != AttackEDelay || f.Accepted)
-	return f.Held, success, nil
+	return f.Held, f.Accepted && f.NewAlarms == 0, nil
 }
 
 // replayTrial runs one record-and-replay attempt: trigger a genuine

@@ -17,7 +17,7 @@ import (
 // that code.
 //
 // The failure is induced by deleting the checkpoint's directory after the
-// first shard lands (saves happen before OnShard fires, so the first save
+// first shard lands (saves happen before Observe fires, so the first save
 // succeeds and every later one fails at CreateTemp). Deleting the
 // directory rather than chmod'ing it keeps the test honest under root,
 // where permission bits don't bite.
@@ -30,7 +30,7 @@ func TestCheckpointFailureLeaksNoGoroutines(t *testing.T) {
 	c.Workers = 4
 	c.CheckpointPath = filepath.Join(dir, "ck.json")
 	broke := false
-	c.OnShard = func(ShardResult, int, int) {
+	c.Observe = func(Progress) {
 		if !broke {
 			broke = true
 			if err := os.RemoveAll(dir); err != nil {

@@ -178,7 +178,7 @@ func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 	total := c.shardCount()
 	sorted := append([]Partial(nil), parts...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	agg := c.newAggregator(c.Accumulator, 0)
+	agg := c.newAggregator(0)
 	for _, p := range sorted {
 		if err := p.validate(total); err != nil {
 			return Result{}, err

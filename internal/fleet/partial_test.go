@@ -196,13 +196,17 @@ func TestRunRangeCheckpointResume(t *testing.T) {
 	c.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	prep := c.withDefaults()
 	prep.Spec.fill()
-	g := prep.newAggregator(nil, 2)
+	g := prep.newAggregator(2)
 	g.add(prep.runShard(2))
 	if err := newCheckpointer(c.CheckpointPath, prep.identity()).save(g.partial()); err != nil {
 		t.Fatal(err)
 	}
 	var resumedFrom int
-	c.OnResume = func(p Partial, done, total int) { resumedFrom = p.Shards() }
+	c.Observe = func(pr Progress) {
+		if pr.Resumed {
+			resumedFrom = pr.Partial.Shards()
+		}
+	}
 	p, err := c.RunRange(2, 5)
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,13 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ModelProgress is one device model's running campaign outcome.
@@ -42,121 +45,105 @@ type ProgressReport struct {
 	PerModel []ModelProgress `json:"perModel"`
 }
 
-// ProgressTracker folds shard results into running campaign progress.
+// ProgressTracker keeps a campaign's last Progress for the live plane's
+// /progress and /metrics and for phantomlab's stderr progress line.
 //
 // It sits on the wall-clock side of the sim/wall seam: the fleet package
 // never reads a clock (phantomlint fences that), so the tracker is
 // handed its start instant at construction and the current instant on
 // every read. Writes arrive on the campaign's collector goroutine via
-// OnShard; reads may come from any goroutine (the /progress HTTP handler),
-// so the state is mutex-guarded. The tracker observes results only — it
-// cannot perturb aggregation.
+// Observe; reads may come from any goroutine (the HTTP handlers), so the
+// state is mutex-guarded. The tracker folds nothing itself: every number
+// it reports is read from the aggregator's own Partial.
 type ProgressTracker struct {
 	mu           sync.Mutex
 	start        time.Time
 	homesTotal   int
-	shardsDone   int
-	shardsTotal  int
-	homesDone    int
+	last         Progress
 	homesResumed int
-	models       []string // sorted model labels
-	trials       map[string]int
-	successes    map[string]int
 }
 
 // NewProgressTracker creates a tracker for a campaign over homesTotal
 // homes, measuring elapsed time from start.
 func NewProgressTracker(start time.Time, homesTotal int) *ProgressTracker {
-	return &ProgressTracker{
-		start:      start,
-		homesTotal: homesTotal,
-		trials:     make(map[string]int),
-		successes:  make(map[string]int),
-	}
+	return &ProgressTracker{start: start, homesTotal: homesTotal}
 }
 
-// OnShard folds one live shard result. Its signature matches
-// Campaign.OnShard, so it can be wired directly or wrapped.
-func (p *ProgressTracker) OnShard(s ShardResult, done, total int) {
+// Observe records one observation. Its signature matches
+// Campaign.Observe, so it can be wired directly or wrapped. The homes of
+// a Resumed observation count toward completion but not toward the
+// throughput rate — they cost this process nothing.
+func (p *ProgressTracker) Observe(pr Progress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.shardsDone = done
-	p.shardsTotal = total
-	p.homesDone += s.Homes
-	for _, t := range s.Tallies {
-		p.noteTally(t)
+	p.last = pr
+	if pr.Resumed {
+		p.homesResumed = pr.Partial.Homes()
 	}
 }
 
-// OnResume folds a checkpoint's resumed partial aggregate. Its signature
-// matches Campaign.OnResume. Resumed homes count toward completion but
-// not toward the throughput rate — they cost this process nothing.
-func (p *ProgressTracker) OnResume(pt Partial, done, total int) {
+// Metrics returns the folded metrics of the last observation: a prefix of
+// the campaign's final Result.Metrics, empty before the first shard.
+func (p *ProgressTracker) Metrics() obs.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.shardsDone = done
-	p.shardsTotal = total
-	homes := pt.Homes()
-	p.homesDone += homes
-	p.homesResumed += homes
-	for _, t := range pt.Tallies {
-		p.noteTally(t.ModelTally)
-	}
-	for _, s := range pt.Window {
-		for _, t := range s.Tallies {
-			p.noteTally(t)
-		}
-	}
-}
-
-// noteTally folds one model tally; the caller holds the mutex.
-func (p *ProgressTracker) noteTally(t ModelTally) {
-	if _, ok := p.trials[t.Model]; !ok {
-		i := sort.SearchStrings(p.models, t.Model)
-		p.models = append(p.models, "")
-		copy(p.models[i+1:], p.models[i:])
-		p.models[i] = t.Model
-	}
-	p.trials[t.Model] += t.Trials
-	p.successes[t.Model] += t.Successes
+	return p.last.Partial.Metrics
 }
 
 // ReportAt returns the progress as of now.
 func (p *ProgressTracker) ReportAt(now time.Time) ProgressReport {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	last, resumed := p.last, p.homesResumed
+	p.mu.Unlock()
 	r := ProgressReport{
-		ShardsDone:   p.shardsDone,
-		ShardsTotal:  p.shardsTotal,
-		HomesDone:    p.homesDone,
+		ShardsDone:   last.Partial.Shards(),
+		ShardsTotal:  last.Total,
+		HomesDone:    last.Partial.Homes(),
 		HomesTotal:   p.homesTotal,
-		HomesResumed: p.homesResumed,
+		HomesResumed: resumed,
 		ElapsedSecs:  now.Sub(p.start).Seconds(),
+		PerModel:     modelProgress(last.Partial),
 	}
 	if r.ElapsedSecs > 0 {
-		r.HomesPerSec = float64(p.homesDone-p.homesResumed) / r.ElapsedSecs
-		if remaining := p.homesTotal - p.homesDone; remaining > 0 && r.HomesPerSec > 0 {
+		r.HomesPerSec = float64(r.HomesDone-resumed) / r.ElapsedSecs
+		if remaining := p.homesTotal - r.HomesDone; remaining > 0 && r.HomesPerSec > 0 {
 			r.ETASecs = float64(remaining) / r.HomesPerSec
 		}
-	}
-	for _, m := range p.models {
-		mp := ModelProgress{Model: m, Trials: p.trials[m], Successes: p.successes[m]}
-		if mp.Trials > 0 {
-			mp.SuccessRate = float64(mp.Successes) / float64(mp.Trials)
-		}
-		r.PerModel = append(r.PerModel, mp)
 	}
 	return r
 }
 
-// LineAt renders the report as the one-line stderr progress format:
-//
-//	fleet: shard 3/7  homes 192/400  412.3 homes/s  ETA 1s  C1 93%  P4 88%
-func (p *ProgressTracker) LineAt(now time.Time) string {
-	return p.ReportAt(now).Line()
+// modelProgress sums a partial's folded tallies and its window shards'
+// tallies by model, sorted by model label.
+func modelProgress(pt Partial) []ModelProgress {
+	var out []ModelProgress
+	add := func(t ModelTally) {
+		i := sort.Search(len(out), func(i int) bool { return out[i].Model >= t.Model })
+		if i == len(out) || out[i].Model != t.Model {
+			out = slices.Insert(out, i, ModelProgress{Model: t.Model})
+		}
+		out[i].Trials += t.Trials
+		out[i].Successes += t.Successes
+	}
+	for _, t := range pt.Tallies {
+		add(t.ModelTally)
+	}
+	for _, s := range pt.Window {
+		for _, t := range s.Tallies {
+			add(t)
+		}
+	}
+	for i := range out {
+		if out[i].Trials > 0 {
+			out[i].SuccessRate = float64(out[i].Successes) / float64(out[i].Trials)
+		}
+	}
+	return out
 }
 
-// Line renders the report in the stderr progress-line format.
+// Line renders the report as the one-line stderr progress format:
+//
+//	fleet: shard 3/7  homes 192/400  412.3 homes/s  ETA 1s  C1 93%  P4 88%
 func (r ProgressReport) Line() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fleet: shard %d/%d  homes %d/%d", r.ShardsDone, r.ShardsTotal, r.HomesDone, r.HomesTotal)

@@ -7,18 +7,37 @@ import (
 	"time"
 )
 
-func progressShard(model string, homes, trials, successes int) ShardResult {
+func progressShard(index int, model string, homes, trials, successes int) ShardResult {
 	return ShardResult{
+		Index:   index,
 		Homes:   homes,
 		Tallies: []ModelTally{{Model: model, Trials: trials, Successes: successes}},
 	}
 }
 
+// progressFeed folds shards through the campaign aggregator and returns
+// the Progress the collector observes after each, for a range of total
+// shards.
+type progressFeed struct {
+	g     *aggregator
+	total int
+}
+
+func newProgressFeed(total int) *progressFeed {
+	return &progressFeed{g: Campaign{}.newAggregator(0), total: total}
+}
+
+func (f *progressFeed) step(s ShardResult) Progress {
+	f.g.add(s)
+	return Progress{Partial: f.g.partial(), Total: f.total}
+}
+
 func TestProgressTrackerReport(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	p.OnShard(progressShard("C1", 10, 20, 18), 1, 5)
-	p.OnShard(progressShard("P4", 10, 8, 4), 2, 5)
+	feed := newProgressFeed(5)
+	p.Observe(feed.step(progressShard(0, "C1", 10, 20, 18)))
+	p.Observe(feed.step(progressShard(1, "P4", 10, 8, 4)))
 
 	r := p.ReportAt(start.Add(4 * time.Second))
 	if r.ShardsDone != 2 || r.ShardsTotal != 5 || r.HomesDone != 20 || r.HomesTotal != 100 {
@@ -43,10 +62,11 @@ func TestProgressTrackerReport(t *testing.T) {
 func TestProgressLineFormat(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	p.OnShard(progressShard("P4", 10, 8, 4), 1, 5)
-	p.OnShard(progressShard("C1", 10, 20, 18), 2, 5)
+	feed := newProgressFeed(5)
+	p.Observe(feed.step(progressShard(0, "P4", 10, 8, 4)))
+	p.Observe(feed.step(progressShard(1, "C1", 10, 20, 18)))
 
-	got := p.LineAt(start.Add(4 * time.Second))
+	got := p.ReportAt(start.Add(4 * time.Second)).Line()
 	want := "fleet: shard 2/5  homes 20/100  5.0 homes/s  ETA 16s  C1 90%  P4 50%"
 	if got != want {
 		t.Fatalf("line = %q, want %q", got, want)
@@ -54,8 +74,8 @@ func TestProgressLineFormat(t *testing.T) {
 
 	// Campaign complete: no ETA segment.
 	done := NewProgressTracker(start, 10)
-	done.OnShard(progressShard("C1", 10, 20, 20), 1, 1)
-	line := done.LineAt(start.Add(time.Second))
+	done.Observe(newProgressFeed(1).step(progressShard(0, "C1", 10, 20, 20)))
+	line := done.ReportAt(start.Add(time.Second)).Line()
 	if strings.Contains(line, "ETA") {
 		t.Fatalf("completed campaign still shows ETA: %q", line)
 	}
@@ -79,12 +99,15 @@ func TestProgressTrackerResumedRate(t *testing.T) {
 		Tallies: []PartialTally{
 			{ModelTally: ModelTally{Model: "C1", Trials: 20, Successes: 18}},
 		},
-		Window: []ShardResult{progressShard("P4", 10, 8, 4)},
+		Window: []ShardResult{progressShard(3, "P4", 10, 8, 4)},
 	}
-	resumed.Window[0].Index = 3
-	p.OnResume(resumed, 3, 10)
-	p.OnShard(progressShard("C1", 10, 10, 9), 4, 10)
-	p.OnShard(progressShard("C1", 10, 10, 9), 5, 10)
+	feed := newProgressFeed(10)
+	if err := feed.g.restore(resumed); err != nil {
+		t.Fatal(err)
+	}
+	p.Observe(Progress{Partial: resumed, Total: 10, Resumed: true})
+	p.Observe(feed.step(progressShard(2, "C1", 10, 10, 9)))
+	p.Observe(feed.step(progressShard(4, "C1", 10, 10, 9)))
 
 	r := p.ReportAt(start.Add(4 * time.Second))
 	if r.HomesDone != 48 || r.HomesResumed != 28 {
@@ -119,7 +142,7 @@ func TestProgressTrackerResumedRate(t *testing.T) {
 func TestProgressTrackerZeroElapsed(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	p.OnShard(progressShard("C1", 10, 1, 1), 1, 5)
+	p.Observe(newProgressFeed(5).step(progressShard(0, "C1", 10, 1, 1)))
 	r := p.ReportAt(start)
 	if r.HomesPerSec != 0 || r.ETASecs != 0 {
 		t.Fatalf("zero-elapsed report invented a rate: %+v", r)
@@ -130,10 +153,16 @@ func TestProgressTrackerZeroElapsed(t *testing.T) {
 }
 
 // TestProgressTrackerConcurrent drives the wall-clock-plane shape under
-// -race: the collector folds while /progress readers report.
+// -race: the collector observes while /progress and /metrics readers
+// report.
 func TestProgressTrackerConcurrent(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 1000)
+	feed := newProgressFeed(100)
+	steps := make([]Progress, 100)
+	for i := range steps {
+		steps[i] = feed.step(progressShard(i, "C1", 10, 5, 3))
+	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -146,6 +175,7 @@ func TestProgressTrackerConcurrent(t *testing.T) {
 					return
 				default:
 				}
+				_ = p.Metrics()
 				rep := p.ReportAt(start.Add(time.Second))
 				if rep.HomesDone%10 != 0 {
 					t.Errorf("torn read: homesDone = %d", rep.HomesDone)
@@ -154,8 +184,8 @@ func TestProgressTrackerConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	for i := 0; i < 100; i++ {
-		p.OnShard(progressShard("C1", 10, 5, 3), i+1, 100)
+	for _, pr := range steps {
+		p.Observe(pr)
 	}
 	close(done)
 	wg.Wait()

@@ -134,10 +134,9 @@ func (res *Result) finishTallies(tallies map[string]*exactTally) {
 // and re-importable (restore()/absorb()), exact float sums included —
 // that is the basis of both compact checkpoints and multi-process merges.
 //
-// The metrics side folds into an obs.Accumulator — mutex-guarded and
-// readable at any instant by the live observability plane — whose folded
-// prefix is, by the in-order guarantee, always a prefix of the final
-// aggregate.
+// The metrics side folds into the aggregator's own obs.Accumulator, whose
+// folded prefix is, by the in-order guarantee, always a prefix of the
+// final aggregate; observers see it through partial() (Campaign.Observe).
 type aggregator struct {
 	res     Result
 	tallies map[string]*exactTally
@@ -147,10 +146,7 @@ type aggregator struct {
 	window  map[int]ShardResult // out-of-order arrivals awaiting their turn
 }
 
-func (c Campaign) newAggregator(metrics *obs.Accumulator, start int) *aggregator {
-	if metrics == nil {
-		metrics = obs.NewAccumulator()
-	}
+func (c Campaign) newAggregator(start int) *aggregator {
 	return &aggregator{
 		res: Result{
 			Campaign:  c.Spec.Name,
@@ -160,7 +156,7 @@ func (c Campaign) newAggregator(metrics *obs.Accumulator, start int) *aggregator
 			Spec:      c.Spec,
 		},
 		tallies: make(map[string]*exactTally),
-		metrics: metrics,
+		metrics: obs.NewAccumulator(),
 		start:   start,
 		next:    start,
 		window:  make(map[int]ShardResult),

@@ -3,7 +3,6 @@ package fleet
 import (
 	"bytes"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -104,7 +103,7 @@ func TestStreamingResumeMatchesRetained(t *testing.T) {
 	path := filepath.Join(dir, "ck.json")
 	interrupted := testCampaign(t).withDefaults()
 	interrupted.Spec.fill()
-	g := interrupted.newAggregator(nil, 0)
+	g := interrupted.newAggregator(0)
 	for _, s := range shards[:total/2] {
 		g.add(s)
 	}
@@ -138,7 +137,7 @@ func TestAggregatorReordersShards(t *testing.T) {
 	want := resultJSON(t, c.aggregateRetained(shards))
 
 	// Worst case: shard 0 lands last, so everything buffers in the window.
-	g := c.newAggregator(nil, 0)
+	g := c.newAggregator(0)
 	for i := total - 1; i >= 0; i-- {
 		g.add(shards[i])
 	}
@@ -147,59 +146,5 @@ func TestAggregatorReordersShards(t *testing.T) {
 	}
 	if got := resultJSON(t, g.finish()); !bytes.Equal(got, want) {
 		t.Errorf("scrambled-order aggregate differs:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestCampaignExternalAccumulator checks the -serve wiring contract: a
-// caller-supplied accumulator ends up holding the final metrics, readable
-// mid-run, and a stale one is rejected by Run and MergePartials alike.
-func TestCampaignExternalAccumulator(t *testing.T) {
-	acc := obs.NewAccumulator()
-	c := testCampaign(t)
-	c.Workers = 4
-	c.Accumulator = acc
-	midReads := 0
-	c.OnShard = func(s ShardResult, done, total int) {
-		// A mid-run read must be internally consistent and never ahead of
-		// the shards that have landed.
-		if acc.Adds() > done {
-			t.Errorf("accumulator ahead of completion: %d adds after %d shards", acc.Adds(), done)
-		}
-		midReads++
-		_ = acc.State()
-	}
-	res, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if midReads == 0 {
-		t.Fatal("OnShard never fired")
-	}
-	if got, want := resultJSON(t, Result{Metrics: acc.State()}), resultJSON(t, Result{Metrics: res.Metrics}); !bytes.Equal(got, want) {
-		t.Error("external accumulator state differs from final Result.Metrics")
-	}
-
-	// The same accumulator is spent now: a second Run must refuse it.
-	reuse := testCampaign(t)
-	reuse.Accumulator = acc
-	if _, err := reuse.Run(); err == nil {
-		t.Fatal("Run accepted a non-fresh accumulator")
-	}
-
-	// MergePartials must refuse it too, even given partials that tile the
-	// campaign.
-	whole := testCampaign(t)
-	p, err := whole.RunRange(0, whole.withDefaults().shardCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	merge := testCampaign(t)
-	merge.Accumulator = acc
-	_, err = merge.MergePartials([]Partial{p})
-	if err == nil {
-		t.Fatal("MergePartials accepted a non-fresh accumulator")
-	}
-	if !strings.Contains(err.Error(), "accumulator") {
-		t.Fatalf("MergePartials refused for the wrong reason: %v", err)
 	}
 }

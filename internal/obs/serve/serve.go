@@ -4,11 +4,12 @@
 //
 // The plane lives strictly on the wall-clock side of the repo's sim/wall
 // boundary. It holds no simulation state of its own — each endpoint pulls
-// through a read hook the caller wires up (typically obs.Accumulator.State
-// and fleet.ProgressTracker.ReportAt), so a scrape observes a consistent
-// prefix of the campaign without ever touching the workers. The inverse
-// direction is fenced by the phantomlint determinism analyzer: sim
-// packages must never import this package (or net, or net/http).
+// through a read hook the caller wires up (obs.Accumulator.State for table
+// runs; fleet.ProgressTracker.Metrics and ReportAt for campaigns), so a
+// scrape observes a consistent prefix of the run without ever touching
+// the workers. The inverse direction is fenced by the phantomlint
+// determinism analyzer: sim packages must never import this package (or
+// net, or net/http).
 //
 // Endpoints:
 //
@@ -39,7 +40,7 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // Plane wires a server's endpoints to a running campaign through read
 // hooks. A nil hook serves 404 on its endpoint, so a caller exposes only
 // what the run actually produces (a table run has no fleet progress; a
-// traceless fleet run still serves an empty-but-valid /trace).
+// fleet run, whose homes run traceless, has no /trace).
 type Plane struct {
 	// Metrics returns the current aggregate snapshot for /metrics.
 	Metrics func() obs.Snapshot

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -142,7 +143,11 @@ func TestMetricsMidRunPrefixConsistent(t *testing.T) {
 func TestProgressEndpoint(t *testing.T) {
 	start := time.Unix(1000, 0)
 	tr := fleet.NewProgressTracker(start, 40)
-	tr.OnShard(fleet.ShardResult{Homes: 10, Tallies: []fleet.ModelTally{{Model: "C1", Trials: 4, Successes: 3}}}, 1, 4)
+	tr.Observe(fleet.Progress{Total: 4, Partial: fleet.Partial{
+		Watermark:     1,
+		HomesAttacked: 10,
+		Tallies:       []fleet.PartialTally{{ModelTally: fleet.ModelTally{Model: "C1", Trials: 4, Successes: 3}}},
+	}})
 	h := Plane{Progress: func() any { return tr.ReportAt(start.Add(2 * time.Second)) }}.Handler()
 
 	code, body, ct := get(t, h, "/progress")
@@ -199,13 +204,12 @@ func TestPprofExposed(t *testing.T) {
 }
 
 // TestLiveFleetCampaign wires a real campaign to a real listener — the
-// full -serve shape: scrape mid-run from OnShard, then check the final
-// result is untouched by serving.
+// full -serve shape: scrape mid-run from the observer, then check the
+// tracker ends on the final result's numbers.
 func TestLiveFleetCampaign(t *testing.T) {
-	acc := obs.NewAccumulator()
 	tr := fleet.NewProgressTracker(time.Unix(0, 0), 24)
 	srv, err := Start("127.0.0.1:0", Plane{
-		Metrics:  acc.State,
+		Metrics:  tr.Metrics,
 		Progress: func() any { return tr.ReportAt(time.Unix(1, 0)) },
 	})
 	if err != nil {
@@ -218,9 +222,8 @@ func TestLiveFleetCampaign(t *testing.T) {
 	scrapes := 0
 	c := fleet.Campaign{
 		Spec: spec, Homes: 24, ShardSize: 4, Seed: 7, Workers: 3,
-		Accumulator: acc,
-		OnShard: func(s fleet.ShardResult, done, total int) {
-			tr.OnShard(s, done, total)
+		Observe: func(p fleet.Progress) {
+			tr.Observe(p)
 			for _, path := range []string{"/healthz", "/metrics", "/progress"} {
 				resp, err := http.Get("http://" + srv.Addr() + path)
 				if err != nil {
@@ -248,5 +251,16 @@ func TestLiveFleetCampaign(t *testing.T) {
 	}
 	if got := tr.ReportAt(time.Unix(1, 0)); got.HomesDone != 24 {
 		t.Fatalf("tracker homesDone = %d, want 24", got.HomesDone)
+	}
+	live, err := json.Marshal(tr.Metrics())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := json.Marshal(res.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, final) {
+		t.Fatal("the tracker's last /metrics snapshot differs from Result.Metrics")
 	}
 }

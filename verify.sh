@@ -9,8 +9,10 @@
 #              tracing invariants, machine-checked (DESIGN.md §10)
 #   test     — full test suite
 #   race     — the packages that spawn goroutines (the parallel table
-#              runner, the obs snapshot/merge boundary and the fleet
-#              worker pool) under the race detector
+#              runner, the obs snapshot/merge boundary, the fleet
+#              worker pool) and the serve plane, whose HTTP handlers read
+#              the fleet progress tracker while the collector writes it,
+#              under the race detector
 set -eu
 cd "$(dirname "$0")"
 
@@ -30,5 +32,5 @@ go run ./cmd/phantomlint ./...
 echo "== go test"
 go test ./...
 echo "== go test -race (concurrency boundary)"
-go test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/
+go test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
 echo "verify: OK"
