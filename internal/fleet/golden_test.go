@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// TestCampaignOutputGolden pins the bytes three campaigns write, so a change
+// TestCampaignOutputGolden pins the bytes six campaigns write, so a change
 // meant to leave every simulated stream alone (a faster queue, reused
 // buffers) proves it without hashing outputs by hand. The cdelay case runs
-// the command branch of delayTrial over both HAP and cloud command windows.
-// Each constant is the first 16 hex digits of the SHA-256 of
-// Result.WriteJSON.
+// the command branch of delayTrial over both HAP and cloud command windows;
+// the three replay cases run each injection mode over the same population,
+// so a swapped mode mapping moves a digest. Each constant is the first 16
+// hex digits of the SHA-256 of Result.WriteJSON.
 func TestCampaignOutputGolden(t *testing.T) {
 	offline, err := ParseSpec([]byte(`{"attack":"offline","holdSecs":3600}`))
 	if err != nil {
@@ -20,6 +21,13 @@ func TestCampaignOutputGolden(t *testing.T) {
 	cdelay, err := ParseSpec([]byte(`{"attack":"cdelay","targets":{"classes":["plug","bulb","lock","thermostat","garage controller","camera"],"perHome":2}}`))
 	if err != nil {
 		t.Fatal(err)
+	}
+	replaySpec := func(mode string) Spec {
+		s, err := ParseSpec([]byte(`{"attack":"replay","targets":{"classes":["plug","thermostat","water sensor"],"perHome":2},"replay":{"mode":"` + mode + `"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
 	cases := []struct {
 		name  string
@@ -30,6 +38,9 @@ func TestCampaignOutputGolden(t *testing.T) {
 		{"default-64", DefaultSpec(), 64, "43acefbb13a04570"},
 		{"offline-hour-16", offline, 16, "9459f5698ca365f9"},
 		{"cdelay-64", cdelay, 64, "00403c455ac0912c"},
+		{"replay-auto-64", replaySpec(ReplayModeAuto), 64, "e1274014640f9b82"},
+		{"replay-raw-64", replaySpec(ReplayModeRaw), 64, "540d4071d4f1345b"},
+		{"replay-app-64", replaySpec(ReplayModeApp), 64, "5b6cb14d7d98c5ee"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
