@@ -53,16 +53,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		return err
-	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		return err
-	}
-	tb.Start()
-	lab, err := tb.NewLab(h, label)
+	_, lab, err := tb.HijackLab(label)
 	if err != nil {
 		return err
 	}

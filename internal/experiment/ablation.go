@@ -38,18 +38,7 @@ func marginPoint(label string, margin time.Duration, trials int, seed int64) Mar
 		res.Err = err
 		return res
 	}
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
-	lab, err := tb.NewLab(h, label)
+	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		res.Err = err
 		return res
@@ -58,8 +47,7 @@ func marginPoint(label string, margin time.Duration, trials int, seed int64) Mar
 
 	var total time.Duration
 	for i := 0; i < trials; i++ {
-		op := h.MaxEDelay(lab.EventOrigin, margin)
-		f, err := tb.HoldTrial(op, lab.TriggerEvent, lab.EventOrigin, 10*time.Minute)
+		f, err := tb.DelayTrial(h, lab, false, margin, 0, 10*time.Minute)
 		if err != nil {
 			res.Err = err
 			return res
@@ -111,26 +99,19 @@ func boundaryPoint(label string, hold time.Duration, seed int64) BoundaryPoint {
 		res.Err = err
 		return res
 	}
-	atk, err := tb.NewAttacker()
+	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 	bridge, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge for %s", label)
 		return res
 	}
 
-	p := tb.Profile(label)
 	h.EDelay(label, hold)
-	if err := tb.Device(label).TriggerEvent(p.EventAttr, p.EventValues[0]); err != nil {
+	if err := lab.TriggerEvent(); err != nil {
 		res.Err = err
 		return res
 	}

@@ -87,28 +87,16 @@ func ackPoint(label string, profile device.Profile, ackTimeout time.Duration, se
 		return res
 	}
 	defer func() { snaps = append(snaps, tb.Metrics.Snapshot()) }()
-	atk, err := tb.NewAttacker()
+	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 
 	// Attack with ground-truth-equivalent knowledge (the attacker can
 	// re-profile hardened devices just as easily).
-	m := MeasuredFromProfile(profile)
-	h.ArmPredictor(m)
-	lab, err := tb.NewLab(h, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	achieved, _, err := demonstrateDelay(tb, h, lab, TableOptions{Margin: 2 * time.Second, UnboundedDemo: time.Hour}, false)
+	h.ArmPredictor(MeasuredFromProfile(profile))
+	achieved, _, err := demonstrateDelay(tb, h, lab, time.Hour, false)
 	if err != nil {
 		res.Err = err
 		return res

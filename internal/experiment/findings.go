@@ -43,17 +43,11 @@ func runFinding1(seed int64) (res FindingResult) {
 		return res
 	}
 	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
+	h, _, err := tb.HijackLab("M7")
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, "M7")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 
 	// Delay the event well past the device's own 30s give-up point but
 	// inside the server's 5-minute idle window.
@@ -86,17 +80,11 @@ func runFinding2(seed int64) (res FindingResult) {
 		return res
 	}
 	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
+	h, _, err := tb.HijackLab("C1")
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, "C1")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 	firstBridge, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge")
@@ -140,17 +128,11 @@ func runFinding3(seed int64) (res FindingResult) {
 		return res
 	}
 	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
+	h, _, err := tb.HijackLab("C1")
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	h, err := tb.Hijack(atk, "C1")
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
 	b, ok := h.CurrentBridge()
 	if !ok {
 		res.Err = fmt.Errorf("experiment: no bridge")

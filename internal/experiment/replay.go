@@ -7,9 +7,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/replay"
-	"repro/internal/sniff"
-	"repro/internal/tcpsim"
 	"repro/internal/tlssim"
 )
 
@@ -52,21 +49,19 @@ type ReplayResult struct {
 // ReplayOptions tunes the assessment runs.
 type ReplayOptions struct {
 	Seed int64
-	// RetainBytes is the capture's per-flow payload retention budget.
-	// Default 4096.
-	RetainBytes int
 	// TraceCap sizes each testbed's flight-recorder ring.
 	TraceCap int
 }
+
+// replayRetainBytes is the assessment attacker's per-flow payload retention
+// budget.
+const replayRetainBytes = 4096
 
 // RunReplayAssessment probes every listed device with both replay paths
 // and classifies it. Each device runs in its own testbed seeded from
 // (Seed, position), so the resulting table is a pure function of the
 // options — byte-identical across runs and machines.
 func RunReplayAssessment(labels []string, opts ReplayOptions) []ReplayResult {
-	if opts.RetainBytes <= 0 {
-		opts.RetainBytes = 4096
-	}
 	out := make([]ReplayResult, 0, len(labels))
 	for i, label := range labels {
 		out = append(out, assessReplay(label, opts, opts.Seed+int64(i)*317))
@@ -92,7 +87,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	atk.Capture.RetainPayloads(opts.RetainBytes)
+	atk.Capture.RetainPayloads(replayRetainBytes)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		res.Err = err
@@ -104,52 +99,20 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	eng := replay.NewEngine(atk)
-	eng.Instrument(tb.Metrics)
 
-	// Record: let the session settle, then capture one genuine event. The
-	// post-trigger run covers delivery, cloud-to-cloud forwarding, and —
-	// for on-demand devices — the burst connection's teardown, so the raw
-	// path below sees the session state a real attacker would.
+	// Let the session settle, then record one genuine event and run the
+	// ladder on it.
 	tb.Clock.RunFor(3 * time.Second)
-	if err := lab.TriggerEvent(); err != nil {
+	f, err := tb.ReplayTrial(h, lab, true, true)
+	if err != nil {
 		res.Err = err
 		return res
 	}
-	tb.Clock.RunFor(3 * time.Second)
-
-	records := atk.Capture.Records()
-	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner.Label, label, records)
-	if !ok {
+	if !f.Found {
 		res.Err = fmt.Errorf("experiment: no retained event record for %s", label)
 		return res
 	}
-
-	// Raw injection on the live session.
-	before := tb.AcceptedEventCount(label)
-	if err := eng.RawReplay(h, records[idx]); err == nil {
-		tb.Clock.RunFor(5 * time.Second)
-		res.RawAccepted = tb.AcceptedEventCount(label) > before
-		eng.ReportOutcome(label, res.RawAccepted)
-	}
-
-	// Application-layer replay from a fresh session, when the capture is
-	// readable at all (ErrNotReadable otherwise, before any connection).
-	if !res.RawAccepted {
-		target, err := tb.HijackTarget(label)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		before = tb.AcceptedEventCount(label)
-		server := tcpsim.Endpoint{Addr: target.ServerAddr, Port: target.ServerPort}
-		if _, err := eng.AppReplay(server, replay.SessionPrefix(records, idx)); err == nil {
-			tb.Clock.RunFor(5 * time.Second)
-			res.AppAccepted = tb.AcceptedEventCount(label) > before
-			eng.ReportOutcome(label, res.AppAccepted)
-		}
-	}
-
+	res.RawAccepted, res.AppAccepted = f.RawAccepted, f.AppAccepted
 	switch {
 	case res.RawAccepted:
 		res.Class = ReplayRawVulnerable

@@ -19,9 +19,6 @@ type TableOptions struct {
 	Trials int
 	// Recovery between trials (the paper uses 2 minutes).
 	Recovery time.Duration
-	// Margin is the release margin before predicted timeouts when
-	// measuring achievable delays.
-	Margin time.Duration
 	// UnboundedDemo is how long unbounded holds are demonstrated before
 	// release (HomeKit events).
 	UnboundedDemo time.Duration
@@ -36,9 +33,6 @@ func (o *TableOptions) fill() {
 	}
 	if o.Recovery <= 0 {
 		o.Recovery = 30 * time.Second
-	}
-	if o.Margin <= 0 {
-		o.Margin = 2 * time.Second
 	}
 	if o.UnboundedDemo <= 0 {
 		o.UnboundedDemo = time.Hour
@@ -135,19 +129,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	}
 	// Snapshot whatever the run produced, even on a failed measurement.
 	defer func() { row.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		row.Err = err
-		return row
-	}
-	tb.Start()
-
-	lab, err := tb.NewLab(h, label)
+	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		row.Err = err
 		return row
@@ -171,7 +153,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	// Demonstrate the maximum stealthy delays.
 	h.ArmPredictor(m)
 	markPhase(tb, "phase_start", "demo-event", 0)
-	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts, false)
+	row.EventDelayAchieved, row.EventDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts.UnboundedDemo, false)
 	markPhase(tb, "phase_end", "demo-event", int64(row.EventDelayAchieved))
 	if err != nil {
 		row.Err = err
@@ -179,7 +161,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 	}
 	if row.HasCommands && lab.TriggerCommand != nil {
 		markPhase(tb, "phase_start", "demo-command", 0)
-		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts, true)
+		row.CommandDelayAchieved, row.CommandDelayUnbounded, err = demonstrateDelay(tb, h, lab, opts.UnboundedDemo, true)
 		markPhase(tb, "phase_end", "demo-command", int64(row.CommandDelayAchieved))
 		if err != nil {
 			row.Err = err
@@ -191,36 +173,25 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 }
 
 // demonstrateDelay holds one event, or one command when command is set,
-// for the maximum predicted-safe time (or UnboundedDemo when no timeout
-// bounds it) and checks that the hold released and, for an event, that
-// the event was still accepted.
-func demonstrateDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, opts TableOptions, command bool) (time.Duration, bool, error) {
-	m := h.Predictor().Measured()
-	kind, origin, trigger := "event", lab.EventOrigin, lab.TriggerEvent
-	_, _, bounded := m.EventWindow()
-	maxDelay, delay := h.MaxEDelay, h.EDelay
-	if command {
-		kind, origin, trigger = "command", lab.CommandOrigin, lab.TriggerCommand
-		_, _, bounded = m.CommandWindow()
-		maxDelay, delay = h.MaxCDelay, h.CDelay
-	}
-	var op *core.DelayOp
-	if bounded {
-		op = maxDelay(origin, opts.Margin)
-	} else {
-		op = delay(origin, opts.UnboundedDemo)
-	}
-	f, err := tb.HoldTrial(op, trigger, origin, opts.UnboundedDemo+10*time.Minute)
+// for the maximum predicted-safe time (or unboundedDemo when no timeout
+// bounds it) and checks that the hold released and the message took
+// effect: the event, or the state the command set, was accepted.
+func demonstrateDelay(tb *Testbed, h *core.Hijacker, lab *core.Lab, unboundedDemo time.Duration, command bool) (time.Duration, bool, error) {
+	f, err := tb.DelayTrial(h, lab, command, releaseMargin, unboundedDemo, unboundedDemo+10*time.Minute)
 	if err != nil {
 		return 0, false, err
+	}
+	kind, origin := "event", lab.EventOrigin
+	if command {
+		kind, origin = "command", lab.CommandOrigin
 	}
 	if !f.Released {
 		return 0, false, fmt.Errorf("experiment: %s %s delay never released", origin, kind)
 	}
-	if !command && !f.Accepted {
-		return 0, false, fmt.Errorf("experiment: %s delayed event not accepted", origin)
+	if !f.Accepted {
+		return 0, false, fmt.Errorf("experiment: %s delayed %s not accepted", origin, kind)
 	}
-	return f.Held, !bounded, nil
+	return f.Held, f.Unbounded, nil
 }
 
 // markPhase records an attack-phase boundary in the testbed's flight

@@ -36,9 +36,6 @@ func (r VerifyResult) Perfect() bool {
 type VerifyOptions struct {
 	Seed   int64
 	Trials int
-	// Margin before the predicted timeout at which holds release
-	// (the paper uses 2 seconds).
-	Margin time.Duration
 	// TraceCap sizes each testbed's flight-recorder ring (see
 	// TestbedConfig.TraceCap).
 	TraceCap int
@@ -49,9 +46,6 @@ type VerifyOptions struct {
 func RunVerification(labels []string, opts VerifyOptions) []VerifyResult {
 	if opts.Trials <= 0 {
 		opts.Trials = 5
-	}
-	if opts.Margin <= 0 {
-		opts.Margin = 2 * time.Second
 	}
 	out := make([]VerifyResult, 0, len(labels))
 	for i, label := range labels {
@@ -68,19 +62,7 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 		return res
 	}
 	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	h, err := tb.Hijack(atk, label)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tb.Start()
-
-	lab, err := tb.NewLab(h, label)
+	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		res.Err = err
 		return res
@@ -103,8 +85,7 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 	for i := 0; i < opts.Trials; i++ {
 		// Random phase within the keep-alive cycle.
 		tb.Clock.RunFor(rng.DurationRange(3*time.Second, 40*time.Second))
-		op := h.MaxEDelay(lab.EventOrigin, opts.Margin)
-		f, err := tb.HoldTrial(op, lab.TriggerEvent, lab.EventOrigin, 20*time.Minute)
+		f, err := tb.DelayTrial(h, lab, false, releaseMargin, 0, 20*time.Minute)
 		if err != nil {
 			res.Err = err
 			return res
@@ -125,7 +106,7 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 }
 
 // verifyUnbounded runs its hour-long holds as one RunFor each instead of
-// through HoldTrial: the hold ends on its own timer, and a single run keeps
+// through DelayTrial: the hold ends on its own timer, and a single run keeps
 // simtime_runs_total and simtime_run_steps, which the paper run's -metrics
 // bytes pin, as they are.
 func verifyUnbounded(tb *Testbed, h *core.Hijacker, lab *core.Lab, res VerifyResult) VerifyResult {

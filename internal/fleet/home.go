@@ -8,9 +8,6 @@ import (
 	"repro/internal/device"
 	"repro/internal/experiment"
 	"repro/internal/obs"
-	"repro/internal/replay"
-	"repro/internal/sniff"
-	"repro/internal/tcpsim"
 )
 
 // ModelTally accumulates campaign outcomes for one device model.
@@ -177,9 +174,9 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, spec Spec, label str
 		case AttackOffline:
 			achieved, success, err = offlineTrial(tb, h, spec)
 		case AttackReplay:
-			achieved, success, err = replayTrial(tb, h, lab, spec, label)
+			achieved, success, err = replayTrial(tb, h, lab, spec)
 		default:
-			achieved, success, err = delayTrial(tb, h, lab, spec, m, label)
+			achieved, success, err = delayTrial(tb, h, lab, spec, m)
 		}
 		if err != nil {
 			return err
@@ -208,36 +205,10 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, spec Spec, label str
 // and check delivery plus stealth. Both families succeed by one rule: the
 // held message took effect (the event was accepted, or the device
 // reported the state the command set) and no alarm was raised.
-func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec, m core.Measured, label string) (time.Duration, bool, error) {
-	var bounded bool
-	var op *core.DelayOp
-	var trigger func() error
-	origin := lab.EventOrigin
-	if spec.Attack == AttackCDelay {
-		if lab.TriggerCommand == nil {
-			return 0, false, fmt.Errorf("fleet: %s takes no commands", label)
-		}
-		origin = lab.CommandOrigin
-		trigger = lab.TriggerCommand
-		_, _, bounded = m.CommandWindow()
-		if bounded {
-			op = h.MaxCDelay(origin, spec.Margin())
-		} else {
-			op = h.CDelay(origin, spec.Hold())
-		}
-	} else {
-		trigger = lab.TriggerEvent
-		_, _, bounded = m.EventWindow()
-		if bounded {
-			op = h.MaxEDelay(origin, spec.Margin())
-		} else {
-			op = h.EDelay(origin, spec.Hold())
-		}
-	}
-
+func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec, m core.Measured) (time.Duration, bool, error) {
 	// The limit guards against an op that never matches (e.g. a lost
 	// trigger).
-	f, err := tb.HoldTrial(op, trigger, origin, simTimeBound(spec, m))
+	f, err := tb.DelayTrial(h, lab, spec.Attack == AttackCDelay, spec.Margin(), spec.Hold(), simTimeBound(spec, m))
 	if err != nil {
 		return 0, false, err
 	}
@@ -247,55 +218,21 @@ func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Sp
 	return f.Held, f.Accepted && f.NewAlarms == 0, nil
 }
 
-// replayTrial runs one record-and-replay attempt: trigger a genuine
-// event, find its retained record in the attacker's capture, and
-// re-inject it per the spec's mode. Success means the duplicate was
-// accepted by the automation backend; the achieved delay is zero because
-// a replay is not a hold. A trial whose event record was not retained
-// (eviction, or an out-of-order capture) simply fails — replay coverage
-// is itself a campaign observable, not an error.
-func replayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec, label string) (time.Duration, bool, error) {
-	atk := h.Attacker()
-	eng := replay.NewEngine(atk)
-	eng.Instrument(tb.Metrics)
-	origin := lab.EventOrigin
-
-	if err := lab.TriggerEvent(); err != nil {
-		return 0, false, err
-	}
-	tb.Clock.RunFor(3 * time.Second)
-
-	records := atk.Capture.Records()
-	owner := tb.SessionOwnerProfile(label).Label
-	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner, origin, records)
-	if !ok {
-		return 0, false, nil
-	}
-
+// replayTrial runs one record-and-replay attempt in the spec's mode.
+// Success means the duplicate was accepted by the automation backend; the
+// achieved delay is zero because a replay is not a hold. A trial whose
+// event record was not retained (eviction, or an out-of-order capture)
+// simply fails — replay coverage is itself a campaign observable, not an
+// error.
+func replayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec) (time.Duration, bool, error) {
 	mode := ReplayModeAuto
 	if spec.Replay != nil && spec.Replay.Mode != "" {
 		mode = spec.Replay.Mode
 	}
-	success := false
-	if mode == ReplayModeRaw || mode == ReplayModeAuto {
-		before := tb.AcceptedEventCount(origin)
-		if eng.RawReplay(h, records[idx]) == nil {
-			tb.Clock.RunFor(5 * time.Second)
-			success = tb.AcceptedEventCount(origin) > before
-			eng.ReportOutcome(origin, success)
-		}
-	}
-	if !success && (mode == ReplayModeApp || mode == ReplayModeAuto) {
-		target := h.Target()
-		server := tcpsim.Endpoint{Addr: target.ServerAddr, Port: target.ServerPort}
-		before := tb.AcceptedEventCount(origin)
-		if _, err := eng.AppReplay(server, replay.SessionPrefix(records, idx)); err == nil {
-			tb.Clock.RunFor(5 * time.Second)
-			success = tb.AcceptedEventCount(origin) > before
-			eng.ReportOutcome(origin, success)
-		}
-	}
-	return 0, success, nil
+	raw := mode == ReplayModeRaw || mode == ReplayModeAuto
+	app := mode == ReplayModeApp || mode == ReplayModeAuto
+	f, err := tb.ReplayTrial(h, lab, raw, app)
+	return 0, f.RawAccepted || f.AppAccepted, err
 }
 
 // simTimeBound bounds one trial's simulated time: the widest possible
