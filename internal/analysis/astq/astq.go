@@ -101,43 +101,3 @@ func EnclosingFunc(stack []ast.Node) *ast.BlockStmt {
 	}
 	return nil
 }
-
-// RootIdent descends through selectors, indexes, parens and stars to the
-// leftmost identifier of an expression (`a` in `a.b[i].c`), or nil.
-func RootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
-// Mentions reports whether the subtree rooted at n contains an identifier
-// resolving (via uses or defs) to obj.
-func Mentions(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(c ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := c.(*ast.Ident); ok {
-			if info.Uses[id] == obj || info.Defs[id] == obj {
-				found = true
-				return false
-			}
-		}
-		return true
-	})
-	return found
-}

@@ -62,9 +62,6 @@ func New(body *ast.BlockStmt) *Graph {
 	return g
 }
 
-// NodeFor returns the node representing stmt, or nil.
-func (g *Graph) NodeFor(stmt ast.Stmt) *Node { return g.nodes[stmt] }
-
 // EveryPathHits reports whether every control-flow path from `from`
 // (exclusive) to any return — explicit or the implicit function exit —
 // passes a node satisfying hit. If not, leak is a return node reachable

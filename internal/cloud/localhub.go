@@ -78,9 +78,6 @@ func (h *LocalHub) Addr() tcpsim.Endpoint {
 	return tcpsim.Endpoint{Addr: h.ip.Addr(), Port: HAPPort}
 }
 
-// HAP exposes the protocol hub (for command-timeout tuning).
-func (h *LocalHub) HAP() *hapsim.Hub { return h.hub }
-
 // Engine exposes the rule engine.
 func (h *LocalHub) Engine() *rules.Engine { return h.engine }
 

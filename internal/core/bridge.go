@@ -256,9 +256,6 @@ func (b *Bridge) ReleaseAfter(dir sniff.Direction, d time.Duration) *simtime.Tim
 // CloseServerSide ends the server-facing connection gracefully.
 func (b *Bridge) CloseServerSide() { b.srvConn.Close() }
 
-// CloseDeviceSide ends the device-facing connection gracefully.
-func (b *Bridge) CloseDeviceSide() { b.devConn.Close() }
-
 // Inject writes a raw TLS record into the bridge's outbound stream in the
 // given direction, exactly as if the bridge were forwarding it — the raw
 // half of a record-and-replay attack. The receiver's TLS stack decides the

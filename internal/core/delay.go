@@ -70,17 +70,6 @@ func (op *DelayOp) Cancel() {
 	op.cancelled = true
 }
 
-// HeldDuration reports how long the record has been (or was) held.
-func (op *DelayOp) HeldDuration() time.Duration {
-	if !op.matched {
-		return 0
-	}
-	if op.released {
-		return 0 // consult OnReleased for the final figure
-	}
-	return op.h.atk.Clock.Now() - op.matchedAt
-}
-
 // arm registers the op and ensures the hijacker's policy dispatches ops.
 func (h *Hijacker) arm(op *DelayOp) *DelayOp {
 	if h.policy == nil {

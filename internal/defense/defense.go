@@ -50,34 +50,6 @@ func ResidualEventWindow(p device.Profile, ackTimeout time.Duration) (min, max t
 	return HardenProfile(p, ackTimeout).MaxEventDelay()
 }
 
-// AckSweepPoint relates one mandated ACK timeout to the residual attack
-// window and the keep-alive traffic needed to sustain it.
-type AckSweepPoint struct {
-	AckTimeout time.Duration
-	// WindowMin/WindowMax bracket the residual e-Delay window.
-	WindowMin time.Duration
-	WindowMax time.Duration
-	// TrafficPerHour is the estimated keep-alive overhead in bytes/hour
-	// (both directions, frame level) at the tightened interval.
-	TrafficPerHour int64
-}
-
-// SweepAckTimeouts evaluates countermeasure VII-A across timeout choices.
-func SweepAckTimeouts(p device.Profile, timeouts []time.Duration) []AckSweepPoint {
-	out := make([]AckSweepPoint, 0, len(timeouts))
-	for _, to := range timeouts {
-		q := HardenProfile(p, to)
-		lo, hi, _ := q.MaxEventDelay()
-		out = append(out, AckSweepPoint{
-			AckTimeout:     to,
-			WindowMin:      lo,
-			WindowMax:      hi,
-			TrafficPerHour: KeepAliveTrafficPerHour(q),
-		})
-	}
-	return out
-}
-
 // perMessageOverhead is the fixed per-record framing cost on the wire:
 // TLS header+tag, the TCP and IP headers, and the layer-2 frame header.
 const perMessageOverhead = tlssim.Overhead + 15 + 12 + 14

@@ -135,10 +135,6 @@ type Profile struct {
 // IsHub reports whether other devices ride this profile's session.
 func (p Profile) IsHub() bool { return p.Class == "hub" || p.Class == "bridge" }
 
-// EffectiveTransport resolves TransportViaHub to the hub's own transport
-// when the hub profile is known.
-func (p Profile) EffectiveTransport() Transport { return p.Transport }
-
 // MaxEventDelay computes the theoretical maximum e-Delay window for the
 // profile, following Section IV-C:
 //

@@ -399,16 +399,6 @@ func (tb *Testbed) SessionOwner(label string) *device.Device {
 	return tb.Devices[label]
 }
 
-// ServerAddrOf returns the address of the server a device talks to.
-func (tb *Testbed) ServerAddrOf(label string) ipaddr.Addr {
-	owner := tb.SessionOwner(label)
-	p := owner.Profile()
-	if p.Transport == device.TransportHAP {
-		return tb.ServerAddrs["local"]
-	}
-	return tb.ServerAddrs[p.ServerDomain]
-}
-
 // TotalAlarmCount sums every server-side alarm in the home.
 func (tb *Testbed) TotalAlarmCount() int {
 	n := tb.Integration.TotalAlarmCount()

@@ -42,9 +42,6 @@ type Session struct {
 // DeviceID returns the bound device identity (empty before any request).
 func (s *Session) DeviceID() string { return s.deviceID }
 
-// Closed reports whether the session has ended.
-func (s *Session) Closed() bool { return s.closed }
-
 // Server is the cloud side of the HTTP-like protocol.
 type Server struct {
 	clk      *simtime.Clock

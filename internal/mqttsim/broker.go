@@ -49,9 +49,6 @@ type Session struct {
 // ClientID returns the session's client identifier (empty before CONNECT).
 func (s *Session) ClientID() string { return s.clientID }
 
-// Closed reports whether the session has ended.
-func (s *Session) Closed() bool { return s.closed }
-
 // CommandResult reports the outcome of a broker-initiated PUBLISH that
 // requested acknowledgement.
 type CommandResult struct {

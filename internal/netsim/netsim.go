@@ -321,7 +321,6 @@ func (s *Segment) deliver(from *NIC, f Frame) {
 type Host struct {
 	net  *Network
 	name string
-	nics []*NIC
 }
 
 // Name returns the host's name.
@@ -330,17 +329,9 @@ func (h *Host) Name() string { return h.name }
 // Network returns the network the host belongs to.
 func (h *Host) Network() *Network { return h.net }
 
-// NICs returns the host's interfaces in attachment order.
-func (h *Host) NICs() []*NIC {
-	out := make([]*NIC, len(h.nics))
-	copy(out, h.nics)
-	return out
-}
-
 // AttachNIC connects the host to a segment with a fresh MAC address.
 func (h *Host) AttachNIC(seg *Segment) *NIC {
 	nic := &NIC{host: h, seg: seg, mac: h.net.nextMAC()}
-	h.nics = append(h.nics, nic)
 	seg.nics = append(seg.nics, nic)
 	return nic
 }

@@ -136,9 +136,6 @@ type Conn struct {
 	OnClose func(error)
 }
 
-// Local returns the connection's local endpoint.
-func (c *Conn) Local() Endpoint { return c.local }
-
 // Clock returns the virtual clock of the stack the connection runs on, so
 // layers above TCP (tlssim) can timestamp trace events.
 func (c *Conn) Clock() *simtime.Clock { return c.stack.clk }
