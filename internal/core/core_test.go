@@ -15,7 +15,8 @@ import (
 // on target before anything connects.
 func hijackedHome(t *testing.T, target string, labels ...string) (*experiment.Testbed, *core.Attacker, *core.Hijacker) {
 	t.Helper()
-	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: 21, Devices: labels})
+	// The flight recorder is on, so a test can read the attack's events.
+	tb, err := experiment.NewTestbed(experiment.TestbedConfig{Seed: 21, Devices: labels, TraceCap: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,9 +53,9 @@ func TestAttackMetrics(t *testing.T) {
 			t.Fatalf("no %s records observed", dir)
 		}
 	}
-	// The trace ring recorded the hold lifecycle.
+	// The flight recorder recorded the hold lifecycle.
 	var sawHold, sawRelease bool
-	for _, ev := range snap.Trace {
+	for _, ev := range tb.Metrics.Trace().Events() {
 		if ev.Component != "core" {
 			continue
 		}

@@ -32,10 +32,8 @@ type Case struct {
 	// CaseRun.Trace).
 	Trace io.Writer
 
-	// TraceCap sizes the testbeds' flight-recorder rings (see
-	// TestbedConfig.TraceCap). An explicit capacity (> 0) records the
-	// attack arm only, so the exported timeline is not interleaved with
-	// baseline-arm events.
+	// TraceCap, when positive, turns the attack arm's flight recorder on
+	// (see TestbedConfig.TraceCap); the baseline arm never records.
 	TraceCap int
 
 	// Hijacks lists the devices whose sessions the attacker takes over.
@@ -124,6 +122,9 @@ type CaseResult struct {
 	// Metrics is the merged observability snapshot of both arms'
 	// testbeds (whatever each arm produced before any failure).
 	Metrics obs.Snapshot
+	// Trace holds the attack arm's flight-recorder events when
+	// Case.TraceCap turned it on.
+	Trace []obs.TraceEvent
 }
 
 // Succeeded reports the paper's expectation: the consequence appears only
@@ -147,20 +148,20 @@ func runCase(c Case, seed int64) (res CaseResult) {
 	var armSnaps []obs.Snapshot
 
 	runArm := func(attacked bool, armSeed int64) (consequence bool, detail string, alarms int, err error) {
-		traceCap := c.TraceCap
-		if !attacked && c.TraceCap > 0 {
-			traceCap = -1
+		cfg := TestbedConfig{Seed: armSeed, Devices: c.Devices, Integration: c.Integration}
+		if attacked {
+			cfg.TraceCap = c.TraceCap
 		}
-		tb, err := NewTestbed(TestbedConfig{
-			Seed:        armSeed,
-			Devices:     c.Devices,
-			Integration: c.Integration,
-			TraceCap:    traceCap,
-		})
+		tb, err := NewTestbed(cfg)
 		if err != nil {
 			return false, "", 0, err
 		}
-		defer func() { armSnaps = append(armSnaps, tb.Metrics.Snapshot()) }()
+		defer func() {
+			armSnaps = append(armSnaps, tb.Metrics.Snapshot())
+			if attacked {
+				res.Trace = tb.Metrics.Trace().Events()
+			}
+		}()
 		cr := &CaseRun{TB: tb, Attacked: attacked, hijackers: make(map[string]*core.Hijacker)}
 		if attacked {
 			cr.Trace = c.Trace

@@ -44,12 +44,16 @@ type ReplayResult struct {
 
 	// Metrics is the device testbed's observability snapshot.
 	Metrics obs.Snapshot
+	// Trace holds the flight recorder's events when
+	// ReplayOptions.TraceCap turned it on.
+	Trace []obs.TraceEvent
 }
 
 // ReplayOptions tunes the assessment runs.
 type ReplayOptions struct {
 	Seed int64
-	// TraceCap sizes each testbed's flight-recorder ring.
+	// TraceCap turns each testbed's flight recorder on when positive (see
+	// TestbedConfig.TraceCap).
 	TraceCap int
 }
 
@@ -76,7 +80,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
+	defer func() { res.Metrics, res.Trace = tb.Metrics.Snapshot(), tb.Metrics.Trace().Events() }()
 	owner := tb.SessionOwnerProfile(label)
 	res.Mode = owner.ReplayMode
 	res.Window = owner.ReplayWindow

@@ -70,7 +70,7 @@ func TestReplayAssessmentTrace(t *testing.T) {
 		t.Fatal(r.Err)
 	}
 	var injected, verdicts int
-	for _, ev := range r.Metrics.Trace {
+	for _, ev := range r.Trace {
 		if ev.Component != "replay" {
 			continue
 		}
@@ -101,13 +101,13 @@ func TestReplayAssessmentTrace(t *testing.T) {
 		t.Fatal("raw-vulnerable device should count an accepted replay")
 	}
 
-	// Traceless run (TraceCap < 0 disables the ring, as fleet campaigns
-	// do): identical classification, no trace events.
-	quiet := RunReplayAssessment([]string{"P4"}, ReplayOptions{Seed: 3, TraceCap: -1})
+	// Traceless run (the recorder is off unless asked for, as in fleet
+	// campaigns): identical classification, no trace events.
+	quiet := RunReplayAssessment([]string{"P4"}, ReplayOptions{Seed: 3})
 	if quiet[0].Class != r.Class {
 		t.Fatalf("traceless class %s != traced class %s", quiet[0].Class, r.Class)
 	}
-	if len(quiet[0].Metrics.Trace) != 0 {
+	if len(quiet[0].Trace) != 0 {
 		t.Fatal("traceless run emitted trace events")
 	}
 }

@@ -19,12 +19,12 @@ type resetScenario struct {
 // resetScenarios covers the deployment shapes a rebuilt testbed must
 // reproduce: a cloud home with hubs and multiple vendors, a local HAP home,
 // an attacked home (pending hold timers when Reset discards it), and a
-// trace-enabled home (default trace capacity).
+// home with its flight recorder on.
 func resetScenarios() []resetScenario {
 	return []resetScenario{
 		{
 			name: "cloud",
-			cfg:  TestbedConfig{Seed: 11, Devices: []string{"C2", "LK1", "P2", "M7"}, TraceCap: -1},
+			cfg:  TestbedConfig{Seed: 11, Devices: []string{"C2", "LK1", "P2", "M7"}},
 			drive: func(tb *Testbed) error {
 				if err := tb.Integration.AddRule(rules.Rule{
 					Name:    "lock-on-close",
@@ -50,7 +50,7 @@ func resetScenarios() []resetScenario {
 		},
 		{
 			name: "local",
-			cfg:  TestbedConfig{Seed: 12, Devices: []string{"A1", "A6"}, TraceCap: -1},
+			cfg:  TestbedConfig{Seed: 12, Devices: []string{"A1", "A6"}},
 			drive: func(tb *Testbed) error {
 				if err := tb.LocalHub.AddRule(rules.Rule{
 					Name:    "light-on-open",
@@ -69,7 +69,7 @@ func resetScenarios() []resetScenario {
 		},
 		{
 			name: "attacked",
-			cfg:  TestbedConfig{Seed: 13, Devices: []string{"P2", "M7"}, TraceCap: -1},
+			cfg:  TestbedConfig{Seed: 13, Devices: []string{"P2", "M7"}},
 			drive: func(tb *Testbed) error {
 				atk, err := tb.NewAttacker()
 				if err != nil {
@@ -91,7 +91,7 @@ func resetScenarios() []resetScenario {
 		},
 		{
 			name: "traced",
-			cfg:  TestbedConfig{Seed: 14, Devices: []string{"M7"}},
+			cfg:  TestbedConfig{Seed: 14, Devices: []string{"M7"}, TraceCap: 4096},
 			drive: func(tb *Testbed) error {
 				tb.Start()
 				if err := tb.Device("M7").TriggerEvent("motion", "active"); err != nil {
@@ -105,16 +105,21 @@ func resetScenarios() []resetScenario {
 }
 
 // homeFingerprint captures everything observable about a driven testbed:
-// the full metrics snapshot (counters, gauges with maxima, histograms,
-// trace ring), address assignments, alarm totals and the clock position.
+// the full metrics snapshot (counters, gauges with maxima, histograms),
+// the flight recorder's events, address assignments, alarm totals and the
+// clock position.
 func homeFingerprint(t *testing.T, tb *Testbed) string {
 	t.Helper()
 	snap, err := json.Marshal(tb.Metrics.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("addrs=%v servers=%v alarms=%d now=%v snap=%s",
-		tb.DeviceAddrs, tb.ServerAddrs, tb.TotalAlarmCount(), tb.Clock.Now(), snap)
+	trace, err := json.Marshal(tb.Metrics.Trace().Events())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("addrs=%v servers=%v alarms=%d now=%v snap=%s trace=%s",
+		tb.DeviceAddrs, tb.ServerAddrs, tb.TotalAlarmCount(), tb.Clock.Now(), snap, trace)
 }
 
 func firstDiff(a, b string) string {
@@ -195,7 +200,7 @@ func TestTestbedResetQueueDrained(t *testing.T) {
 	if err := sc.drive(tb); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Reset(TestbedConfig{Seed: 99, Devices: []string{"M7"}, TraceCap: -1}); err != nil {
+	if err := tb.Reset(TestbedConfig{Seed: 99, Devices: []string{"M7"}}); err != nil {
 		t.Fatal(err)
 	}
 	if now := tb.Clock.Now(); now != 0 {

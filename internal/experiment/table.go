@@ -22,8 +22,8 @@ type TableOptions struct {
 	// UnboundedDemo is how long unbounded holds are demonstrated before
 	// release (HomeKit events).
 	UnboundedDemo time.Duration
-	// TraceCap sizes each testbed's flight-recorder ring (see
-	// TestbedConfig.TraceCap): > 0 explicit, 0 default, < 0 disabled.
+	// TraceCap turns each testbed's flight recorder on when positive (see
+	// TestbedConfig.TraceCap).
 	TraceCap int
 }
 
@@ -74,6 +74,9 @@ type TableRow struct {
 	// the measurement finished. Snapshots from all rows merge with
 	// obs.Merge for a whole-table view.
 	Metrics obs.Snapshot
+	// Trace holds the flight recorder's events, oldest first, when
+	// TableOptions.TraceCap turned it on.
+	Trace []obs.TraceEvent
 
 	// Err captures a per-device measurement failure.
 	Err error
@@ -128,7 +131,7 @@ func measureDevice(label string, opts TableOptions, seed int64) (row TableRow) {
 		return row
 	}
 	// Snapshot whatever the run produced, even on a failed measurement.
-	defer func() { row.Metrics = tb.Metrics.Snapshot() }()
+	defer func() { row.Metrics, row.Trace = tb.Metrics.Snapshot(), tb.Metrics.Trace().Events() }()
 	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		row.Err = err

@@ -36,9 +36,9 @@ type TestbedConfig struct {
 	WANLatency time.Duration
 	// Jitter perturbs latencies by the given factor.
 	Jitter float64
-	// TraceCap sizes the registry's flight-recorder ring: > 0 sets an
-	// explicit capacity, 0 keeps the default, < 0 disables tracing so the
-	// instrumented layers skip event emission entirely.
+	// TraceCap turns the flight recorder on: a positive value records up
+	// to that many events, the most recent kept. Any other value leaves it
+	// off, and the instrumented layers skip event emission entirely.
 	TraceCap int
 }
 
@@ -58,7 +58,8 @@ type Testbed struct {
 	// exactly one (the simulation is single-threaded); the clock, the
 	// network, device TCP stacks and any attacker report into it. Take a
 	// Snapshot after a run; snapshots from independent testbeds merge with
-	// obs.Merge.
+	// obs.Merge. Its flight recorder, Metrics.Trace, is on only when
+	// TestbedConfig.TraceCap asked for it.
 	Metrics *obs.Registry
 
 	// DeviceAddrs maps session-owning device labels to their LAN address.
@@ -132,16 +133,9 @@ func (tb *Testbed) build(cfg TestbedConfig) error {
 	}
 	tb.cfg = cfg
 	reg := tb.Metrics
-	// The trace capacity must be set before anything captures the ring:
-	// SetTraceCapacity replaces the Trace object, so later Instrument calls
-	// would otherwise hold the discarded one. A new registry already has
-	// the default capacity.
-	switch {
-	case cfg.TraceCap > 0:
-		reg.SetTraceCapacity(cfg.TraceCap)
-	case cfg.TraceCap < 0:
-		reg.SetTraceCapacity(0)
-	}
+	// The recorder must be on before any component is instrumented: each
+	// captures the ring, or nil, when it is.
+	reg.SetTraceCapacity(cfg.TraceCap)
 	tb.Clock.Instrument(reg)
 	tb.Net.Instrument(reg) // before segments so they get per-segment counters
 	tb.LAN = tb.Net.NewSegment("lan", cfg.LANLatency, cfg.Jitter)
@@ -303,9 +297,7 @@ func (tb *Testbed) addDevice(p device.Profile) error {
 		IP:    ip,
 		TCP:   tcpsim.NewStack(tb.Clock, ip, tcpsim.Config{}, tb.cfg.Seed+int64(tb.nextHost)),
 		RNG:   tb.rng,
-	}
-	if tr := tb.Metrics.Trace(); tr.Enabled() {
-		env.Trace = tr
+		Trace: tb.Metrics.Trace(),
 	}
 	env.TCP.Instrument(tb.Metrics, p.Label)
 	switch p.Transport {

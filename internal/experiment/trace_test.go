@@ -19,7 +19,7 @@ func TestTableTraceRecordsEDelaySequence(t *testing.T) {
 	if len(rows) != 1 || rows[0].Err != nil {
 		t.Fatalf("rows = %+v", rows)
 	}
-	evs := rows[0].Metrics.Trace
+	evs := rows[0].Trace
 	if len(evs) == 0 {
 		t.Fatal("no trace events recorded")
 	}
@@ -94,7 +94,7 @@ func TestTableTraceDeterministic(t *testing.T) {
 		if rows[0].Err != nil {
 			t.Fatal(rows[0].Err)
 		}
-		return rows[0].Metrics.Trace
+		return rows[0].Trace
 	}
 	a, b := run(), run()
 	if !reflect.DeepEqual(a, b) {
@@ -102,19 +102,30 @@ func TestTableTraceDeterministic(t *testing.T) {
 	}
 }
 
+// TestTableTraceDisabled: only a positive TraceCap turns the recorder on,
+// and turning it on changes no metric.
 func TestTableTraceDisabled(t *testing.T) {
-	rows := RunTable([]string{"C1"}, TableOptions{Seed: 7, Trials: 1, TraceCap: -1})
-	if rows[0].Err != nil {
-		t.Fatal(rows[0].Err)
+	traced := RunTable([]string{"C1"}, TableOptions{Seed: 7, Trials: 1, TraceCap: 1 << 16})[0]
+	if traced.Err != nil || len(traced.Trace) == 0 {
+		t.Fatalf("traced row: err %v, %d events", traced.Err, len(traced.Trace))
 	}
-	if n := len(rows[0].Metrics.Trace); n != 0 {
-		t.Fatalf("TraceCap -1 still recorded %d events", n)
+	for _, traceCap := range []int{0, -1} {
+		row := RunTable([]string{"C1"}, TableOptions{Seed: 7, Trials: 1, TraceCap: traceCap})[0]
+		if row.Err != nil {
+			t.Fatal(row.Err)
+		}
+		if n := len(row.Trace); n != 0 {
+			t.Fatalf("TraceCap %d still recorded %d events", traceCap, n)
+		}
+		if !reflect.DeepEqual(row.Metrics, traced.Metrics) {
+			t.Fatalf("TraceCap %d: metrics differ from the traced run's", traceCap)
+		}
 	}
 }
 
-// TestCaseTraceAttackArmOnly: with an explicit capacity, only the attack
-// arm records, so the exported timeline is not interleaved with
-// baseline-arm events (both arms start at t=0).
+// TestCaseTraceAttackArmOnly: only the attack arm records, so the
+// exported timeline is not interleaved with baseline-arm events (both
+// arms start at t=0).
 func TestCaseTraceAttackArmOnly(t *testing.T) {
 	cases := Table3Cases()[:1]
 	cases[0].TraceCap = 1 << 16
@@ -122,12 +133,11 @@ func TestCaseTraceAttackArmOnly(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	evs := res.Metrics.Trace
+	evs := res.Trace
 	if len(evs) == 0 {
 		t.Fatal("attack arm recorded no trace events")
 	}
-	// Merged arm snapshots concatenate traces in arm order; with the
-	// baseline arm disabled the stream must stay time-monotonic.
+	// A baseline arm's events would restart at t=0.
 	for i := 1; i < len(evs); i++ {
 		if evs[i].At < evs[i-1].At {
 			t.Fatalf("trace not monotonic at %d: %v after %v (baseline arm leaked in?)",

@@ -25,6 +25,9 @@ type VerifyResult struct {
 	// Metrics is the device testbed's observability snapshot, taken after
 	// the trials finished (or failed).
 	Metrics obs.Snapshot
+	// Trace holds the flight recorder's events when
+	// VerifyOptions.TraceCap turned it on.
+	Trace []obs.TraceEvent
 }
 
 // Perfect reports the paper's outcome: 100% avoidance and acceptance.
@@ -36,7 +39,7 @@ func (r VerifyResult) Perfect() bool {
 type VerifyOptions struct {
 	Seed   int64
 	Trials int
-	// TraceCap sizes each testbed's flight-recorder ring (see
+	// TraceCap turns each testbed's flight recorder on when positive (see
 	// TestbedConfig.TraceCap).
 	TraceCap int
 }
@@ -61,7 +64,7 @@ func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResul
 		res.Err = err
 		return res
 	}
-	defer func() { res.Metrics = tb.Metrics.Snapshot() }()
+	defer func() { res.Metrics, res.Trace = tb.Metrics.Snapshot(), tb.Metrics.Trace().Events() }()
 	h, lab, err := tb.HijackLab(label)
 	if err != nil {
 		res.Err = err

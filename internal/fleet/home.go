@@ -54,10 +54,6 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 		return res
 	}
 
-	// Per-home traces would dominate the merged snapshot and their
-	// concatenation order is not worker-count independent; campaigns run
-	// traceless (TraceCap < 0 disables the ring before any component is
-	// instrumented, so nothing ever writes an event).
 	cfg := experiment.TestbedConfig{
 		Seed:       home.Seed,
 		Devices:    home.Devices,
@@ -65,7 +61,6 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 		WANLatency: home.WANLatency,
 		Jitter:     home.LinkJitter,
 		Overrides:  home.Overrides,
-		TraceCap:   -1,
 	}
 	tb, err := experiment.NewTestbed(cfg)
 	if err != nil {

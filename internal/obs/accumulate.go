@@ -30,10 +30,7 @@ type merger struct {
 	counters slots[CounterValue]
 	gauges   slots[GaugeValue]
 	hists    slots[histSlot]
-	trace    []TraceEvent
-	// evicted, discarded and dropped sum the inputs' trace loss counters.
-	evicted, discarded, dropped uint64
-	keybuf                      []byte
+	keybuf   []byte
 }
 
 // slots is one metric kind's share of a merger. vals holds each present
@@ -161,10 +158,6 @@ func (m *merger) fold(s Snapshot, sums []FloatSum) {
 		}
 		m.addHistogram(m.id(h.Name, h.Labels), h, exact)
 	}
-	m.trace = append(m.trace, s.Trace...)
-	m.evicted += s.TraceEvicted
-	m.discarded += s.TraceDiscarded
-	m.dropped += s.TraceDropped
 }
 
 // foldRegistry is fold(r.Snapshot()) read straight from r's handles.
@@ -184,23 +177,12 @@ func (m *merger) foldRegistry(r *Registry) {
 			Bounds: h.bounds, Counts: h.counts, Sum: h.sum, Count: h.n,
 		}, nil)
 	}
-	if t := r.trace; t != nil {
-		m.trace = t.appendEvents(m.trace)
-		m.evicted += t.Evicted()
-		m.discarded += t.Discarded()
-		m.dropped += t.Dropped()
-	}
 }
 
 // snapshot emits the aggregate in canonical order. It shares nothing
 // mutable with the merger: histogram counts are copied.
 func (m *merger) snapshot() Snapshot {
-	s := Snapshot{
-		Trace:          append([]TraceEvent(nil), m.trace...),
-		TraceEvicted:   m.evicted,
-		TraceDiscarded: m.discarded,
-		TraceDropped:   m.dropped,
-	}
+	var s Snapshot
 	if len(m.counters.order) > 0 {
 		s.Counters = make([]CounterValue, len(m.counters.order))
 		for i, p := range m.counters.order {
@@ -251,9 +233,7 @@ type Accumulator struct {
 func NewAccumulator() *Accumulator { return &Accumulator{} }
 
 // Add folds one snapshot into the aggregate. Histogram sums accumulate
-// exactly, so they are order-independent; trace events concatenate in Add
-// order, so callers that promise deterministic output still Add in a
-// deterministic order.
+// exactly, so the aggregate does not depend on Add order.
 func (a *Accumulator) Add(s Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -262,8 +242,7 @@ func (a *Accumulator) Add(s Snapshot) {
 }
 
 // AddRegistry folds r's current state into the aggregate, exactly as
-// Add(r.Snapshot()) would — trace included — without building the
-// snapshot: each handle adds into its series' slot by id. Like Snapshot,
+// Add(r.Snapshot()) would, without building the snapshot: each handle adds into its series' slot by id. Like Snapshot,
 // it reads r, so only r's owning goroutine may call it.
 func (a *Accumulator) AddRegistry(r *Registry) {
 	a.mu.Lock()

@@ -12,21 +12,18 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
-// accSnap builds a representative snapshot: counters, gauges, histograms
-// (with float sums that make fold order observable), and trace events.
+// accSnap builds a representative snapshot: counters, gauges and
+// histograms, with float sums that make fold order observable.
 func accSnap(w int) Snapshot {
 	r := NewRegistry()
-	r.SetTraceCapacity(8)
 	r.Counter("events_total").Add(uint64(10 * (w + 1)))
 	r.Counter("shard_total", L("shard", string(rune('a'+w)))).Add(1)
 	r.Gauge("depth").Set(int64(w + 1))
 	h := r.Histogram("lat", []float64{1, 10})
 	h.Observe(0.1 * float64(w+1))
 	h.Observe(float64(w) + 0.3)
-	r.Trace().Emit(time.Duration(w), "acc", "tick", "", int64(w))
 	return r.Snapshot()
 }
 
@@ -71,11 +68,10 @@ func TestMergeMonoid(t *testing.T) {
 		t.Fatalf("re-folding a merged aggregate changed it:\n got %+v\nwant %+v", got, want)
 	}
 	// Exact sums make the one-shot fold grouping-independent: any argument
-	// order reaches the same float sums (traces follow argument order, so
-	// compare the histogram section only).
+	// order reaches the same aggregate, float sums included.
 	fwd, rev := Merge(a, b, c), Merge(c, b, a)
-	if !reflect.DeepEqual(fwd.Histograms, rev.Histograms) {
-		t.Fatalf("histogram merge depends on argument order:\n fwd %+v\n rev %+v", fwd.Histograms, rev.Histograms)
+	if !reflect.DeepEqual(fwd, rev) {
+		t.Fatalf("merge depends on argument order:\n fwd %+v\n rev %+v", fwd, rev)
 	}
 }
 
@@ -230,10 +226,6 @@ func (m *refMerger) fold(s Snapshot, sums []FloatSum) {
 		take(b[j], fresh(j))
 	}
 	m.out.Histograms, m.hsums = hs, fs
-	m.out.Trace = append(m.out.Trace, s.Trace...)
-	m.out.TraceEvicted += s.TraceEvicted
-	m.out.TraceDiscarded += s.TraceDiscarded
-	m.out.TraceDropped += s.TraceDropped
 }
 
 func refJoin[T any](acc, b []T, cmp func(T, T) int, combine func(T, T) T) []T {
@@ -367,21 +359,13 @@ func genSnapshot(r *rand.Rand) Snapshot {
 			s.Histograms = append(s.Histograms, HistogramValue{Name: p.name, Labels: p.labels, Bounds: p.bounds, Counts: counts, Sum: poolFloat(r), Count: n})
 		}
 	}
-	for n := r.Intn(3); n > 0; n-- {
-		s.Trace = append(s.Trace, TraceEvent{At: time.Duration(r.Intn(100)), Component: "gen", Event: "e", Value: r.Int63n(9)})
-	}
-	s.TraceEvicted = uint64(r.Intn(3))
-	s.TraceDiscarded = uint64(r.Intn(3))
-	s.TraceDropped = s.TraceEvicted + s.TraceDiscarded
 	return s
 }
 
 // genRegistryStep registers a random subset of the pool in a random
-// order, records into it (a small trace ring that may wrap, or none), and
-// snapshots it.
+// order, records into it, and snapshots it.
 func genRegistryStep(r *rand.Rand) foldStep {
 	reg := NewRegistry()
-	reg.SetTraceCapacity(r.Intn(4))
 	for _, p := range pool(r) {
 		switch r.Intn(4) {
 		case 0:
@@ -397,9 +381,6 @@ func genRegistryStep(r *rand.Rand) foldStep {
 				h.Observe(poolFloat(r))
 			}
 		}
-	}
-	for n := r.Intn(6); n > 0; n-- {
-		reg.Trace().Emit(time.Duration(r.Intn(100)), "reg", "e", "", int64(n))
 	}
 	return foldStep{snap: reg.Snapshot(), reg: reg, isReg: true}
 }

@@ -309,14 +309,12 @@ func TestAbsorbValidation(t *testing.T) {
 // float values included.
 func TestSnapshotJSONRoundTripFidelity(t *testing.T) {
 	r := NewRegistry()
-	r.SetTraceCapacity(4)
 	h := r.Histogram("awkward", []float64{1e-200, 0.5})
 	for _, v := range []float64{0.1, 0.2, 1e-300, -1e-300, math.SmallestNonzeroFloat64, 1e300, -0.30000000000000004} {
 		h.Observe(v)
 	}
 	r.Gauge("g").Set(-9007199254740993) // beyond 2^53: exact in int64 JSON
 	r.Counter("c").Add(math.MaxUint64 / 3)
-	r.Trace().Emit(1, "x", "y", "z", 2)
 	acc := NewAccumulator()
 	acc.Add(r.Snapshot())
 	acc.Add(accSnap(5))

@@ -1,17 +1,20 @@
 // Package obs is the simulator's observability layer: a zero-dependency
 // metrics registry (counters, gauges with high-water marks, histograms with
-// fixed bucket boundaries) plus a lightweight event-trace ring buffer.
+// fixed bucket boundaries) plus an opt-in event-trace ring buffer, the
+// flight recorder.
 //
 // The package is designed for the single-threaded simtime world: metric
 // handles are plain structs and mutation is a direct field update — no
 // locks, no atomics on the hot path. A Registry therefore belongs to
 // exactly one simulation (one goroutine). The synchronization boundary is
 // Snapshot: the owning goroutine takes a value-copy Snapshot after its run,
-// and snapshots from many independent runs (the parallel table runner's
-// workers) are merged with Merge, which is safe to call from any goroutine
-// because snapshots are plain values. The one state registries share is
-// the lock-guarded series table (series.go), which gives every series a
-// dense id the first time any registry or merge names it.
+// and snapshots from many independent runs (the fleet's workers) are
+// merged with Merge, which is safe to call from any goroutine because
+// snapshots are plain values. Snapshots hold metrics only: a run that
+// turned its recorder on reads the events off Registry.Trace itself. The
+// one state registries share is the lock-guarded series table
+// (series.go), which gives every series a dense id the first time any
+// registry or merge names it.
 //
 // Every handle method is nil-receiver safe, so instrumented components pay
 // a single predictable branch when no registry is attached.
@@ -209,10 +212,10 @@ var CountBuckets = []float64{
 	1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000,
 }
 
-// Registry owns a simulation's metrics and its trace buffer. The zero
-// value is not usable; create one with NewRegistry. A nil *Registry is a
-// valid "off" registry: every constructor returns a nil handle and every
-// handle method no-ops.
+// Registry owns a simulation's metrics and, when SetTraceCapacity turned
+// it on, its flight recorder. The zero value is not usable; create one
+// with NewRegistry. A nil *Registry is a valid "off" registry: every
+// constructor returns a nil handle and every handle method no-ops.
 type Registry struct {
 	// counters/gauges/hists hold the handles in registration order;
 	// Snapshot sorts its copy once.
@@ -228,7 +231,8 @@ type Registry struct {
 	// keybuf is the scratch for series keys; a key string is allocated
 	// only when a series is new to the whole process.
 	keybuf []byte
-	trace  *Trace
+	// trace is the flight recorder; nil while it is off.
+	trace *Trace
 }
 
 // Handle kinds, as stored in Registry.handles.
@@ -242,10 +246,8 @@ const (
 // testbed registers dozens, mostly per-host tcpsim series.
 const counterChunk = 32
 
-// NewRegistry creates an empty registry with a default-sized trace buffer.
-func NewRegistry() *Registry {
-	return &Registry{trace: NewTrace(DefaultTraceCap)}
-}
+// NewRegistry creates an empty registry with its flight recorder off.
+func NewRegistry() *Registry { return &Registry{} }
 
 // find returns the id and interned identity of (name, labels), and the
 // position of this registry's handle for it, or -1 when it has none yet.
@@ -354,8 +356,8 @@ func boundsEqual(a, b []float64) bool {
 	return true
 }
 
-// Trace returns the registry's trace buffer (nil on a nil registry, which
-// Trace methods tolerate).
+// Trace returns the registry's flight recorder: nil while it is off and
+// on a nil registry, which Trace methods tolerate.
 func (r *Registry) Trace() *Trace {
 	if r == nil {
 		return nil
@@ -363,19 +365,11 @@ func (r *Registry) Trace() *Trace {
 	return r.trace
 }
 
-// SetTraceCapacity replaces the trace buffer with one of the given
-// capacity, discarding buffered events. A capacity of 0 disables tracing.
-// When the capacity is unchanged the existing ring is cleared in place, so
-// handles that captured it stay valid and nothing reallocates.
+// SetTraceCapacity replaces the flight recorder with an empty ring of n
+// events, or turns it off when n <= 0. Components capture the ring when
+// they are instrumented, so set it before instrumenting any.
 func (r *Registry) SetTraceCapacity(n int) {
 	if r == nil {
-		return
-	}
-	if n < 0 {
-		n = 0
-	}
-	if r.trace != nil && r.trace.capn == n {
-		r.trace.Reset()
 		return
 	}
 	r.trace = NewTrace(n)
@@ -388,13 +382,6 @@ type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
 	Gauges     []GaugeValue     `json:"gauges"`
 	Histograms []HistogramValue `json:"histograms"`
-	Trace      []TraceEvent     `json:"trace,omitempty"`
-	// TraceEvicted counts stored trace events overwritten by ring-buffer
-	// wraparound; TraceDiscarded counts events a disabled trace refused.
-	// TraceDropped is their sum, kept for compatibility.
-	TraceEvicted   uint64 `json:"traceEvicted,omitempty"`
-	TraceDiscarded uint64 `json:"traceDiscarded,omitempty"`
-	TraceDropped   uint64 `json:"traceDropped,omitempty"`
 }
 
 // CounterValue is one counter in a snapshot.
@@ -426,8 +413,8 @@ type HistogramValue struct {
 // canonical order (sorted by name, then labels) so equal runs produce
 // byte-identical snapshots. Label slices and histogram bounds are shared
 // with the registry's handles — both are immutable after registration —
-// while every mutable field (values, histogram counts, trace events) is
-// copied, so the snapshot stays a stable value as the simulation runs on.
+// while every mutable field (values, histogram counts) is copied, so the
+// snapshot stays a stable value as the simulation runs on.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -454,12 +441,6 @@ func (r *Registry) Snapshot() Snapshot {
 	slices.SortFunc(s.Counters, compareCounters)
 	slices.SortFunc(s.Gauges, compareGauges)
 	slices.SortFunc(s.Histograms, compareHistograms)
-	if r.trace != nil {
-		s.Trace = r.trace.Events()
-		s.TraceEvicted = r.trace.Evicted()
-		s.TraceDiscarded = r.trace.Discarded()
-		s.TraceDropped = r.trace.Dropped()
-	}
 	return s
 }
 
@@ -532,9 +513,8 @@ func (s Snapshot) Families() []string {
 // histogram buckets sum, gauge values sum while high-water marks take the
 // per-run maximum (a merged queue-depth HWM answers "the deepest any one
 // run got"). Histograms with mismatched bounds panic — bounds are part of
-// a metric's identity. Traces are concatenated in argument order. Merge
-// only touches plain values, so it is safe wherever the snapshots
-// themselves were safely produced.
+// a metric's identity. Merge only touches plain values, so it is safe
+// wherever the snapshots themselves were safely produced.
 //
 // The fold works by series id (see the series table): each input entry is
 // interned and added into its dense slot, whatever order the input lists
@@ -559,8 +539,7 @@ func (s Snapshot) Families() []string {
 // nothing), merging is deterministic in its inputs, re-folding a merged
 // aggregate changes nothing, and — through Absorb — the fold
 // re-associates exactly under any grouping, floating-point sums included.
-// Trace order still follows argument order, so deterministic callers fold
-// in a fixed order. The monoid laws are property-tested in
+// The monoid laws are property-tested in
 // accumulate_test.go; they are what lets aggregation split arbitrarily
 // across shards, checkpoints, resumes, and worker processes.
 //

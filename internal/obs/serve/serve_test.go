@@ -61,11 +61,9 @@ func parseOpenMetrics(t *testing.T, body string) map[string]float64 {
 
 func testSnapshot(n int) obs.Snapshot {
 	r := obs.NewRegistry()
-	r.SetTraceCapacity(16)
 	for i := 0; i < n; i++ {
 		r.Counter("requests_total").Add(7)
 		r.Histogram("lat_seconds", []float64{1, 10}).Observe(0.5 + float64(i))
-		r.Trace().Emit(time.Duration(i)*time.Millisecond, "serve", "tick", "", int64(i))
 	}
 	r.Gauge("depth").Set(int64(n))
 	return r.Snapshot()
@@ -167,9 +165,12 @@ func TestProgressEndpoint(t *testing.T) {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	snap := testSnapshot(2)
+	tr := obs.NewTrace(16)
+	for i := 0; i < 2; i++ {
+		tr.Emit(time.Duration(i)*time.Millisecond, "serve", "tick", "", int64(i))
+	}
 	h := Plane{TraceSources: func() []timeline.Source {
-		return []timeline.Source{{Name: "run", Events: snap.Trace}}
+		return []timeline.Source{{Name: "run", Events: tr.Events()}}
 	}}.Handler()
 	code, body, ct := get(t, h, "/trace")
 	if code != http.StatusOK || ct != "application/json" {
