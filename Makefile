@@ -29,12 +29,13 @@ lint:
 test:
 	$(GO) test ./...
 
-# The packages with real goroutine concurrency: the parallel table runner,
-# the obs snapshot/merge boundary it synchronises through, the fleet
-# sharded worker pool, and the serve plane, whose HTTP handlers read the
-# fleet progress tracker while the campaign's collector writes it.
+# The packages with real goroutine concurrency: the obs snapshot/merge
+# boundary, the fleet sharded worker pool (which drives experiment
+# testbeds from concurrent workers), and the serve plane, whose HTTP
+# handlers read the fleet progress tracker while the campaign's collector
+# writes it.
 race:
-	$(GO) test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
+	$(GO) test -race ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
 
 # verify is the tier-1 gate. verify.sh is its one definition (gofmt, build,
 # vet, lint, test, race), so `make verify` and CI run the same checks.

@@ -25,7 +25,7 @@ func TestRunRejectsBadInput(t *testing.T) {
 
 func TestRunTableWithMetricsOutput(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	if err := run([]string{"-seed", "5", "-trials", "1", "-parallel", "2", "-metrics", path, "table2"}); err != nil {
+	if err := run([]string{"-seed", "5", "-trials", "1", "-metrics", path, "table2"}); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

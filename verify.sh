@@ -8,11 +8,12 @@
 #   lint     — phantomlint (internal/analysis): determinism and zero-tax
 #              tracing invariants, machine-checked (DESIGN.md §10)
 #   test     — full test suite
-#   race     — the packages that spawn goroutines (the parallel table
-#              runner, the obs snapshot/merge boundary, the fleet
-#              worker pool) and the serve plane, whose HTTP handlers read
-#              the fleet progress tracker while the collector writes it,
-#              under the race detector
+#   race     — the packages that spawn goroutines (the obs
+#              snapshot/merge boundary, the fleet worker pool, which
+#              drives experiment testbeds from concurrent workers) and
+#              the serve plane, whose HTTP handlers read the fleet
+#              progress tracker while the collector writes it, under the
+#              race detector
 set -eu
 cd "$(dirname "$0")"
 
@@ -32,5 +33,5 @@ go run ./cmd/phantomlint ./...
 echo "== go test"
 go test ./...
 echo "== go test -race (concurrency boundary)"
-go test -race ./internal/experiment/ ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
+go test -race ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
 echo "verify: OK"
