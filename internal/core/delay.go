@@ -15,10 +15,13 @@ type DelayOp struct {
 	match func(ClassifiedRecord) bool
 	dir   sniff.Direction
 
-	// hold selects the release strategy.
-	holdFor time.Duration // > 0: fixed duration
-	margin  time.Duration // > 0: predictor-driven (release at predicted close - margin)
-	manual  bool
+	// The release strategy: manual, after holdFor, or, for an op armed
+	// by MaxEDelay or MaxCDelay (predicted), margin before the predicted
+	// close.
+	holdFor   time.Duration
+	predicted bool
+	margin    time.Duration
+	manual    bool
 
 	bridge    *Bridge
 	matched   bool
@@ -124,7 +127,7 @@ func (h *Hijacker) scheduleRelease(op *DelayOp, cr ClassifiedRecord) {
 		// Caller releases.
 	case op.holdFor > 0:
 		op.armRelease(h.atk.Clock.Now() + op.holdFor)
-	case op.margin > 0:
+	case op.predicted:
 		kind := sniff.KindEvent
 		if cr.Known {
 			kind = cr.Msg.Kind
@@ -199,20 +202,22 @@ func (h *Hijacker) DelayKeepAlive(hold time.Duration) *DelayOp {
 // is indefinite until released manually.
 func (h *Hijacker) MaxEDelay(origin string, margin time.Duration) *DelayOp {
 	return h.arm(&DelayOp{
-		h:      h,
-		dir:    sniff.DirClientToServer,
-		match:  matcherFor(origin, sniff.KindEvent),
-		margin: margin,
+		h:         h,
+		dir:       sniff.DirClientToServer,
+		match:     matcherFor(origin, sniff.KindEvent),
+		predicted: true,
+		margin:    margin,
 	})
 }
 
 // MaxCDelay is MaxEDelay for commands.
 func (h *Hijacker) MaxCDelay(origin string, margin time.Duration) *DelayOp {
 	return h.arm(&DelayOp{
-		h:      h,
-		dir:    sniff.DirServerToClient,
-		match:  matcherFor(origin, sniff.KindCommand),
-		margin: margin,
+		h:         h,
+		dir:       sniff.DirServerToClient,
+		match:     matcherFor(origin, sniff.KindCommand),
+		predicted: true,
+		margin:    margin,
 	})
 }
 

@@ -11,20 +11,11 @@ import (
 // thermostats and water sensors); enough homes that the sampler deals a
 // vulnerable device into several of them.
 func replayCampaign() Campaign {
-	return Campaign{
-		Spec: Spec{
-			Name:   "replay-mix",
-			Attack: AttackReplay,
-			Targets: TargetSpec{
-				Classes: []string{"plug", "thermostat", "water sensor"},
-				PerHome: 2,
-			},
-			Trials: 1,
-		},
-		Homes:     24,
-		ShardSize: 4,
-		Seed:      11,
-	}
+	spec := DefaultSpec()
+	spec.Name = "replay-mix"
+	spec.Attack = AttackReplay
+	spec.Targets = TargetSpec{Classes: []string{"plug", "thermostat", "water sensor"}, PerHome: 2}
+	return Campaign{Spec: spec, Homes: 24, ShardSize: 4, Seed: 11}
 }
 
 // TestReplayCampaignWorkerInvariance extends the engine's core guarantee

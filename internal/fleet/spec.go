@@ -66,12 +66,14 @@ type TargetSpec struct {
 	Labels []string `json:"labels,omitempty"`
 	// PerHome bounds how many matching devices are attacked per home
 	// (first matches in deployment order). Default 1.
-	PerHome int `json:"perHome,omitempty"`
+	PerHome int `json:"perHome"`
 }
 
 // Spec is a campaign: one attack procedure applied to every home of the
 // population. The zero value is not runnable; use DefaultSpec or ParseSpec
-// and Validate.
+// and Validate. The numeric fields' defaults apply only to keys a parsed
+// spec omits: an explicit zero means zero, and survives a checkpoint or a
+// partial file.
 type Spec struct {
 	// Name labels the campaign in results and checkpoints.
 	Name string `json:"name,omitempty"`
@@ -81,34 +83,29 @@ type Spec struct {
 	Targets TargetSpec `json:"targets,omitempty"`
 	// MarginSecs is the release margin before the predicted timeout for
 	// the delay families. Default 2.
-	MarginSecs float64 `json:"marginSecs,omitempty"`
+	MarginSecs float64 `json:"marginSecs"`
 	// Trials is the number of attack trials per target. Default 1.
-	Trials int `json:"trials,omitempty"`
+	Trials int `json:"trials"`
 	// HoldSecs is the fixed hold for AttackOffline and for delay targets
 	// with no bounding timeout (the HomeKit "∞" rows). Default 60.
-	HoldSecs float64 `json:"holdSecs,omitempty"`
+	HoldSecs float64 `json:"holdSecs"`
 	// TimingJitter is the per-home perturbation factor applied to every
 	// profile's timing parameters (clamped to [0, 0.5]). Default 0.1.
-	TimingJitter float64 `json:"timingJitter,omitempty"`
+	TimingJitter float64 `json:"timingJitter"`
 	// RulesPerHome is the maximum number of synthetic TCA rules installed
 	// per home. Default 2.
-	RulesPerHome int `json:"rulesPerHome,omitempty"`
+	RulesPerHome int `json:"rulesPerHome"`
 	// Replay configures the replay attack family. A pointer so that specs
 	// of the other families marshal exactly as they did before the field
 	// existed, keeping historical checkpoint fingerprints valid.
 	Replay *ReplaySpec `json:"replay,omitempty"`
 }
 
-// DefaultSpec is the built-in campaign: one maximum-stealthy event delay
-// against the first contact or motion sensor of every home.
-func DefaultSpec() Spec {
+// numericDefaults is what ParseSpec decodes over, so a key the spec
+// omits keeps its default and an explicit zero replaces it.
+func numericDefaults() Spec {
 	return Spec{
-		Name:   "edelay-sensors",
-		Attack: AttackEDelay,
-		Targets: TargetSpec{
-			Classes: []string{"contact sensor", "motion sensor"},
-			PerHome: 1,
-		},
+		Targets:      TargetSpec{PerHome: 1},
 		MarginSecs:   2,
 		Trials:       1,
 		HoldSecs:     60,
@@ -117,31 +114,25 @@ func DefaultSpec() Spec {
 	}
 }
 
-// fill applies defaults to optional fields.
+// DefaultSpec is the built-in campaign: one maximum-stealthy event delay
+// against the first contact or motion sensor of every home.
+func DefaultSpec() Spec {
+	s := numericDefaults()
+	s.Name = "edelay-sensors"
+	s.Attack = AttackEDelay
+	s.fill() // the default target classes
+	return s
+}
+
+// fill applies the defaults that an empty value cannot mean: the name,
+// the target classes, and the replay mode and budget. It leaves numeric
+// fields as they are, zero included.
 func (s *Spec) fill() {
 	if s.Name == "" {
 		s.Name = s.Attack
 	}
 	if len(s.Targets.Classes) == 0 && len(s.Targets.Labels) == 0 {
 		s.Targets.Classes = []string{"contact sensor", "motion sensor"}
-	}
-	if s.Targets.PerHome == 0 {
-		s.Targets.PerHome = 1
-	}
-	if s.MarginSecs == 0 {
-		s.MarginSecs = 2
-	}
-	if s.Trials == 0 {
-		s.Trials = 1
-	}
-	if s.HoldSecs == 0 {
-		s.HoldSecs = 60
-	}
-	if s.TimingJitter == 0 {
-		s.TimingJitter = 0.1
-	}
-	if s.RulesPerHome == 0 {
-		s.RulesPerHome = 2
 	}
 	if s.Attack == AttackReplay {
 		if s.Replay == nil {
@@ -184,14 +175,23 @@ func (s Spec) Validate() error {
 	if s.MarginSecs < 0 {
 		return fmt.Errorf("fleet: negative marginSecs %v", s.MarginSecs)
 	}
-	if s.HoldSecs < 0 {
+	switch {
+	case s.HoldSecs < 0:
 		return fmt.Errorf("fleet: negative holdSecs %v", s.HoldSecs)
+	case s.HoldSecs == 0:
+		return fmt.Errorf("fleet: holdSecs is 0; a hold must last")
 	}
-	if s.Trials < 0 {
+	switch {
+	case s.Trials < 0:
 		return fmt.Errorf("fleet: negative trials %d", s.Trials)
+	case s.Trials == 0:
+		return fmt.Errorf("fleet: trials is 0; a campaign runs at least one trial per target")
 	}
-	if s.Targets.PerHome < 0 {
+	switch {
+	case s.Targets.PerHome < 0:
 		return fmt.Errorf("fleet: negative targets.perHome %d", s.Targets.PerHome)
+	case s.Targets.PerHome == 0:
+		return fmt.Errorf("fleet: targets.perHome is 0; a campaign attacks at least one device per home")
 	}
 	if s.TimingJitter < 0 || s.TimingJitter > 0.5 {
 		return fmt.Errorf("fleet: timingJitter %v outside [0, 0.5]", s.TimingJitter)
@@ -217,10 +217,10 @@ func (s Spec) Hold() time.Duration { return time.Duration(s.HoldSecs * float64(t
 
 // ParseSpec decodes and validates a campaign spec. Unknown fields are
 // rejected so a typo'd knob fails loudly instead of silently running the
-// default. Defaults are applied to omitted optional fields; malformed
-// specs return an error, never a panic.
+// default. Omitted fields take their defaults, while an explicit zero
+// stays zero; malformed specs return an error, never a panic.
 func ParseSpec(data []byte) (Spec, error) {
-	var s Spec
+	s := numericDefaults()
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {

@@ -1,14 +1,20 @@
 package fleet
 
-import "testing"
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+)
 
 // FuzzParseSpec: arbitrary spec bytes must never panic, and every accepted
-// spec must be filled and valid.
+// spec must be filled and valid, and must parse back from its own JSON
+// unchanged, explicit zeros included.
 func FuzzParseSpec(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"attack":"edelay"}`))
 	f.Add([]byte(`{"name":"x","attack":"offline","holdSecs":300,"targets":{"labels":["C1"],"perHome":2}}`))
 	f.Add([]byte(`{"attack":"cdelay","marginSecs":0.5,"trials":3,"timingJitter":0.25}`))
+	f.Add([]byte(zeroSpec))
 	f.Add([]byte(`{"attack":"edelay","unknown":1}`))
 	f.Add([]byte(`{"attack":"edelay"}{"attack":"cdelay"}`))
 	f.Add([]byte(`not json`))
@@ -37,6 +43,17 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		} else if s.Replay != nil {
 			t.Fatalf("non-replay spec carries replay settings: %+v (%q)", s, data)
+		}
+		enc, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := ParseSpec(enc)
+		if err != nil {
+			t.Fatalf("spec does not parse back from its JSON %s: %v", enc, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, enc) {
+			t.Fatalf("spec changed through its JSON: %s became %s", enc, again)
 		}
 	})
 }
