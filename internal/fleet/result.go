@@ -124,7 +124,7 @@ func (res *Result) finishTallies(tallies map[string]*exactTally) {
 
 // aggregator is the streaming campaign aggregation: shard results fold into the running campaign result as they land and are then
 // released — nothing is retained per shard. Fold order is part of the
-// byte-identity contract (error sampling order, trace concatenation), so
+// byte-identity contract (error sampling order), so
 // results arriving out of shard-index order wait in a small reorder window
 // until every lower-indexed shard has folded. With roughly uniform shard
 // costs the window holds O(workers) results; a campaign's full shard set
