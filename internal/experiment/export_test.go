@@ -34,7 +34,7 @@ func TestRowsJSONExport(t *testing.T) {
 }
 
 func TestCasesJSONExport(t *testing.T) {
-	results := RunCases([]Case{case10()}, 2400)
+	results := RunCases([]Case{Table3Cases()[9]}, 2400)
 	var buf bytes.Buffer
 	if err := WriteCasesJSON(&buf, results); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestFormatRowsOutput(t *testing.T) {
 }
 
 func TestFormatCaseResultsOutput(t *testing.T) {
-	results := RunCases([]Case{case10()}, 11)
+	results := RunCases([]Case{Table3Cases()[9]}, 11)
 	var sb strings.Builder
 	FormatCaseResults(&sb, results)
 	out := sb.String()
