@@ -37,8 +37,20 @@ type Measured struct {
 }
 
 // EventWindow returns the e-Delay window [min, max] the parameters allow,
-// mirroring Section IV-C's reasoning. bounded is false when no timeout
-// limits the delay (HomeKit-style events).
+// following Section IV-C:
+//
+//   - a dedicated event timeout bounds the delay directly;
+//   - otherwise the window runs until the session's next keep-alive would
+//     time out: for on-idle patterns the event resets the schedule, giving
+//     a constant period+timeout window; for fixed patterns the window
+//     depends on the phase and spans [timeout, period+timeout];
+//   - on-demand devices are bounded only by the server's idle timeout
+//     (Finding 1), and HAP devices by nothing at all.
+//
+// bounded is false when no timeout limits the delay (HomeKit-style
+// events). When both a dedicated event timeout and a keep-alive bound
+// exist, the earlier one wins: a held event also stalls the keep-alives
+// queued behind it, so whichever timer fires first ends the session.
 func (m Measured) EventWindow() (min, max time.Duration, bounded bool) {
 	if m.OnDemand {
 		if m.ServerIdleTimeout > 0 {
@@ -60,8 +72,6 @@ func (m Measured) EventWindow() (min, max time.Duration, bounded bool) {
 	}
 	switch {
 	case m.EventTimeout > 0 && kaBounded:
-		// A held event stalls the keep-alives behind it too; the earlier
-		// timer bounds the window.
 		return minDur(m.EventTimeout, kaMin), minDur(m.EventTimeout, kaMax), true
 	case m.EventTimeout > 0:
 		return m.EventTimeout, m.EventTimeout, true

@@ -45,11 +45,6 @@ func HardenProfile(p device.Profile, ackTimeout time.Duration) device.Profile {
 	return q
 }
 
-// ResidualEventWindow is the e-Delay window remaining after hardening.
-func ResidualEventWindow(p device.Profile, ackTimeout time.Duration) (min, max time.Duration, bounded bool) {
-	return HardenProfile(p, ackTimeout).MaxEventDelay()
-}
-
 // perMessageOverhead is the fixed per-record framing cost on the wire:
 // TLS header+tag, the TCP and IP headers, and the layer-2 frame header.
 const perMessageOverhead = tlssim.Overhead + 15 + 12 + 14

@@ -113,9 +113,9 @@ func TestHardenProfileMonotone(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loStock, hiStock, stockBounded := p.MaxEventDelay()
+		loStock, hiStock, stockBounded := experiment.MeasuredFromProfile(p).EventWindow()
 		for _, to := range []time.Duration{30 * time.Second, 10 * time.Second, 2 * time.Second} {
-			lo, hi, bounded := defense.ResidualEventWindow(p, to)
+			lo, hi, bounded := experiment.MeasuredFromProfile(defense.HardenProfile(p, to)).EventWindow()
 			if !bounded {
 				t.Fatalf("%s@%v: hardened window unbounded", label, to)
 			}

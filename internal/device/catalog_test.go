@@ -112,104 +112,6 @@ func TestPaperProseValuesEncodedExactly(t *testing.T) {
 	if byLabel["L1"].KeepAlivePeriod > 2*time.Second {
 		t.Fatal("LIFX keep-alive must be sub-2s")
 	}
-	if lo, _, ok := byLabel["K2"].MaxEventDelay(); !ok || lo >= 30*time.Second {
-		t.Fatal("SimpliSafe keypad must be the sub-30s outlier")
-	}
-}
-
-func TestEventWindowsMatchPaperAggregate(t *testing.T) {
-	// "Event messages of all tested devices can be delayed for longer than
-	// 30 seconds except the SimpliSafe keypad."
-	byLabel := Index()
-	for _, p := range CloudProfiles() {
-		sp, err := SessionProfile(p, byLabel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eff := sp
-		if p.Transport == TransportViaHub {
-			// Children inherit session timeouts; their own EventTimeout
-			// field is unset.
-			eff.EventLen = p.EventLen
-		}
-		lo, _, bounded := eff.MaxEventDelay()
-		if !bounded {
-			continue // unbounded is trivially > 30s
-		}
-		if p.Label == "K2" {
-			if lo >= 30*time.Second {
-				t.Fatalf("K2 window %v, want < 30s", lo)
-			}
-			continue
-		}
-		if lo < 30*time.Second {
-			t.Errorf("%s: min event window %v < 30s", p.Label, lo)
-		}
-	}
-}
-
-func TestHomeKitWindowsUnbounded(t *testing.T) {
-	for _, p := range LocalProfiles() {
-		if _, _, bounded := p.MaxEventDelay(); bounded {
-			t.Errorf("%s: HAP event window should be unbounded", p.Label)
-		}
-	}
-}
-
-func TestMaxEventDelayShapes(t *testing.T) {
-	onIdle := Profile{
-		Transport:        TransportMQTT,
-		KeepAlivePeriod:  31 * time.Second,
-		KeepAlivePattern: proto.PatternOnIdle,
-		KeepAliveTimeout: 16 * time.Second,
-	}
-	lo, hi, ok := onIdle.MaxEventDelay()
-	if !ok || lo != 47*time.Second || hi != 47*time.Second {
-		t.Fatalf("on-idle window = [%v,%v], want constant 47s", lo, hi)
-	}
-	fixed := Profile{
-		Transport:        TransportMQTT,
-		KeepAlivePeriod:  120 * time.Second,
-		KeepAlivePattern: proto.PatternFixed,
-		KeepAliveTimeout: 60 * time.Second,
-	}
-	lo, hi, ok = fixed.MaxEventDelay()
-	if !ok || lo != 60*time.Second || hi != 180*time.Second {
-		t.Fatalf("fixed window = [%v,%v], want [60s,180s] (the Hue range)", lo, hi)
-	}
-	dedicated := Profile{Transport: TransportHTTPLong, EventTimeout: 25 * time.Second}
-	lo, hi, ok = dedicated.MaxEventDelay()
-	if !ok || lo != 25*time.Second || hi != 25*time.Second {
-		t.Fatalf("dedicated window = [%v,%v], want 25s", lo, hi)
-	}
-	onDemand := Profile{Transport: TransportHTTPOnDemand, ServerIdleTimeout: 5 * time.Minute}
-	lo, _, ok = onDemand.MaxEventDelay()
-	if !ok || lo != 5*time.Minute {
-		t.Fatalf("on-demand window = %v, want 5m", lo)
-	}
-}
-
-func TestMaxCommandDelay(t *testing.T) {
-	p := Profile{CommandAttr: "switch", CommandTimeout: 21 * time.Second}
-	lo, hi, ok := p.MaxCommandDelay()
-	if !ok || lo != 21*time.Second || hi != 21*time.Second {
-		t.Fatalf("command window = [%v,%v], want 21s", lo, hi)
-	}
-	sensor := Profile{}
-	if _, _, ok := sensor.MaxCommandDelay(); ok {
-		t.Fatal("pure sensor has no command window")
-	}
-	noTimeout := Profile{
-		CommandAttr:      "switch",
-		Transport:        TransportMQTT,
-		KeepAlivePeriod:  31 * time.Second,
-		KeepAlivePattern: proto.PatternOnIdle,
-		KeepAliveTimeout: 16 * time.Second,
-	}
-	lo, _, ok = noTimeout.MaxCommandDelay()
-	if !ok || lo != 47*time.Second {
-		t.Fatalf("keep-alive-bounded command window = %v, want 47s", lo)
-	}
 }
 
 func TestSessionProfileResolution(t *testing.T) {

@@ -134,81 +134,3 @@ type Profile struct {
 
 // IsHub reports whether other devices ride this profile's session.
 func (p Profile) IsHub() bool { return p.Class == "hub" || p.Class == "bridge" }
-
-// MaxEventDelay computes the theoretical maximum e-Delay window for the
-// profile, following Section IV-C:
-//
-//   - a dedicated event timeout bounds the delay directly;
-//   - otherwise the window runs until the session's next keep-alive would
-//     time out: for on-idle patterns the event resets the schedule, giving
-//     a constant period+timeout window; for fixed patterns the window
-//     depends on the phase and spans [timeout, period+timeout];
-//   - on-demand devices are bounded only by the server's idle timeout
-//     (Finding 1), and HAP devices by nothing at all.
-//
-// The returned min/max bracket the window; unbounded is reported via ok.
-// When both a dedicated event timeout and a keep-alive bound exist, the
-// earlier one wins: a held event also stalls the keep-alives queued behind
-// it, so whichever timer fires first ends the session.
-func (p Profile) MaxEventDelay() (min, max time.Duration, bounded bool) {
-	switch p.Transport {
-	case TransportHAP:
-		return 0, 0, false
-	case TransportHTTPOnDemand:
-		// The device-side timeout is harmless (Finding 1); delivery is
-		// bounded only by the server's idle reaper.
-		if p.ServerIdleTimeout > 0 {
-			return p.ServerIdleTimeout, p.ServerIdleTimeout, true
-		}
-		return 0, 0, false
-	}
-	var kaMin, kaMax time.Duration
-	kaBounded := p.KeepAlivePeriod > 0
-	if kaBounded {
-		if p.KeepAlivePattern == proto.PatternOnIdle {
-			kaMin = p.KeepAlivePeriod + p.KeepAliveTimeout
-			kaMax = kaMin
-		} else {
-			kaMin = p.KeepAliveTimeout
-			kaMax = p.KeepAlivePeriod + p.KeepAliveTimeout
-		}
-	}
-	switch {
-	case p.EventTimeout > 0 && kaBounded:
-		return minDur(p.EventTimeout, kaMin), minDur(p.EventTimeout, kaMax), true
-	case p.EventTimeout > 0:
-		return p.EventTimeout, p.EventTimeout, true
-	case kaBounded:
-		return kaMin, kaMax, true
-	default:
-		return 0, 0, false
-	}
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// MaxCommandDelay computes the theoretical maximum c-Delay window: the
-// command timeout when one exists (still capped by the keep-alive bound,
-// since holding the server direction also stalls keep-alive responses),
-// otherwise the keep-alive bound alone.
-func (p Profile) MaxCommandDelay() (min, max time.Duration, bounded bool) {
-	if p.CommandAttr == "" {
-		return 0, 0, false
-	}
-	if p.Transport == TransportHAP {
-		// HAP events are unacknowledged, but commands do get responses
-		// bounded by the hub's per-command timeout.
-		if p.CommandTimeout > 0 {
-			return p.CommandTimeout, p.CommandTimeout, true
-		}
-		return 0, 0, false
-	}
-	q := p
-	q.EventTimeout = p.CommandTimeout
-	return q.MaxEventDelay()
-}
