@@ -17,7 +17,9 @@
 //	BenchmarkReplayCampaign         — record-and-replay family at fleet scale
 //
 // Each benchmark reports domain metrics alongside timing: achieved delay
-// windows, success fractions, residual windows. Run with:
+// windows, success fractions, residual windows. The ones `make bench-json`
+// records run the same seed on every iteration, so their allocs/op does
+// not depend on -benchtime. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -39,13 +41,9 @@ import (
 func BenchmarkTableICloudDevices(b *testing.B) {
 	var rows []experiment.TableRow
 	for i := 0; i < b.N; i++ {
-		rows = e1Rows(int64(i))
+		rows = experiment.RunTable1(experiment.TableOptions{Seed: 41, Trials: 2})
 	}
 	reportWindowStats(b, rows)
-}
-
-func e1Rows(seed int64) []experiment.TableRow {
-	return experiment.RunTable1(experiment.TableOptions{Seed: 41 + seed, Trials: 2})
 }
 
 func BenchmarkTableIILocalDevices(b *testing.B) {
@@ -87,7 +85,7 @@ func reportWindowStats(b *testing.B, rows []experiment.TableRow) {
 func BenchmarkTableIIIPoCCases(b *testing.B) {
 	var results []experiment.CaseResult
 	for i := 0; i < b.N; i++ {
-		results = experiment.RunCases(experiment.Table3Cases(), 500+int64(i))
+		results = experiment.RunCases(experiment.Table3Cases(), 500)
 	}
 	succeeded := 0
 	for _, r := range results {
@@ -183,7 +181,7 @@ func BenchmarkDefenseTimestamp(b *testing.B) {
 func BenchmarkSimulatedHomeHour(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb, err := experiment.NewTestbed(experiment.TestbedConfig{
-			Seed:    int64(i),
+			Seed:    0,
 			Devices: []string{"C1", "M1", "L2", "C2", "M3", "P2", "CM1", "K2", "T1", "SD1"},
 		})
 		if err != nil {
@@ -334,7 +332,7 @@ func BenchmarkFleetCampaign(b *testing.B) {
 			Homes:     homes,
 			Workers:   runtime.GOMAXPROCS(0),
 			ShardSize: 8,
-			Seed:      1000 + int64(i),
+			Seed:      1000,
 		}
 		var err error
 		res, err = c.Run()
@@ -354,7 +352,6 @@ func BenchmarkFleetCampaign(b *testing.B) {
 // virtual time while it re-poisons ARP caches on a timer (Finding 2). That
 // is the per-frame path — scheduler, ARP, frame delivery, capture — which
 // the other fleet benchmarks, dominated by per-home set-up, barely touch.
-// Unlike them it runs one fixed seed, so allocs/op does not depend on b.N.
 func BenchmarkOfflineHoldHour(b *testing.B) {
 	spec, err := fleet.ParseSpec([]byte(`{"attack":"offline","holdSecs":3600}`))
 	if err != nil {
@@ -398,7 +395,7 @@ func BenchmarkReplayCampaign(b *testing.B) {
 			Homes:     homes,
 			Workers:   runtime.GOMAXPROCS(0),
 			ShardSize: 4,
-			Seed:      1000 + int64(i),
+			Seed:      1000,
 		}
 		var err error
 		res, err = c.Run()
