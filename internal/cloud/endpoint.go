@@ -37,8 +37,6 @@ type EndpointConfig struct {
 	// CloudToCloudLatency delays event forwarding to the integration
 	// server. Default 20ms.
 	CloudToCloudLatency time.Duration
-	// Broker configures the MQTT side.
-	Broker mqttsim.BrokerConfig
 	// HTTP configures the HTTP side.
 	HTTP httpsim.ServerConfig
 }
@@ -89,7 +87,7 @@ func NewEndpointServer(clk *simtime.Clock, ip *ipnet.Stack, rng *simtime.Rand, c
 		owner:     make(map[string]string),
 		dedupSeen: make(map[eventKey]bool),
 	}
-	s.broker = mqttsim.NewBroker(clk, cfg.Broker)
+	s.broker = mqttsim.NewBroker(clk)
 	s.broker.OnPublish = s.onMQTTPublish
 	s.http = httpsim.NewServer(clk, cfg.HTTP)
 	s.http.OnRequest = s.onHTTPRequest
@@ -139,11 +137,8 @@ func (s *EndpointServer) AddrFor(t device.Transport) tcpsim.Endpoint {
 	return tcpsim.Endpoint{Addr: s.ip.Addr(), Port: port}
 }
 
-// Broker exposes the MQTT side (for enforcement toggles in experiments).
+// Broker exposes the MQTT side (for Finding 2's session checks).
 func (s *EndpointServer) Broker() *mqttsim.Broker { return s.broker }
-
-// HTTP exposes the HTTP side.
-func (s *EndpointServer) HTTP() *httpsim.Server { return s.http }
 
 // RegisterDevice tells the endpoint about a device it serves. owner is the
 // label of the session-owning device (the device itself, or its hub).
@@ -159,16 +154,7 @@ func (s *EndpointServer) Alarms() []proto.Alarm {
 }
 
 // AlarmCount counts all server-side alarms.
-func (s *EndpointServer) AlarmCount() int { return len(s.Alarms()) }
-
-// CommandOutcome reports a delivered or timed-out command.
-type CommandOutcome struct {
-	Device    string
-	Attribute string
-	Value     string
-	Acked     bool
-	Duration  time.Duration
-}
+func (s *EndpointServer) AlarmCount() int { return s.broker.AlarmCount() + s.http.AlarmCount() }
 
 // SendCommand delivers a command to a device through its session (possibly
 // its hub's). done may be nil.
@@ -187,18 +173,13 @@ func (s *EndpointServer) SendCommand(label, attr, value string, done func(Comman
 		timeout = ownerProfile.CommandTimeout
 	}
 	padTo := p.CommandLen
-	wrap := func(acked bool, d time.Duration) {
-		if done != nil {
-			done(CommandOutcome{Device: label, Attribute: attr, Value: value, Acked: acked, Duration: d})
-		}
-	}
 	switch ownerProfile.Transport {
 	case device.TransportMQTT:
 		return s.broker.Publish(ownerLabel, device.CommandTopic(label), []byte(attr+"="+value), padTo, timeout,
-			func(r mqttsim.CommandResult) { wrap(r.Acked, r.Duration) })
+			outcome(label, attr, value, done))
 	case device.TransportHTTPLong:
 		return s.http.Command(ownerLabel, "/command", device.EncodeBody(label, attr, value), padTo, timeout,
-			func(r httpsim.CommandResult) { wrap(r.Acked, r.Duration) })
+			outcome(label, attr, value, done))
 	default:
 		return fmt.Errorf("cloud: cannot command %q over transport %v", label, ownerProfile.Transport)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/rules"
 	"repro/internal/simtime"
@@ -42,26 +41,6 @@ func (p StalenessPolicy) String() string {
 	}
 }
 
-// Notification is a user-visible push message (the Type-I observable).
-type Notification struct {
-	At      simtime.Time
-	Message string
-	Cause   rules.Event
-}
-
-// Latency returns how long after the physical occurrence the user was
-// told about it.
-func (n Notification) Latency() time.Duration { return n.At - n.Cause.GeneratedAt }
-
-// CommandRecord logs one command issued by the integration server.
-type CommandRecord struct {
-	IssuedAt  simtime.Time
-	Device    string
-	Attribute string
-	Value     string
-	Outcome   *CommandOutcome // nil until resolved
-}
-
 // IntegrationConfig parameterises the automation server.
 type IntegrationConfig struct {
 	// Policy selects staleness handling. Default StaleAccept.
@@ -74,18 +53,13 @@ type IntegrationConfig struct {
 // IntegrationServer executes automation rules over events forwarded by
 // endpoint servers and issues commands back through them.
 type IntegrationServer struct {
-	clk       *simtime.Clock
+	ruleRunner
 	cfg       IntegrationConfig
-	engine    *rules.Engine
 	endpoints map[string]*EndpointServer // domain -> endpoint
 	routes    map[string]string          // device label -> domain
 
-	events        []rules.Event
-	discarded     []rules.Event
-	notifications []Notification
-	commands      []*CommandRecord
-	alarms        proto.AlarmLog
-	trace         *obs.Trace
+	discarded []rules.Event
+	alarms    proto.AlarmLog
 }
 
 // NewIntegrationServer creates the automation server.
@@ -94,34 +68,13 @@ func NewIntegrationServer(clk *simtime.Clock, cfg IntegrationConfig) *Integratio
 		cfg.Policy = StaleAccept
 	}
 	s := &IntegrationServer{
-		clk:       clk,
 		cfg:       cfg,
-		engine:    rules.NewEngine(clk),
 		endpoints: make(map[string]*EndpointServer),
 		routes:    make(map[string]string),
 	}
-	s.engine.Execute = s.execute
+	s.ruleRunner.init(clk, s)
 	return s
 }
-
-// Instrument attaches the registry's trace ring (when enabled) so the
-// server emits "cloud" events: event_accepted, event_discarded, alarm and
-// rule_fired — the automation-visible tail of every phantom delay.
-func (s *IntegrationServer) Instrument(reg *obs.Registry) {
-	if tr := reg.Trace(); tr.Enabled() {
-		s.trace = tr
-	}
-}
-
-func (s *IntegrationServer) emit(event, detail string, value int64) {
-	if s.trace == nil {
-		return
-	}
-	s.trace.Emit(s.clk.Now(), "cloud", event, detail, value)
-}
-
-// Engine exposes the rule engine (for installing rules and inspection).
-func (s *IntegrationServer) Engine() *rules.Engine { return s.engine }
 
 // AttachEndpoint links a vendor endpoint; its events flow here and its
 // devices become commandable.
@@ -135,34 +88,10 @@ func (s *IntegrationServer) RouteDevice(label, domain string) {
 	s.routes[label] = domain
 }
 
-// AddRule installs an automation rule.
-func (s *IntegrationServer) AddRule(r rules.Rule) error { return s.engine.AddRule(r) }
-
-// Events returns every event the server processed.
-func (s *IntegrationServer) Events() []rules.Event {
-	out := make([]rules.Event, len(s.events))
-	copy(out, s.events)
-	return out
-}
-
 // Discarded returns events dropped by the staleness policy.
 func (s *IntegrationServer) Discarded() []rules.Event {
 	out := make([]rules.Event, len(s.discarded))
 	copy(out, s.discarded)
-	return out
-}
-
-// Notifications returns the user-visible pushes so far.
-func (s *IntegrationServer) Notifications() []Notification {
-	out := make([]Notification, len(s.notifications))
-	copy(out, s.notifications)
-	return out
-}
-
-// Commands returns the issued command log.
-func (s *IntegrationServer) Commands() []*CommandRecord {
-	out := make([]*CommandRecord, len(s.commands))
-	copy(out, s.commands)
 	return out
 }
 
@@ -196,47 +125,15 @@ func (s *IntegrationServer) Ingest(ev rules.Event) {
 			return
 		}
 	}
-	if s.trace != nil {
-		s.emit("event_accepted", ev.Device+"/"+ev.Attribute, int64(ev.ReceivedAt-ev.GeneratedAt))
-	}
-	s.events = append(s.events, ev)
-	s.engine.HandleEvent(ev)
+	s.accept(ev)
 }
 
-func (s *IntegrationServer) execute(a rules.Action, cause rules.Event) {
-	switch a.Kind {
-	case rules.ActionNotify:
-		if s.trace != nil {
-			s.emit("rule_fired", "notify:"+a.Message, int64(s.clk.Now()-cause.GeneratedAt))
-		}
-		s.notifications = append(s.notifications, Notification{
-			At:      s.clk.Now(),
-			Message: a.Message,
-			Cause:   cause,
-		})
-	case rules.ActionCommand:
-		if s.trace != nil {
-			s.emit("rule_fired", "command:"+a.Device+"."+a.Attribute+"="+a.Value, int64(s.clk.Now()-cause.GeneratedAt))
-		}
-		rec := &CommandRecord{
-			IssuedAt:  s.clk.Now(),
-			Device:    a.Device,
-			Attribute: a.Attribute,
-			Value:     a.Value,
-		}
-		s.commands = append(s.commands, rec)
-		domain, ok := s.routes[a.Device]
-		if !ok {
-			return
-		}
-		ep, ok := s.endpoints[domain]
-		if !ok {
-			return
-		}
-		// Dispatch failures (device offline) leave Outcome nil, which the
-		// experiment reports as an unexecuted action.
-		_ = ep.SendCommand(a.Device, a.Attribute, a.Value, func(o CommandOutcome) {
-			rec.Outcome = &o
-		})
+// SendCommand delivers a command to a device through the endpoint that
+// serves it. done may be nil.
+func (s *IntegrationServer) SendCommand(label, attr, value string, done func(CommandOutcome)) error {
+	ep, ok := s.endpoints[s.routes[label]]
+	if !ok {
+		return fmt.Errorf("cloud: no endpoint serves %q", label)
 	}
+	return ep.SendCommand(label, attr, value, done)
 }

@@ -177,67 +177,41 @@ func (a *Accessory) teardown(reason proto.CloseReason) {
 	}
 }
 
-// CommandResult reports the outcome of a hub command.
-type CommandResult struct {
-	ID       uint16
-	Acked    bool
-	Duration time.Duration
-}
-
 // ErrNoAccessory reports a command for an unknown accessory.
 var ErrNoAccessory = errors.New("hapsim: accessory has no live session")
+
+// CommandTimeout bounds each hub command's wait for a response; expiry
+// raises a "no-response" alarm.
+const CommandTimeout = 10 * time.Second
 
 // Hub is the local IoT server side (a HomePod-like controller).
 type Hub struct {
 	clk      *simtime.Clock
-	sessions map[string]*hubSession
-	pending  map[uint16]*pendingCommand
-	nextID   uint16
+	sessions proto.Sessions[*hubSession]
+	commands proto.Commands
 	alarms   proto.AlarmLog
 
-	// CommandTimeout bounds each command's wait for a response; expiry
-	// raises a "no-response" alarm. Default 10s.
-	CommandTimeout time.Duration
 	// OnEvent delivers accessory events.
 	OnEvent func(accessoryID string, m Message)
-	// OnAlarm observes raised alarms.
-	OnAlarm func(proto.Alarm)
 }
 
 type hubSession struct {
 	sess        *tlssim.Conn
 	accessoryID string
-	closed      bool
-}
-
-type pendingCommand struct {
-	sentAt simtime.Time
-	timer  *simtime.Timer
-	done   func(CommandResult)
 }
 
 // NewHub creates a local hub.
 func NewHub(clk *simtime.Clock) *Hub {
-	h := &Hub{
-		clk:            clk,
-		sessions:       make(map[string]*hubSession),
-		pending:        make(map[uint16]*pendingCommand),
-		nextID:         1,
-		CommandTimeout: 10 * time.Second,
-	}
-	h.alarms.OnAlarm = func(a proto.Alarm) {
-		if h.OnAlarm != nil {
-			h.OnAlarm(a)
-		}
-	}
-	return h
+	return &Hub{clk: clk, commands: proto.NewCommands(clk)}
 }
 
 // Accept attaches hub protocol handling to an inbound TLS session.
 func (h *Hub) Accept(sess *tlssim.Conn) {
 	hs := &hubSession{sess: sess}
 	sess.OnMessage = func(b []byte) { h.onMessage(hs, b) }
-	sess.OnClose = func(error) { h.onSessionClosed(hs) }
+	// HomeKit raises no proactive offline alarm: absence is only noticed
+	// when a command fails (Finding 3 in the local setting).
+	sess.OnClose = func(error) { h.sessions.Drop(hs.accessoryID, hs) }
 }
 
 // Alarms returns the alarms raised so far.
@@ -248,21 +222,17 @@ func (h *Hub) AlarmCount() int { return h.alarms.Count() }
 
 // Connected reports whether an accessory has a live session.
 func (h *Hub) Connected(accessoryID string) bool {
-	hs, ok := h.sessions[accessoryID]
-	return ok && !hs.closed
+	_, ok := h.sessions.Live(accessoryID)
+	return ok
 }
 
 // Command writes a characteristic on an accessory. done may be nil.
-func (h *Hub) Command(accessoryID, characteristic, value string, padTo int, done func(CommandResult)) error {
-	hs, ok := h.sessions[accessoryID]
-	if !ok || hs.closed {
+func (h *Hub) Command(accessoryID, characteristic, value string, padTo int, done func(proto.CommandResult)) error {
+	hs, ok := h.sessions.Live(accessoryID)
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoAccessory, accessoryID)
 	}
-	id := h.nextID
-	h.nextID++
-	if h.nextID == 0 {
-		h.nextID = 1
-	}
+	id := h.commands.NextID()
 	m := Message{
 		Type:           MsgCommand,
 		ID:             id,
@@ -273,15 +243,9 @@ func (h *Hub) Command(accessoryID, characteristic, value string, padTo int, done
 	if err := hs.sess.Send(m.Marshal(padTo)); err != nil {
 		return err
 	}
-	pc := &pendingCommand{sentAt: h.clk.Now(), done: done}
-	h.pending[id] = pc
-	pc.timer = h.clk.Schedule(h.CommandTimeout, func() {
-		delete(h.pending, id)
+	h.commands.Await(id, CommandTimeout, func() {
 		h.alarms.Raise(h.clk.Now(), accessoryID, "no-response", characteristic)
-		if done != nil {
-			done(CommandResult{ID: id, Acked: false, Duration: h.clk.Now() - pc.sentAt})
-		}
-	})
+	}, done)
 	return nil
 }
 
@@ -293,30 +257,12 @@ func (h *Hub) onMessage(hs *hubSession, b []byte) {
 	switch m.Type {
 	case MsgHello:
 		hs.accessoryID = m.AccessoryID
-		h.sessions[m.AccessoryID] = hs
+		h.sessions.Bind(m.AccessoryID, hs)
 	case MsgEvent:
 		if h.OnEvent != nil {
 			h.OnEvent(hs.accessoryID, m)
 		}
 	case MsgCommandResp:
-		if pc, ok := h.pending[m.ID]; ok {
-			delete(h.pending, m.ID)
-			pc.timer.Stop()
-			if pc.done != nil {
-				pc.done(CommandResult{ID: m.ID, Acked: true, Duration: h.clk.Now() - pc.sentAt})
-			}
-		}
+		h.commands.Ack(m.ID)
 	}
-}
-
-func (h *Hub) onSessionClosed(hs *hubSession) {
-	if hs.closed {
-		return
-	}
-	hs.closed = true
-	if hs.accessoryID != "" && h.sessions[hs.accessoryID] == hs {
-		delete(h.sessions, hs.accessoryID)
-	}
-	// HomeKit raises no proactive offline alarm: absence is only noticed
-	// when a command fails (Finding 3 in the local setting).
 }

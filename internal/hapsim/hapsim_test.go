@@ -7,6 +7,7 @@ import (
 	"repro/internal/ipaddr"
 	"repro/internal/ipnet"
 	"repro/internal/netsim"
+	"repro/internal/proto"
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
 	"repro/internal/tlssim"
@@ -117,8 +118,8 @@ func TestCommandRoundTrip(t *testing.T) {
 	e := newEnv(t)
 	var gotCmd Message
 	e.acc.OnCommand = func(m Message) { gotCmd = m }
-	var res CommandResult
-	if err := e.hub.Command("aqara-contact-1", "identify", "1", 128, func(r CommandResult) { res = r }); err != nil {
+	var res proto.CommandResult
+	if err := e.hub.Command("aqara-contact-1", "identify", "1", 128, func(r proto.CommandResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	e.clk.RunFor(time.Second)
@@ -133,17 +134,17 @@ func TestCommandRoundTrip(t *testing.T) {
 func TestCommandTimeoutAlarm(t *testing.T) {
 	e := newEnv(t)
 	e.acc.Session().OnMessage = func([]byte) {} // accessory goes deaf
-	var res CommandResult
+	var res proto.CommandResult
 	gotRes := false
-	if err := e.hub.Command("aqara-contact-1", "identify", "1", 0, func(r CommandResult) { res, gotRes = r, true }); err != nil {
+	if err := e.hub.Command("aqara-contact-1", "identify", "1", 0, func(r proto.CommandResult) { res, gotRes = r, true }); err != nil {
 		t.Fatal(err)
 	}
 	e.clk.RunFor(time.Minute)
 	if !gotRes || res.Acked {
 		t.Fatalf("res=%+v, want unacked", res)
 	}
-	if res.Duration != e.hub.CommandTimeout {
-		t.Fatalf("timeout after %v, want %v", res.Duration, e.hub.CommandTimeout)
+	if res.Duration != CommandTimeout {
+		t.Fatalf("timeout after %v, want %v", res.Duration, CommandTimeout)
 	}
 	if e.hub.alarms.CountKind("no-response") != 1 {
 		t.Fatalf("alarms = %v", e.hub.Alarms())

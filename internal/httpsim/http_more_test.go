@@ -75,26 +75,6 @@ func TestResponsesCorrelateByID(t *testing.T) {
 	}
 }
 
-func TestServerAlarmHook(t *testing.T) {
-	e := newEnv(ServerConfig{})
-	var seen []proto.Alarm
-	e.server.OnAlarm = func(a proto.Alarm) { seen = append(seen, a) }
-	cli := e.dial(longLivedCfg())
-	e.clk.RunFor(time.Second)
-	if _, err := cli.Request("/event", nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	e.clk.RunFor(time.Second)
-	cli.sess.OnMessage = func([]byte) {}
-	if err := e.server.Command("cam-1", "/cmd", nil, 0, 5*time.Second, nil); err != nil {
-		t.Fatal(err)
-	}
-	e.clk.RunFor(time.Minute)
-	if len(seen) != 1 || seen[0].Kind != "command-timeout" {
-		t.Fatalf("alarm hook saw %v", seen)
-	}
-}
-
 func TestRequestPaddingApplied(t *testing.T) {
 	e := newEnv(ServerConfig{})
 	cli := e.dial(ClientConfig{DeviceID: "d"})

@@ -211,8 +211,8 @@ func TestServerCommandRoundTrip(t *testing.T) {
 		t.Fatal(err) // binds the session to cam-1
 	}
 	e.clk.RunFor(time.Second)
-	var res CommandResult
-	if err := e.server.Command("cam-1", "/command", []byte("start-recording"), 200, 21*time.Second, func(r CommandResult) { res = r }); err != nil {
+	var res proto.CommandResult
+	if err := e.server.Command("cam-1", "/command", []byte("start-recording"), 200, 21*time.Second, func(r proto.CommandResult) { res = r }); err != nil {
 		t.Fatal(err)
 	}
 	e.clk.RunFor(time.Second)
@@ -233,9 +233,9 @@ func TestServerCommandTimeout(t *testing.T) {
 	}
 	e.clk.RunFor(time.Second)
 	cli.sess.OnMessage = func([]byte) {} // device goes deaf
-	var res CommandResult
+	var res proto.CommandResult
 	gotRes := false
-	if err := e.server.Command("cam-1", "/command", nil, 0, 21*time.Second, func(r CommandResult) { res, gotRes = r, true }); err != nil {
+	if err := e.server.Command("cam-1", "/command", nil, 0, 21*time.Second, func(r proto.CommandResult) { res, gotRes = r, true }); err != nil {
 		t.Fatal(err)
 	}
 	e.clk.RunFor(time.Minute)

@@ -12,8 +12,6 @@ import (
 
 // ServerConfig parameterises the cloud side.
 type ServerConfig struct {
-	// ResponseLen pads responses.
-	ResponseLen int
 	// SessionIdleTimeout silently drops sessions idle this long (no alarm
 	// — Finding 1's enabler for on-demand devices). Zero disables it.
 	SessionIdleTimeout time.Duration
@@ -21,13 +19,6 @@ type ServerConfig struct {
 
 // ErrNoSession reports a command for a device with no live session.
 var ErrNoSession = errors.New("httpsim: device has no live session")
-
-// CommandResult reports the outcome of a server-initiated request.
-type CommandResult struct {
-	ID       uint16
-	Acked    bool
-	Duration time.Duration
-}
 
 // Session is one server-side HTTP session.
 type Session struct {
@@ -46,41 +37,18 @@ func (s *Session) DeviceID() string { return s.deviceID }
 type Server struct {
 	clk      *simtime.Clock
 	cfg      ServerConfig
-	active   map[string]*Session
-	halfOpen map[string][]*Session
-	pending  map[uint16]*pendingCommand
-	nextID   uint16
+	sessions proto.Sessions[*Session]
+	commands proto.Commands
 	alarms   proto.AlarmLog
 
 	// OnRequest delivers every device request (except keep-alives, which
 	// are answered internally) after the 200 response has been sent.
 	OnRequest func(*Session, Message)
-	// OnAlarm mirrors the alarm log's observer hook.
-	OnAlarm func(proto.Alarm)
-}
-
-type pendingCommand struct {
-	sentAt simtime.Time
-	timer  *simtime.Timer
-	done   func(CommandResult)
 }
 
 // NewServer creates an HTTP-like cloud server.
 func NewServer(clk *simtime.Clock, cfg ServerConfig) *Server {
-	s := &Server{
-		clk:      clk,
-		cfg:      cfg,
-		active:   make(map[string]*Session),
-		halfOpen: make(map[string][]*Session),
-		pending:  make(map[uint16]*pendingCommand),
-		nextID:   1,
-	}
-	s.alarms.OnAlarm = func(a proto.Alarm) {
-		if s.OnAlarm != nil {
-			s.OnAlarm(a)
-		}
-	}
-	return s
+	return &Server{clk: clk, cfg: cfg, commands: proto.NewCommands(clk)}
 }
 
 // Accept attaches server protocol handling to an inbound TLS session.
@@ -100,29 +68,24 @@ func (s *Server) AlarmCount() int { return s.alarms.Count() }
 
 // ActiveSession returns the live session bound to a device, if any.
 func (s *Server) ActiveSession(deviceID string) (*Session, bool) {
-	ss, ok := s.active[deviceID]
-	return ss, ok
+	return s.sessions.Live(deviceID)
 }
 
 // HalfOpenCount reports superseded sessions lingering for a device.
 func (s *Server) HalfOpenCount(deviceID string) int {
-	return len(s.halfOpen[deviceID])
+	return s.sessions.HalfOpen(deviceID)
 }
 
 // Command sends a server-initiated request on the device's live session.
 // If ackTimeout is nonzero and no response arrives in time, the session is
 // dropped (the command-timeout behaviour of Table I) and done receives
 // Acked=false. done may be nil.
-func (s *Server) Command(deviceID, path string, body []byte, padTo int, ackTimeout time.Duration, done func(CommandResult)) error {
-	ss, ok := s.active[deviceID]
+func (s *Server) Command(deviceID, path string, body []byte, padTo int, ackTimeout time.Duration, done func(proto.CommandResult)) error {
+	ss, ok := s.sessions.Live(deviceID)
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNoSession, deviceID)
 	}
-	id := s.nextID
-	s.nextID++
-	if s.nextID == 0 {
-		s.nextID = 1
-	}
+	id := s.commands.NextID()
 	m := Message{
 		Type:      MsgRequest,
 		ID:        id,
@@ -133,18 +96,10 @@ func (s *Server) Command(deviceID, path string, body []byte, padTo int, ackTimeo
 	if err := ss.sess.Send(m.Marshal(padTo)); err != nil {
 		return err
 	}
-	pc := &pendingCommand{sentAt: s.clk.Now(), done: done}
-	s.pending[id] = pc
-	if ackTimeout > 0 {
-		pc.timer = s.clk.Schedule(ackTimeout, func() {
-			delete(s.pending, id)
-			s.alarms.Raise(s.clk.Now(), deviceID, "command-timeout", path)
-			ss.close()
-			if done != nil {
-				done(CommandResult{ID: id, Acked: false, Duration: s.clk.Now() - pc.sentAt})
-			}
-		})
-	}
+	s.commands.Await(id, ackTimeout, func() {
+		s.alarms.Raise(s.clk.Now(), deviceID, "command-timeout", path)
+		ss.close()
+	}, done)
 	return nil
 }
 
@@ -156,8 +111,10 @@ func (s *Server) onMessage(ss *Session, b []byte) {
 	ss.resetIdle()
 	switch m.Type {
 	case MsgRequest:
-		if m.DeviceID != "" {
-			s.bind(ss, m.DeviceID)
+		if m.DeviceID != "" && m.DeviceID != ss.deviceID {
+			// Finding 2: a session it supersedes lingers half-open, no alarm.
+			ss.deviceID = m.DeviceID
+			s.sessions.Bind(m.DeviceID, ss)
 		}
 		resp := Message{
 			Type:      MsgResponse,
@@ -166,33 +123,13 @@ func (s *Server) onMessage(ss *Session, b []byte) {
 			Status:    StatusOK,
 			Timestamp: s.clk.Now(),
 		}
-		_ = ss.sess.Send(resp.Marshal(s.cfg.ResponseLen))
+		_ = ss.sess.Send(resp.Marshal(0))
 		if m.Path != KeepAlivePath && s.OnRequest != nil {
 			s.OnRequest(ss, m)
 		}
 	case MsgResponse:
-		if pc, ok := s.pending[m.ID]; ok {
-			delete(s.pending, m.ID)
-			if pc.timer != nil {
-				pc.timer.Stop()
-			}
-			if pc.done != nil {
-				pc.done(CommandResult{ID: m.ID, Acked: true, Duration: s.clk.Now() - pc.sentAt})
-			}
-		}
+		s.commands.Ack(m.ID)
 	}
-}
-
-func (s *Server) bind(ss *Session, deviceID string) {
-	if ss.deviceID == deviceID {
-		return
-	}
-	ss.deviceID = deviceID
-	if old, ok := s.active[deviceID]; ok && old != ss && !old.closed {
-		// Finding 2: the superseded session lingers half-open, no alarm.
-		s.halfOpen[deviceID] = append(s.halfOpen[deviceID], old)
-	}
-	s.active[deviceID] = ss
 }
 
 func (s *Server) onSessionClosed(ss *Session, err error) {
@@ -200,26 +137,11 @@ func (s *Server) onSessionClosed(ss *Session, err error) {
 		return
 	}
 	ss.closed = true
-	if ss.idle != nil {
-		ss.idle.Stop()
-	}
-	if ss.deviceID == "" {
-		return
-	}
-	ho := s.halfOpen[ss.deviceID]
-	for i, old := range ho {
-		if old == ss {
-			s.halfOpen[ss.deviceID] = append(ho[:i], ho[i+1:]...)
-			return
-		}
-	}
-	if s.active[ss.deviceID] == ss {
-		delete(s.active, ss.deviceID)
-		// Graceful closes (on-demand sessions ending, devices cycling) are
-		// unremarkable; only an abrupt loss with no replacement alarms.
-		if err != nil && !ss.clean {
-			s.alarms.Raise(s.clk.Now(), ss.deviceID, "device-offline", "connection lost with no replacement")
-		}
+	ss.idle.Stop()
+	// Graceful closes (on-demand sessions ending, devices cycling) are
+	// unremarkable; only an abrupt loss with no replacement alarms.
+	if s.sessions.Drop(ss.deviceID, ss) && err != nil && !ss.clean {
+		s.alarms.Raise(s.clk.Now(), ss.deviceID, "device-offline", "connection lost with no replacement")
 	}
 }
 

@@ -27,8 +27,6 @@ type ClientConfig struct {
 	AckTimeout time.Duration
 	// PingLen pads PINGREQ packets to the device's keep-alive wire length.
 	PingLen int
-	// ConnectLen pads the CONNECT packet.
-	ConnectLen int
 }
 
 // ErrNotConnected reports use of a client before CONNACK.
@@ -54,8 +52,6 @@ type Client struct {
 	// OnCommand delivers PUBLISH packets pushed by the broker. The PUBACK
 	// (when requested) is sent automatically before the callback runs.
 	OnCommand func(Packet)
-	// OnPubAck fires when a PUBLISH acknowledgement arrives.
-	OnPubAck func(id uint16)
 	// OnClosed fires exactly once when the session ends.
 	OnClosed func(proto.CloseReason)
 }
@@ -117,7 +113,7 @@ func (c *Client) Config() ClientConfig { return c.cfg }
 
 func (c *Client) sendConnect() {
 	pkt := Packet{Type: PacketConnect, ClientID: c.cfg.ClientID, KeepAlive: c.cfg.KeepAlive}
-	c.send(pkt, c.cfg.ConnectLen)
+	c.send(pkt, 0)
 }
 
 // Publish sends an event message, padded to padTo bytes. If needAck is
@@ -152,16 +148,6 @@ func (c *Client) Publish(topic string, payload []byte, padTo int, needAck bool) 
 		})
 	}
 	return id, nil
-}
-
-// Subscribe registers interest in a topic (used by devices that receive
-// commands via broker pushes).
-func (c *Client) Subscribe(topic string) error {
-	if !c.connected {
-		return ErrNotConnected
-	}
-	c.send(Packet{Type: PacketSubscribe, Topic: topic}, 0)
-	return nil
 }
 
 // Disconnect ends the session gracefully.
@@ -240,9 +226,6 @@ func (c *Client) onMessage(b []byte) {
 		if t, ok := c.ackDeadlines[pkt.ID]; ok {
 			t.Stop()
 			delete(c.ackDeadlines, pkt.ID)
-		}
-		if c.OnPubAck != nil {
-			c.OnPubAck(pkt.ID)
 		}
 	case PacketDisconnect:
 		c.sess.Close()

@@ -5,15 +5,13 @@ import (
 	"time"
 )
 
-// Regression test for the enforcement-deadline leak: a clean DISCONNECT
-// rearms the session's keep-alive deadline (the DISCONNECT packet itself
-// passes through resetDeadline) just before the session closes. The close
-// path must stop that alarm; before eager heap removal the cancelled event
-// also lingered in the queue — retaining the session — until the grace
-// deadline passed. After the teardown settles, the clock must hold no
-// events at all.
+// A clean DISCONNECT must leave no timer behind on either side: after the
+// teardown settles, the clock holds no events at all. (The broker once
+// rearmed a keep-alive enforcement deadline on the DISCONNECT packet
+// itself and had to stop it on close; it no longer enforces keep-alives,
+// but the invariant still guards every timer the session owns.)
 func TestCleanDisconnectLeavesNoPendingEvents(t *testing.T) {
-	e := newEnv(BrokerConfig{EnforceKeepAlive: true})
+	e := newEnv()
 	cli := e.dial(defaultCfg())
 	e.clk.RunFor(time.Second)
 	if !cli.Connected() {
@@ -21,8 +19,8 @@ func TestCleanDisconnectLeavesNoPendingEvents(t *testing.T) {
 	}
 
 	cli.Disconnect()
-	// Long enough for the FIN exchange and any (leaked) grace deadline
-	// (1.5 × 31s) to surface, short of nothing else.
+	// Long enough for the FIN exchange and any leaked keep-alive-scale
+	// timer to surface.
 	e.clk.RunFor(2 * time.Minute)
 
 	if n := e.clk.Pending(); n != 0 {

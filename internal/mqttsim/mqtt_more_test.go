@@ -8,49 +8,16 @@ import (
 )
 
 func TestPublishBeforeConnectFails(t *testing.T) {
-	e := newEnv(BrokerConfig{})
+	e := newEnv()
 	cli := e.dial(defaultCfg())
 	// No RunFor: CONNACK not yet received.
 	if _, err := cli.Publish("t", []byte("x"), 0, false); err != ErrNotConnected {
 		t.Fatalf("err = %v, want ErrNotConnected", err)
 	}
-	if err := cli.Subscribe("t"); err != ErrNotConnected {
-		t.Fatalf("subscribe err = %v, want ErrNotConnected", err)
-	}
-}
-
-func TestSubscribeRoundTrip(t *testing.T) {
-	e := newEnv(BrokerConfig{})
-	cli := e.dial(defaultCfg())
-	e.clk.RunFor(time.Second)
-	if err := cli.Subscribe("alerts/#"); err != nil {
-		t.Fatal(err)
-	}
-	e.clk.RunFor(time.Second)
-	s, _ := e.broker.ActiveSession("dev-1")
-	if !s.subs["alerts/#"] {
-		t.Fatal("subscription not recorded at broker")
-	}
-}
-
-func TestBrokerGraceFactorCustom(t *testing.T) {
-	e := newEnv(BrokerConfig{EnforceKeepAlive: true, GraceFactor: 3})
-	cli := e.dial(defaultCfg()) // 31s keep-alive
-	e.clk.RunFor(time.Second)
-	cli.pingTimer.Stop() // silence
-	// Deadline = 3 x 31s = 93s; at 60s nothing yet.
-	e.clk.RunFor(time.Minute)
-	if len(e.broker.Alarms()) != 0 {
-		t.Fatal("alarm before the custom grace elapsed")
-	}
-	e.clk.RunFor(time.Minute)
-	if e.broker.Alarms()[0].Kind != "device-offline" {
-		t.Fatalf("alarms = %v", e.broker.Alarms())
-	}
 }
 
 func TestClientConfigValidation(t *testing.T) {
-	e := newEnv(BrokerConfig{})
+	e := newEnv()
 	mustPanic := func(cfg ClientConfig) {
 		defer func() {
 			if recover() == nil {
@@ -64,7 +31,7 @@ func TestClientConfigValidation(t *testing.T) {
 }
 
 func TestServerInitiatedDisconnect(t *testing.T) {
-	e := newEnv(BrokerConfig{})
+	e := newEnv()
 	cli := e.dial(defaultCfg())
 	var reason proto.CloseReason
 	cli.OnClosed = func(r proto.CloseReason) { reason = r }
@@ -96,7 +63,7 @@ func TestPacketTypeStrings(t *testing.T) {
 }
 
 func TestTwoClientsIndependentSessions(t *testing.T) {
-	e := newEnv(BrokerConfig{})
+	e := newEnv()
 	cfg2 := defaultCfg()
 	cfg2.ClientID = "dev-2"
 	cli1 := e.dial(defaultCfg())

@@ -1,6 +1,7 @@
 // Package mqttsim implements the MQTT subset IoT devices use: a long-lived
-// session with CONNECT/CONNACK, SUBSCRIBE, PUBLISH/PUBACK and
-// PINGREQ/PINGRESP keep-alives.
+// session with CONNECT/CONNACK, PUBLISH/PUBACK and PINGREQ/PINGRESP
+// keep-alives. Commands reach a device on its own session, so no session
+// subscribes; the codec still numbers SUBSCRIBE and SUBACK as MQTT does.
 //
 // Timeout behaviour follows the paper's measurements rather than the
 // letter of the spec where the two differ:
@@ -9,9 +10,9 @@
 //     timeout (the "timeout threshold of keep-alive messages" parameter);
 //     their keep-alive schedule is either fixed-period or reset-on-activity
 //     ("on-idle") — the "pattern" parameter.
-//   - Brokers are passive by default (Finding 3: unidirectional liveness
-//     checking): they answer pings but never probe, and tolerate idle
-//     clients indefinitely unless spec-style enforcement is enabled.
+//   - Brokers are passive (Finding 3: unidirectional liveness checking):
+//     they answer pings but never probe, and tolerate idle clients
+//     indefinitely.
 //   - A broker keeps superseded half-open sessions without alarm and only
 //     raises "device offline" when a client's last live session dies with
 //     no replacement (Finding 2).

@@ -1,6 +1,7 @@
-// Package proto holds the small vocabulary shared by the simulation's
-// application protocols: keep-alive patterns, session close reasons, and
-// server-side alarms.
+// Package proto holds what the simulation's application protocols share:
+// keep-alive patterns, session close reasons, server-side alarms, and the
+// two tables every simulated server keeps, its pending commands and its
+// device sessions, so that each server-side rule is written once.
 package proto
 
 import (
@@ -92,20 +93,14 @@ func (a Alarm) String() string {
 	return fmt.Sprintf("[%v] %s: %s (%s)", a.At, a.ClientID, a.Kind, a.Detail)
 }
 
-// AlarmLog accumulates alarms and optionally notifies an observer.
+// AlarmLog accumulates alarms.
 type AlarmLog struct {
 	alarms []Alarm
-	// OnAlarm, if set, fires for every recorded alarm.
-	OnAlarm func(Alarm)
 }
 
 // Raise records an alarm.
 func (l *AlarmLog) Raise(at simtime.Time, clientID, kind, detail string) {
-	a := Alarm{At: at, ClientID: clientID, Kind: kind, Detail: detail}
-	l.alarms = append(l.alarms, a)
-	if l.OnAlarm != nil {
-		l.OnAlarm(a)
-	}
+	l.alarms = append(l.alarms, Alarm{At: at, ClientID: clientID, Kind: kind, Detail: detail})
 }
 
 // All returns a copy of the recorded alarms.
