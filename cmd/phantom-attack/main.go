@@ -65,17 +65,21 @@ func run(args []string) error {
 	fmt.Printf("  devices:     %v (hijacked: %v)\n", c.Devices, c.Hijacks)
 	fmt.Printf("  consequence: %s\n\n", c.Consequence)
 
-	results := experiment.RunCases([]experiment.Case{c}, *seed+int64(n)*997)
-	r := results[0]
+	return report(experiment.RunCases([]experiment.Case{c}, *seed+int64(n)*997)[0])
+}
+
+// report prints a case's outcome without and with the attack, then the
+// verdict. A failed attack is an error, so the exit status tells it.
+func report(r experiment.CaseResult) error {
 	if r.Err != nil {
 		return r.Err
 	}
 	fmt.Printf("without attack: %s\n", r.BaselineDetail)
 	fmt.Printf("with attack:    %s (server-side alarms: %d)\n", r.AttackDetail, r.AttackAlarms)
-	if r.Succeeded() {
-		fmt.Println("\nresult: attack succeeded, silently")
-	} else {
+	if !r.Succeeded() {
 		fmt.Println("\nresult: attack FAILED")
+		return fmt.Errorf("case %d: attack failed", r.Case.ID)
 	}
+	fmt.Println("\nresult: attack succeeded, silently")
 	return nil
 }

@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/experiment"
+)
 
 func TestRunRejectsBadInput(t *testing.T) {
 	if err := run([]string{}); err == nil {
@@ -26,5 +30,16 @@ func TestRunList(t *testing.T) {
 func TestRunCaseTen(t *testing.T) {
 	if err := run([]string{"10"}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestReportFailedAttackIsAnError(t *testing.T) {
+	r := experiment.CaseResult{Case: experiment.Case{ID: 3}, AttackConsequence: true, AttackAlarms: 1}
+	if err := report(r); err == nil {
+		t.Fatal("an attack that raised an alarm reported no error")
+	}
+	r.AttackAlarms = 0
+	if err := report(r); err != nil {
+		t.Fatalf("a silent attack with its consequence reported %v", err)
 	}
 }
