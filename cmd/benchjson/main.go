@@ -13,8 +13,9 @@
 // Tolerances: -tol-ns / -tol-allocs are fractional increases (0.40 =
 // +40%); a negative -tol-ns disables timing comparison. -ci selects the
 // foreign-hardware preset (timing disabled, allocations within 25%),
-// because allocation counts are the only numbers comparable across
-// machines.
+// because allocation counts are the only costs comparable across
+// machines. Under any tolerance, outcome metrics (every custom unit that
+// is not a rate ending in /s) must equal the baseline's.
 package main
 
 import (

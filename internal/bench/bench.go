@@ -232,6 +232,10 @@ var DefaultTolerance = Tolerance{NsFrac: 0.40, AllocFrac: 0.05, AllocSlack: 32}
 var CITolerance = Tolerance{NsFrac: -1, AllocFrac: 0.25, AllocSlack: 64}
 
 // Compare diffs current against baseline and describes every regression.
+// Outcome metrics, every custom metric whose unit is not a rate ending in
+// "/s" (alarms, success-frac, eDelay-s/device, …), must match the
+// baseline exactly under any tolerance: each recorded benchmark runs one
+// seed, so its outcomes do not depend on the machine or on -benchtime.
 // The two documents must agree on the benchmark set: a benchmark present
 // only in the baseline is lost coverage, one present only in the current
 // run means the committed baseline is stale. Both directions fail loudly
@@ -271,6 +275,16 @@ func Compare(baseline, current Suite, tol Tolerance) []string {
 			if c.AllocsPerOp > limit {
 				regs = append(regs, fmt.Sprintf("%s: allocs/op %.0f exceeds baseline %.0f (limit %.0f)",
 					b.key(), c.AllocsPerOp, b.AllocsPerOp, limit))
+			}
+		}
+		for _, m := range b.Metrics {
+			if strings.HasSuffix(m.Unit, "/s") {
+				continue
+			}
+			if v, ok := c.Metric(m.Unit); !ok {
+				regs = append(regs, fmt.Sprintf("%s: outcome %s missing from current run (baseline %g)", b.key(), m.Unit, m.Value))
+			} else if v != m.Value {
+				regs = append(regs, fmt.Sprintf("%s: outcome %s %g differs from baseline %g", b.key(), m.Unit, v, m.Value))
 			}
 		}
 	}

@@ -162,6 +162,37 @@ func TestCompareFlagsAllocRegression(t *testing.T) {
 	}
 }
 
+// TestCompareFlagsOutcomeChange pins that outcome metrics must match the
+// baseline exactly under both presets, while rates (units ending in /s)
+// may move freely.
+func TestCompareFlagsOutcomeChange(t *testing.T) {
+	base := parseRecorded(t)
+	for _, tol := range []Tolerance{DefaultTolerance, CITolerance} {
+		cur := parseRecorded(t)
+		for i := range cur.Benchmarks {
+			if cur.Benchmarks[i].Name == "BenchmarkFleetCampaign" {
+				cur.Benchmarks[i].Metrics = []Metric{{Unit: "homes/s", Value: 50}}
+			}
+		}
+		regs := Compare(base, cur, tol)
+		if len(regs) != 1 || !strings.Contains(regs[0], "success-frac") || !strings.Contains(regs[0], "missing") {
+			t.Fatalf("%+v: want one missing success-frac, got %v", tol, regs)
+		}
+		for i := range cur.Benchmarks {
+			if cur.Benchmarks[i].Name == "BenchmarkTableICloudDevices" {
+				cur.Benchmarks[i].Metrics[0].Value = 14.59 // eDelay-s/device
+			}
+			if cur.Benchmarks[i].Name == "BenchmarkFleetCampaign" {
+				cur.Benchmarks[i].Metrics = append(cur.Benchmarks[i].Metrics, Metric{Unit: "success-frac", Value: 0.9062})
+			}
+		}
+		regs = Compare(base, cur, tol)
+		if len(regs) != 1 || !strings.Contains(regs[0], "eDelay-s/device 14.59 differs from baseline 14.6") {
+			t.Fatalf("%+v: want one eDelay-s/device change, got %v", tol, regs)
+		}
+	}
+}
+
 func TestCompareAllocSlackAbsorbsSmallCounts(t *testing.T) {
 	base := parseRecorded(t)
 	cur := parseRecorded(t)
