@@ -13,7 +13,6 @@ import (
 	"repro/internal/ipnet"
 	"repro/internal/mqttsim"
 	"repro/internal/obs"
-	"repro/internal/proto"
 	"repro/internal/rules"
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
@@ -147,13 +146,7 @@ func (s *EndpointServer) RegisterDevice(p device.Profile, owner string) {
 	s.owner[p.Label] = owner
 }
 
-// Alarms aggregates server-side alarms from both protocol fronts.
-func (s *EndpointServer) Alarms() []proto.Alarm {
-	out := append([]proto.Alarm{}, s.broker.Alarms()...)
-	return append(out, s.http.Alarms()...)
-}
-
-// AlarmCount counts all server-side alarms.
+// AlarmCount counts the alarms both protocol servers raised.
 func (s *EndpointServer) AlarmCount() int { return s.broker.AlarmCount() + s.http.AlarmCount() }
 
 // SendCommand delivers a command to a device through its session (possibly

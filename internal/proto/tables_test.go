@@ -52,13 +52,13 @@ func TestCommandAckStopsTimeout(t *testing.T) {
 	c.Await(id, 5*time.Second, func() { expired = true }, func(r CommandResult) { results = append(results, r) })
 	clk.RunFor(2 * time.Second)
 	c.Ack(id)
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("clock holds %d events after the ack, want 0", n)
+	}
 	clk.RunFor(time.Minute)
 	want := CommandResult{ID: id, Acked: true, Duration: 2 * time.Second}
 	if expired || len(results) != 1 || results[0] != want {
 		t.Fatalf("expired %v, results %+v; want no expiry and %+v", expired, results, want)
-	}
-	if n := clk.Pending(); n != 0 {
-		t.Fatalf("clock holds %d events after the ack, want 0", n)
 	}
 }
 
