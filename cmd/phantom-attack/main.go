@@ -1,5 +1,6 @@
 // Command phantom-attack runs one Table III proof-of-concept case
-// end-to-end, printing the outcome without and with the attack.
+// end-to-end, printing the outcome without and with the attack. It exits
+// nonzero when the attack fails.
 //
 // Usage:
 //
