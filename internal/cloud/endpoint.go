@@ -13,6 +13,7 @@ import (
 	"repro/internal/ipnet"
 	"repro/internal/mqttsim"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/rules"
 	"repro/internal/simtime"
 	"repro/internal/tcpsim"
@@ -148,6 +149,26 @@ func (s *EndpointServer) RegisterDevice(p device.Profile, owner string) {
 
 // AlarmCount counts the alarms both protocol servers raised.
 func (s *EndpointServer) AlarmCount() int { return s.broker.AlarmCount() + s.http.AlarmCount() }
+
+// CommandOutcome reports a delivered or timed-out command.
+type CommandOutcome struct {
+	Device    string
+	Attribute string
+	Value     string
+	Acked     bool
+	Duration  time.Duration
+}
+
+// outcome adapts a protocol server's command result for done, which may
+// be nil.
+func outcome(label, attr, value string, done func(CommandOutcome)) func(proto.CommandResult) {
+	if done == nil {
+		return nil
+	}
+	return func(r proto.CommandResult) {
+		done(CommandOutcome{Device: label, Attribute: attr, Value: value, Acked: r.Acked, Duration: r.Duration})
+	}
+}
 
 // SendCommand delivers a command to a device through its session (possibly
 // its hub's). done may be nil.

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/proto"
 	"repro/internal/rules"
 	"repro/internal/simtime"
 )
@@ -27,26 +26,6 @@ type CommandRecord struct {
 	Attribute string
 	Value     string
 	Outcome   *CommandOutcome // nil until resolved
-}
-
-// CommandOutcome reports a delivered or timed-out command.
-type CommandOutcome struct {
-	Device    string
-	Attribute string
-	Value     string
-	Acked     bool
-	Duration  time.Duration
-}
-
-// outcome adapts a protocol server's command result for done, which may
-// be nil.
-func outcome(label, attr, value string, done func(CommandOutcome)) func(proto.CommandResult) {
-	if done == nil {
-		return nil
-	}
-	return func(r proto.CommandResult) {
-		done(CommandOutcome{Device: label, Attribute: attr, Value: value, Acked: r.Acked, Duration: r.Duration})
-	}
 }
 
 // A commandSender delivers a command to a device. done may be nil.

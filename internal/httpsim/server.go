@@ -112,7 +112,8 @@ func (s *Server) onMessage(ss *Session, b []byte) {
 	switch m.Type {
 	case MsgRequest:
 		if m.DeviceID != "" && m.DeviceID != ss.deviceID {
-			// Finding 2: a session it supersedes lingers half-open, no alarm.
+			// A live session this one supersedes lingers half-open, and
+			// nothing is raised (Finding 2).
 			ss.deviceID = m.DeviceID
 			s.sessions.Bind(m.DeviceID, ss)
 		}

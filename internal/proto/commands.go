@@ -44,8 +44,7 @@ func (c *Commands) NextID() uint16 {
 
 // Await files command id, which has just been sent. If timeout is nonzero
 // and no Ack arrives within it, the entry is dropped, expire runs, and
-// done sees Acked=false; a zero timeout waits forever. expire and done
-// may be nil.
+// done sees Acked=false; a zero timeout waits forever. done may be nil.
 func (c *Commands) Await(id uint16, timeout time.Duration, expire func(), done func(CommandResult)) {
 	if c.pending == nil {
 		c.pending = make(map[uint16]pendingCommand)
@@ -69,7 +68,7 @@ func (c *Commands) resolve(id uint16, acked bool) {
 	delete(c.pending, id)
 	if acked {
 		p.timer.Stop()
-	} else if p.expire != nil {
+	} else {
 		p.expire()
 	}
 	if p.done != nil {
