@@ -83,25 +83,12 @@ func Unmarshal(b []byte) (Packet, error) {
 	return p, nil
 }
 
-// Config parameterises a Client.
-type Config struct {
-	// RequestTimeout bounds one resolution attempt. Default 1s.
-	RequestTimeout time.Duration
-	// MaxRetries is the number of re-requests before resolution fails.
-	// Default 2.
-	MaxRetries int
-}
-
-func (c *Config) fill() {
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = time.Second
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	} else if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-}
+// A resolution attempt waits requestTimeout for a reply and is repeated
+// maxRetries times before the resolution fails.
+const (
+	requestTimeout = time.Second
+	maxRetries     = 2
+)
 
 // Client resolves protocol addresses to MACs on one NIC and answers
 // requests for its own address. It deliberately reproduces the permissive
@@ -111,7 +98,6 @@ type Client struct {
 	clk     *simtime.Clock
 	nic     *netsim.NIC
 	self    ipaddr.Addr
-	cfg     Config
 	cache   map[ipaddr.Addr]netsim.MAC
 	pending map[ipaddr.Addr]*resolution
 	// txbuf is the marshal scratch for the client's sends; netsim copies a
@@ -132,13 +118,11 @@ type resolution struct {
 }
 
 // NewClient creates an ARP client for a NIC bound to the given address.
-func NewClient(clk *simtime.Clock, nic *netsim.NIC, self ipaddr.Addr, cfg Config) *Client {
-	cfg.fill()
+func NewClient(clk *simtime.Clock, nic *netsim.NIC, self ipaddr.Addr) *Client {
 	return &Client{
 		clk:     clk,
 		nic:     nic,
 		self:    self,
-		cfg:     cfg,
 		cache:   make(map[ipaddr.Addr]netsim.MAC),
 		pending: make(map[ipaddr.Addr]*resolution),
 	}
@@ -177,8 +161,8 @@ func (c *Client) sendRequest(addr ipaddr.Addr, r *resolution) {
 		SenderIP:  c.self,
 		TargetIP:  addr,
 	})
-	r.timer = c.clk.Schedule(c.cfg.RequestTimeout, func() {
-		if r.retries < c.cfg.MaxRetries {
+	r.timer = c.clk.Schedule(requestTimeout, func() {
+		if r.retries < maxRetries {
 			r.retries++
 			c.sendRequest(addr, r)
 			return

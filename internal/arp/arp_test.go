@@ -28,7 +28,7 @@ func newEnv() *testEnv {
 
 func (e *testEnv) addHost(name, ip string) *testHost {
 	nic := e.net.NewHost(name).AttachNIC(e.seg)
-	c := NewClient(e.clk, nic, ipaddr.MustParse(ip), Config{})
+	c := NewClient(e.clk, nic, ipaddr.MustParse(ip))
 	nic.SetHandler(func(_ *netsim.NIC, f netsim.Frame) {
 		if f.Type == netsim.EtherTypeARP {
 			c.HandleFrame(f)

@@ -110,9 +110,6 @@ func (s *Spoofer) SetPeriod(period time.Duration) {
 	}
 }
 
-// Period returns the current re-poison interval.
-func (s *Spoofer) Period() time.Duration { return s.period }
-
 // Stop halts re-poisoning without healing the victims' caches.
 func (s *Spoofer) Stop() {
 	s.active = false

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cloud"
 	"repro/internal/experiment"
+	"repro/internal/proto"
 	"repro/internal/rules"
 )
 
@@ -57,20 +58,17 @@ func TestCommandForUnknownDeviceFails(t *testing.T) {
 func TestCommandOutcomeCarriesDuration(t *testing.T) {
 	tb := build(t, cloud.IntegrationConfig{}, "K1")
 	ep := tb.Endpoints["ring.com"]
-	var got cloud.CommandOutcome
+	var got proto.CommandResult
 	done := false
-	if err := ep.SendCommand("K1", "mode", "away", func(o cloud.CommandOutcome) { got, done = o, true }); err != nil {
+	if err := ep.SendCommand("K1", "mode", "away", func(r proto.CommandResult) { got, done = r, true }); err != nil {
 		t.Fatal(err)
 	}
 	tb.Clock.RunFor(5 * time.Second)
-	if !done || !got.Acked {
+	if !done || !got.Acked || got.ID == 0 {
 		t.Fatalf("outcome = %+v done=%v", got, done)
 	}
 	if got.Duration <= 0 || got.Duration > time.Second {
 		t.Fatalf("duration = %v", got.Duration)
-	}
-	if got.Device != "K1" || got.Attribute != "mode" || got.Value != "away" {
-		t.Fatalf("outcome identity wrong: %+v", got)
 	}
 }
 

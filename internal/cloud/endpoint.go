@@ -6,6 +6,7 @@ package cloud
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/device"
@@ -30,13 +31,13 @@ const (
 	HAPPort uint16 = 8443
 )
 
+// cloudToCloudLatency delays event forwarding to the integration server.
+const cloudToCloudLatency = 20 * time.Millisecond
+
 // EndpointConfig parameterises a vendor endpoint server.
 type EndpointConfig struct {
 	// Domain names the vendor cloud (e.g. "ring.com").
 	Domain string
-	// CloudToCloudLatency delays event forwarding to the integration
-	// server. Default 20ms.
-	CloudToCloudLatency time.Duration
 	// HTTP configures the HTTP side.
 	HTTP httpsim.ServerConfig
 }
@@ -74,9 +75,6 @@ type EndpointServer struct {
 // NewEndpointServer creates a vendor cloud on the given IP stack and
 // starts its listeners.
 func NewEndpointServer(clk *simtime.Clock, ip *ipnet.Stack, rng *simtime.Rand, cfg EndpointConfig) (*EndpointServer, error) {
-	if cfg.CloudToCloudLatency <= 0 {
-		cfg.CloudToCloudLatency = 20 * time.Millisecond
-	}
 	s := &EndpointServer{
 		clk:       clk,
 		cfg:       cfg,
@@ -123,11 +121,6 @@ func (s *EndpointServer) Instrument(reg *obs.Registry) {
 // Domain returns the vendor domain.
 func (s *EndpointServer) Domain() string { return s.cfg.Domain }
 
-// Addr returns the server's network address.
-func (s *EndpointServer) Addr() tcpsim.Endpoint {
-	return tcpsim.Endpoint{Addr: s.ip.Addr(), Port: HTTPSPort}
-}
-
 // AddrFor returns the endpoint devices of the given transport dial.
 func (s *EndpointServer) AddrFor(t device.Transport) tcpsim.Endpoint {
 	port := HTTPSPort
@@ -150,29 +143,9 @@ func (s *EndpointServer) RegisterDevice(p device.Profile, owner string) {
 // AlarmCount counts the alarms both protocol servers raised.
 func (s *EndpointServer) AlarmCount() int { return s.broker.AlarmCount() + s.http.AlarmCount() }
 
-// CommandOutcome reports a delivered or timed-out command.
-type CommandOutcome struct {
-	Device    string
-	Attribute string
-	Value     string
-	Acked     bool
-	Duration  time.Duration
-}
-
-// outcome adapts a protocol server's command result for done, which may
-// be nil.
-func outcome(label, attr, value string, done func(CommandOutcome)) func(proto.CommandResult) {
-	if done == nil {
-		return nil
-	}
-	return func(r proto.CommandResult) {
-		done(CommandOutcome{Device: label, Attribute: attr, Value: value, Acked: r.Acked, Duration: r.Duration})
-	}
-}
-
 // SendCommand delivers a command to a device through its session (possibly
 // its hub's). done may be nil.
-func (s *EndpointServer) SendCommand(label, attr, value string, done func(CommandOutcome)) error {
+func (s *EndpointServer) SendCommand(label, attr, value string, done func(proto.CommandResult)) error {
 	p, ok := s.profiles[label]
 	if !ok {
 		return fmt.Errorf("cloud: endpoint %s does not serve %q", s.cfg.Domain, label)
@@ -189,22 +162,20 @@ func (s *EndpointServer) SendCommand(label, attr, value string, done func(Comman
 	padTo := p.CommandLen
 	switch ownerProfile.Transport {
 	case device.TransportMQTT:
-		return s.broker.Publish(ownerLabel, device.CommandTopic(label), []byte(attr+"="+value), padTo, timeout,
-			outcome(label, attr, value, done))
+		return s.broker.Publish(ownerLabel, device.CommandTopic(label), []byte(attr+"="+value), padTo, timeout, done)
 	case device.TransportHTTPLong:
-		return s.http.Command(ownerLabel, "/command", device.EncodeBody(label, attr, value), padTo, timeout,
-			outcome(label, attr, value, done))
+		return s.http.Command(ownerLabel, "/command", device.EncodeBody(label, attr, value), padTo, timeout, done)
 	default:
 		return fmt.Errorf("cloud: cannot command %q over transport %v", label, ownerProfile.Transport)
 	}
 }
 
 func (s *EndpointServer) onMQTTPublish(sess *mqttsim.Session, pkt mqttsim.Packet) {
-	label, ok := eventOrigin(pkt.Topic)
-	if !ok {
+	label, ok := strings.CutSuffix(pkt.Topic, "/event")
+	if !ok || label == "" {
 		return
 	}
-	attr, value, ok := cutEq(string(pkt.Payload))
+	attr, value, ok := strings.Cut(string(pkt.Payload), "=")
 	if !ok {
 		return
 	}
@@ -283,22 +254,5 @@ func (s *EndpointServer) forward(ev rules.Event) {
 	if s.OnEvent == nil {
 		return
 	}
-	s.clk.Schedule(s.cfg.CloudToCloudLatency, func() { s.OnEvent(ev) })
-}
-
-func eventOrigin(topic string) (string, bool) {
-	const suffix = "/event"
-	if len(topic) <= len(suffix) || topic[len(topic)-len(suffix):] != suffix {
-		return "", false
-	}
-	return topic[:len(topic)-len(suffix)], true
-}
-
-func cutEq(s string) (string, string, bool) {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '=' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return "", "", false
+	s.clk.Schedule(cloudToCloudLatency, func() { s.OnEvent(ev) })
 }

@@ -130,7 +130,7 @@ func (s *IntegrationServer) Ingest(ev rules.Event) {
 
 // SendCommand delivers a command to a device through the endpoint that
 // serves it. done may be nil.
-func (s *IntegrationServer) SendCommand(label, attr, value string, done func(CommandOutcome)) error {
+func (s *IntegrationServer) SendCommand(label, attr, value string, done func(proto.CommandResult)) error {
 	ep, ok := s.endpoints[s.routes[label]]
 	if !ok {
 		return fmt.Errorf("cloud: no endpoint serves %q", label)

@@ -60,14 +60,17 @@ func (h *LocalHub) RegisterDevice(p device.Profile) { h.profiles[p.Label] = p }
 // HAP has nothing else).
 func (h *LocalHub) Alarms() []proto.Alarm { return h.hub.Alarms() }
 
+// AlarmCount returns the number of hub-side alarms raised so far.
+func (h *LocalHub) AlarmCount() int { return h.hub.AlarmCount() }
+
 // SendCommand writes a characteristic on an accessory directly. done may
 // be nil.
-func (h *LocalHub) SendCommand(label, attr, value string, done func(CommandOutcome)) error {
+func (h *LocalHub) SendCommand(label, attr, value string, done func(proto.CommandResult)) error {
 	p, ok := h.profiles[label]
 	if !ok {
 		return fmt.Errorf("cloud: local hub does not serve %q", label)
 	}
-	return h.hub.Command(label, attr, value, p.CommandLen, outcome(label, attr, value, done))
+	return h.hub.Command(label, attr, value, p.CommandLen, done)
 }
 
 func (h *LocalHub) onEvent(accessoryID string, m hapsim.Message) {

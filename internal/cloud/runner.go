@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/rules"
 	"repro/internal/simtime"
 )
@@ -25,12 +26,12 @@ type CommandRecord struct {
 	Device    string
 	Attribute string
 	Value     string
-	Outcome   *CommandOutcome // nil until resolved
+	Outcome   *proto.CommandResult // nil until resolved
 }
 
 // A commandSender delivers a command to a device. done may be nil.
 type commandSender interface {
-	SendCommand(label, attr, value string, done func(CommandOutcome)) error
+	SendCommand(label, attr, value string, done func(proto.CommandResult)) error
 }
 
 // ruleRunner runs a server's automation rules. It holds the rule engine
@@ -85,6 +86,17 @@ func (r *ruleRunner) Events() []rules.Event {
 	return out
 }
 
+// EventCount returns how many of the accepted events came from origin.
+func (r *ruleRunner) EventCount(origin string) int {
+	n := 0
+	for i := range r.events {
+		if r.events[i].Device == origin {
+			n++
+		}
+	}
+	return n
+}
+
 // Notifications returns the user-visible pushes so far.
 func (r *ruleRunner) Notifications() []Notification {
 	out := make([]Notification, len(r.notifications))
@@ -132,7 +144,7 @@ func (r *ruleRunner) execute(a rules.Action, cause rules.Event) {
 		r.commands = append(r.commands, rec)
 		// Dispatch failures (device offline or unserved) leave Outcome nil,
 		// which the experiment reports as an unexecuted action.
-		_ = r.sender.SendCommand(a.Device, a.Attribute, a.Value, func(o CommandOutcome) {
+		_ = r.sender.SendCommand(a.Device, a.Attribute, a.Value, func(o proto.CommandResult) {
 			rec.Outcome = &o
 		})
 	}

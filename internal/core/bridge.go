@@ -62,8 +62,6 @@ type Bridge struct {
 	// HoldDeviceClose prevents a device-side close from propagating to the
 	// server, keeping the server-side connection half-open (Finding 2).
 	HoldDeviceClose bool
-	// HoldServerClose is the mirror for server-side closes.
-	HoldServerClose bool
 
 	// OnRecord observes every record as it arrives (before the policy).
 	OnRecord func(RecordInfo)
@@ -121,7 +119,7 @@ func newBridge(clk *simtime.Clock, devConn, srvConn *tcpsim.Conn, policy *Policy
 		if b.OnServerClosed != nil {
 			b.OnServerClosed(err)
 		}
-		if !b.HoldServerClose && !b.dirs[1].holding && !b.devClosed {
+		if !b.dirs[1].holding && !b.devClosed {
 			b.devConn.Close()
 		}
 	}
@@ -242,7 +240,7 @@ func (b *Bridge) Release(d sniff.Direction) int {
 	// offline alarm ever fires — so nothing is propagated here. If the
 	// *server* died mid-hold, hiding that from the device only zombifies
 	// its session (its messages would go nowhere), so the close flows on.
-	if d == sniff.DirServerToClient && b.srvClosed && !b.HoldServerClose && !b.devClosed {
+	if d == sniff.DirServerToClient && b.srvClosed && !b.devClosed {
 		b.devConn.Close()
 	}
 	return n

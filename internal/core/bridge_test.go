@@ -86,23 +86,21 @@ func TestBridgeOrderingForcesQueueing(t *testing.T) {
 	}
 }
 
-// TestHoldServerCloseKeepsDeviceSideUp mirrors Finding 2 from the other
-// side: a server-side close can be hidden from the device.
-func TestHoldServerCloseKeepsDeviceSideUp(t *testing.T) {
+// TestServerCloseReachesDevice: unlike a device-side close (Finding 2),
+// a server-side close is never hidden from the device, which would only
+// zombify its session; with nothing held, the bridge closes the device side
+// at once.
+func TestServerCloseReachesDevice(t *testing.T) {
 	tb, _, h := hijackedHome(t, "C2", "C2")
 	b, _ := h.CurrentBridge()
-	b.HoldServerClose = true
 	// Kill the server side brutally.
 	b.ServerConn().Abort()
 	tb.Clock.RunFor(10 * time.Second)
 	if closed, _ := b.ServerClosed(); !closed {
 		t.Fatal("server side should be closed")
 	}
-	if closed, _ := b.DeviceClosed(); closed {
-		t.Fatal("device side must stay up while the close is held")
-	}
-	if !tb.Device("H3").Connected() {
-		t.Fatal("device session should still believe it is connected")
+	if closed, _ := b.DeviceClosed(); !closed {
+		t.Fatal("the server-side close did not reach the device side")
 	}
 }
 

@@ -248,13 +248,11 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 		}
 		_, matchedAt := op.Matched()
 
-		kaBound := time.Duration(0)
+		// Either pattern bounds the session by period plus timeout; for a
+		// fixed pattern that is the worst case, from just after a keep-alive.
+		var kaBound time.Duration
 		if m.HasKeepAlive {
-			if m.Pattern == proto.PatternOnIdle {
-				kaBound = m.KeepAlivePeriod + m.KeepAliveTimeout
-			} else {
-				kaBound = m.KeepAlivePeriod + m.KeepAliveTimeout // worst case from just-after-KA
-			}
+			kaBound = m.KeepAlivePeriod + m.KeepAliveTimeout
 		}
 		limit := l.UnboundedCap
 		if kaBound > 0 {

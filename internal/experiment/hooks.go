@@ -26,18 +26,9 @@ func (tb *Testbed) InstallRule(r rules.Rule) error {
 // the automation servers have accepted so far — the ground truth for "did
 // the delayed message still land".
 func (tb *Testbed) AcceptedEventCount(origin string) int {
-	n := 0
+	n := tb.Integration.EventCount(origin)
 	if tb.LocalHub != nil {
-		for _, ev := range tb.LocalHub.Events() {
-			if ev.Device == origin {
-				n++
-			}
-		}
-	}
-	for _, ev := range tb.Integration.Events() {
-		if ev.Device == origin {
-			n++
-		}
+		n += tb.LocalHub.EventCount(origin)
 	}
 	return n
 }

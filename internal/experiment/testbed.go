@@ -395,7 +395,7 @@ func (tb *Testbed) SessionOwner(label string) *device.Device {
 func (tb *Testbed) TotalAlarmCount() int {
 	n := tb.Integration.TotalAlarmCount()
 	if tb.LocalHub != nil {
-		n += len(tb.LocalHub.Alarms())
+		n += tb.LocalHub.AlarmCount()
 	}
 	return n
 }

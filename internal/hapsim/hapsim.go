@@ -243,7 +243,7 @@ func (h *Hub) Command(accessoryID, characteristic, value string, padTo int, done
 	if err := hs.sess.Send(m.Marshal(padTo)); err != nil {
 		return err
 	}
-	h.commands.Await(id, CommandTimeout, func() {
+	h.commands.Await(id, CommandTimeout, func(uint16) {
 		h.alarms.Raise(h.clk.Now(), accessoryID, "no-response", characteristic)
 	}, done)
 	return nil

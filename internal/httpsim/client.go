@@ -42,11 +42,13 @@ type Client struct {
 
 	ready  bool
 	closed bool
-	nextID uint16
 	trace  *obs.Trace
 
-	kaTimer   *simtime.Timer
-	deadlines map[uint16]*simtime.Timer
+	kaTimer *simtime.Timer
+	// acks holds the requests awaiting a response, keep-alives included.
+	// The two expiries are bound once per session, not once per request.
+	acks                           proto.Commands
+	expireRequest, expireKeepAlive func(id uint16)
 
 	// OnReady fires when the session is usable.
 	OnReady func()
@@ -67,13 +69,9 @@ func NewClient(clk *simtime.Clock, sess *tlssim.Conn, cfg ClientConfig) *Client 
 	if cfg.Pattern == 0 {
 		cfg.Pattern = proto.PatternOnIdle
 	}
-	c := &Client{
-		clk:       clk,
-		sess:      sess,
-		cfg:       cfg,
-		nextID:    1,
-		deadlines: make(map[uint16]*simtime.Timer),
-	}
+	c := &Client{clk: clk, sess: sess, cfg: cfg, acks: proto.NewCommands(clk)}
+	c.expireRequest = c.expiry("ack_timeout", proto.ReasonAckTimeout)
+	c.expireKeepAlive = c.expiry("ka_timeout", proto.ReasonKeepAliveTimeout)
 	sess.OnMessage = c.onMessage
 	sess.OnClose = func(error) { c.teardown(proto.ReasonTransport) }
 	becomeReady := func() {
@@ -120,18 +118,23 @@ func (c *Client) Session() *tlssim.Conn { return c.sess }
 // the client's ResponseTimeout; on expiry the session is dropped with
 // ReasonAckTimeout, mirroring a 408.
 func (c *Client) Request(path string, body []byte, padTo int) (uint16, error) {
-	return c.request(path, body, padTo, c.cfg.ResponseTimeout)
+	return c.request(path, body, padTo, c.cfg.ResponseTimeout, c.expireRequest)
 }
 
-func (c *Client) request(path string, body []byte, padTo int, timeout time.Duration) (uint16, error) {
+// expiry returns the callback that ends the session when a response is
+// overdue.
+func (c *Client) expiry(event string, reason proto.CloseReason) func(uint16) {
+	return func(id uint16) {
+		c.emit(event, c.cfg.DeviceID, int64(id))
+		c.shutdown(reason)
+	}
+}
+
+func (c *Client) request(path string, body []byte, padTo int, timeout time.Duration, expire func(uint16)) (uint16, error) {
 	if !c.Ready() {
 		return 0, ErrNotReady
 	}
-	id := c.nextID
-	c.nextID++
-	if c.nextID == 0 {
-		c.nextID = 1
-	}
+	id := c.acks.NextID()
 	m := Message{
 		Type:      MsgRequest,
 		ID:        id,
@@ -152,17 +155,7 @@ func (c *Client) request(path string, body []byte, padTo int, timeout time.Durat
 		c.armKeepAlive()
 	}
 	if timeout > 0 {
-		reason := proto.ReasonAckTimeout
-		event := "ack_timeout"
-		if path == KeepAlivePath {
-			reason = proto.ReasonKeepAliveTimeout
-			event = "ka_timeout"
-		}
-		c.deadlines[id] = c.clk.Schedule(timeout, func() {
-			delete(c.deadlines, id)
-			c.emit(event, c.cfg.DeviceID, int64(id))
-			c.shutdown(reason)
-		})
+		c.acks.Await(id, timeout, expire, nil)
 	}
 	return id, nil
 }
@@ -189,7 +182,7 @@ func (c *Client) sendKeepAlive() {
 		return
 	}
 	// Keep-alive requests carry their own response deadline.
-	if _, err := c.request(KeepAlivePath, nil, c.cfg.KeepAliveLen, c.cfg.KeepAliveTimeout); err != nil {
+	if _, err := c.request(KeepAlivePath, nil, c.cfg.KeepAliveLen, c.cfg.KeepAliveTimeout, c.expireKeepAlive); err != nil {
 		return
 	}
 	c.armKeepAlive()
@@ -202,10 +195,7 @@ func (c *Client) onMessage(b []byte) {
 	}
 	switch m.Type {
 	case MsgResponse:
-		if t, ok := c.deadlines[m.ID]; ok {
-			t.Stop()
-			delete(c.deadlines, m.ID)
-		}
+		c.acks.Ack(m.ID)
 		if m.Path == KeepAlivePath {
 			c.emit("ka_answered", c.cfg.DeviceID, int64(m.ID))
 		} else {
@@ -248,13 +238,8 @@ func (c *Client) teardown(reason proto.CloseReason) {
 	}
 	c.closed = true
 	c.ready = false
-	if c.kaTimer != nil {
-		c.kaTimer.Stop()
-	}
-	for id, t := range c.deadlines {
-		t.Stop()
-		delete(c.deadlines, id)
-	}
+	c.kaTimer.Stop()
+	c.acks.Stop()
 	if c.OnClosed != nil {
 		c.OnClosed(reason)
 	}

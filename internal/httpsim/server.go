@@ -30,9 +30,6 @@ type Session struct {
 	idle     *simtime.Timer
 }
 
-// DeviceID returns the bound device identity (empty before any request).
-func (s *Session) DeviceID() string { return s.deviceID }
-
 // Server is the cloud side of the HTTP-like protocol.
 type Server struct {
 	clk      *simtime.Clock
@@ -96,7 +93,7 @@ func (s *Server) Command(deviceID, path string, body []byte, padTo int, ackTimeo
 	if err := ss.sess.Send(m.Marshal(padTo)); err != nil {
 		return err
 	}
-	s.commands.Await(id, ackTimeout, func() {
+	s.commands.Await(id, ackTimeout, func(uint16) {
 		s.alarms.Raise(s.clk.Now(), deviceID, "command-timeout", path)
 		ss.close()
 	}, done)

@@ -98,9 +98,6 @@ func Unmarshal(b []byte) (Packet, error) {
 	}, nil
 }
 
-// Len returns the marshalled size in bytes.
-func (p Packet) Len() int { return headerLen + len(p.Payload) }
-
 // String summarises the packet for traces.
 func (p Packet) String() string {
 	return fmt.Sprintf("%s->%s proto=%d len=%d", p.Src, p.Dst, p.Proto, len(p.Payload))
@@ -113,9 +110,6 @@ type Iface struct {
 	prefix ipaddr.Prefix
 	arp    *arp.Client
 }
-
-// Addr returns the interface's address.
-func (i *Iface) Addr() ipaddr.Addr { return i.addr }
 
 // Prefix returns the interface's on-link prefix.
 func (i *Iface) Prefix() ipaddr.Prefix { return i.prefix }
@@ -176,9 +170,6 @@ func NewStack(clk *simtime.Clock, host *netsim.Host) *Stack {
 // Host returns the owning host.
 func (s *Stack) Host() *netsim.Host { return s.host }
 
-// Clock returns the stack's virtual clock.
-func (s *Stack) Clock() *simtime.Clock { return s.clk }
-
 // Stats returns a copy of the stack's counters.
 func (s *Stack) Stats() Stats { return s.stats }
 
@@ -194,7 +185,7 @@ func (s *Stack) AddIface(seg *netsim.Segment, cidr string) (*Iface, error) {
 		nic:    nic,
 		addr:   pfx.Addr,
 		prefix: pfx,
-		arp:    arp.NewClient(s.clk, nic, pfx.Addr, arp.Config{}),
+		arp:    arp.NewClient(s.clk, nic, pfx.Addr),
 	}
 	nic.SetHandler(func(_ *netsim.NIC, f netsim.Frame) { s.receiveFrame(ifc, f) })
 	s.ifaces = append(s.ifaces, ifc)

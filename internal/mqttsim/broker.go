@@ -89,7 +89,7 @@ func (b *Broker) Publish(clientID, topic string, payload []byte, padTo int, ackT
 	if err := s.sess.Send(pkt.Marshal(padTo)); err != nil {
 		return err
 	}
-	b.commands.Await(id, ackTimeout, func() {
+	b.commands.Await(id, ackTimeout, func(uint16) {
 		b.alarms.Raise(b.clk.Now(), clientID, "command-timeout", topic)
 		s.close(true)
 	}, done)

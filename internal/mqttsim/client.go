@@ -40,12 +40,14 @@ type Client struct {
 
 	connected bool
 	closed    bool
-	nextID    uint16
 	trace     *obs.Trace
 
 	pingTimer    *simtime.Timer
 	pingDeadline *simtime.Timer
-	ackDeadlines map[uint16]*simtime.Timer
+	acks         proto.Commands
+	// expireAck ends the session when a PUBACK is overdue. It is bound
+	// once per session, not once per message.
+	expireAck func(id uint16)
 
 	// OnConnected fires when the CONNACK arrives.
 	OnConnected func()
@@ -68,12 +70,10 @@ func NewClient(clk *simtime.Clock, sess *tlssim.Conn, cfg ClientConfig) *Client 
 	if cfg.Pattern == 0 {
 		cfg.Pattern = proto.PatternOnIdle
 	}
-	c := &Client{
-		clk:          clk,
-		sess:         sess,
-		cfg:          cfg,
-		nextID:       1,
-		ackDeadlines: make(map[uint16]*simtime.Timer),
+	c := &Client{clk: clk, sess: sess, cfg: cfg, acks: proto.NewCommands(clk)}
+	c.expireAck = func(id uint16) {
+		c.emit("ack_timeout", c.cfg.ClientID, int64(id))
+		c.shutdown(proto.ReasonAckTimeout)
 	}
 	sess.OnMessage = c.onMessage
 	sess.OnClose = func(error) { c.teardown(proto.ReasonTransport) }
@@ -108,9 +108,6 @@ func (c *Client) Connected() bool { return c.connected }
 // Session returns the underlying TLS connection.
 func (c *Client) Session() *tlssim.Conn { return c.sess }
 
-// Config returns the client's configuration.
-func (c *Client) Config() ClientConfig { return c.cfg }
-
 func (c *Client) sendConnect() {
 	pkt := Packet{Type: PacketConnect, ClientID: c.cfg.ClientID, KeepAlive: c.cfg.KeepAlive}
 	c.send(pkt, 0)
@@ -125,11 +122,7 @@ func (c *Client) Publish(topic string, payload []byte, padTo int, needAck bool) 
 	}
 	var id uint16
 	if needAck {
-		id = c.nextID
-		c.nextID++
-		if c.nextID == 0 {
-			c.nextID = 1
-		}
+		id = c.acks.NextID()
 	}
 	pkt := Packet{
 		Type:      PacketPublish,
@@ -141,11 +134,7 @@ func (c *Client) Publish(topic string, payload []byte, padTo int, needAck bool) 
 	c.send(pkt, padTo)
 	c.emit("publish", c.cfg.ClientID, int64(id))
 	if needAck && c.cfg.AckTimeout > 0 {
-		c.ackDeadlines[id] = c.clk.Schedule(c.cfg.AckTimeout, func() {
-			delete(c.ackDeadlines, id)
-			c.emit("ack_timeout", c.cfg.ClientID, int64(id))
-			c.shutdown(proto.ReasonAckTimeout)
-		})
+		c.acks.Await(id, c.cfg.AckTimeout, c.expireAck, nil)
 	}
 	return id, nil
 }
@@ -223,10 +212,7 @@ func (c *Client) onMessage(b []byte) {
 		}
 	case PacketPubAck:
 		c.emit("puback", c.cfg.ClientID, int64(pkt.ID))
-		if t, ok := c.ackDeadlines[pkt.ID]; ok {
-			t.Stop()
-			delete(c.ackDeadlines, pkt.ID)
-		}
+		c.acks.Ack(pkt.ID)
 	case PacketDisconnect:
 		c.sess.Close()
 		c.teardown(proto.ReasonServerClosed)
@@ -253,10 +239,7 @@ func (c *Client) teardown(reason proto.CloseReason) {
 	c.connected = false
 	c.pingTimer.Stop()
 	c.pingDeadline.Stop()
-	for id, t := range c.ackDeadlines {
-		t.Stop()
-		delete(c.ackDeadlines, id)
-	}
+	c.acks.Stop()
 	if c.OnClosed != nil {
 		c.OnClosed(reason)
 	}

@@ -243,6 +243,23 @@ func TestAckTimeoutClosesSession(t *testing.T) {
 	}
 }
 
+func TestPubAckStopsAckTimeout(t *testing.T) {
+	e := newEnv()
+	cfg := defaultCfg()
+	cfg.AckTimeout = 5 * time.Second
+	cli := e.dial(cfg)
+	closed := false
+	cli.OnClosed = func(proto.CloseReason) { closed = true }
+	e.clk.RunFor(time.Second)
+	if _, err := cli.Publish("t", []byte("x"), 0, true); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Minute)
+	if closed {
+		t.Fatal("an acknowledged PUBLISH timed out and closed the session")
+	}
+}
+
 func TestNoAckTimeoutWhenZero(t *testing.T) {
 	e := newEnv()
 	cli := e.dial(defaultCfg()) // AckTimeout zero: ∞ per Table I

@@ -133,7 +133,7 @@ func (n *Network) NewSegment(name string, latency time.Duration, jitter float64)
 	if latency < 0 {
 		latency = 0
 	}
-	s := &Segment{net: n, name: name, latency: latency, jitter: jitter}
+	s := &Segment{net: n, latency: latency, jitter: jitter}
 	s.met = newSegMetrics(n.metrics, name)
 	return s
 }
@@ -143,7 +143,7 @@ func (n *Network) NewHost(name string) *Host {
 	if _, dup := n.hosts[name]; dup {
 		panic("netsim: duplicate host name " + name)
 	}
-	h := &Host{net: n, name: name}
+	h := &Host{net: n}
 	n.hosts[name] = h
 	return h
 }
@@ -214,7 +214,6 @@ func newSegMetrics(reg *obs.Registry, segment string) segMetrics {
 // Segment is a broadcast domain.
 type Segment struct {
 	net      *Network
-	name     string
 	latency  time.Duration
 	jitter   float64
 	lossRate float64
@@ -237,9 +236,6 @@ func (s *Segment) SetLossRate(p float64) {
 	}
 	s.lossRate = p
 }
-
-// Name returns the segment's name.
-func (s *Segment) Name() string { return s.name }
 
 // Stats returns a copy of the segment's traffic counters.
 func (s *Segment) Stats() Stats { return s.stats }
@@ -319,26 +315,18 @@ func (s *Segment) deliver(from *NIC, f Frame) {
 
 // Host is a machine with one or more NICs.
 type Host struct {
-	net  *Network
-	name string
+	net *Network
 }
-
-// Name returns the host's name.
-func (h *Host) Name() string { return h.name }
-
-// Network returns the network the host belongs to.
-func (h *Host) Network() *Network { return h.net }
 
 // AttachNIC connects the host to a segment with a fresh MAC address.
 func (h *Host) AttachNIC(seg *Segment) *NIC {
-	nic := &NIC{host: h, seg: seg, mac: h.net.nextMAC()}
+	nic := &NIC{seg: seg, mac: h.net.nextMAC()}
 	seg.nics = append(seg.nics, nic)
 	return nic
 }
 
 // NIC is a network interface on a segment.
 type NIC struct {
-	host        *Host
 	seg         *Segment
 	mac         MAC
 	handler     func(*NIC, Frame)
@@ -349,12 +337,6 @@ type NIC struct {
 
 // MAC returns the interface's hardware address.
 func (nic *NIC) MAC() MAC { return nic.mac }
-
-// Host returns the owning host.
-func (nic *NIC) Host() *Host { return nic.host }
-
-// Segment returns the attached segment.
-func (nic *NIC) Segment() *Segment { return nic.seg }
 
 // Stats returns a copy of the NIC's counters.
 func (nic *NIC) Stats() Stats { return nic.stats }

@@ -6,17 +6,19 @@ import (
 	"repro/internal/simtime"
 )
 
-// CommandResult reports the outcome of a server-initiated command.
+// CommandResult reports the outcome of a message that awaited an
+// acknowledgement.
 type CommandResult struct {
 	ID       uint16
 	Acked    bool
 	Duration time.Duration
 }
 
-// Commands is a server's table of commands awaiting acknowledgement. A
-// command unanswered within its timeout expires, which is what bounds
-// every c-Delay in Tables I and II. IDs count from 1 and skip 0, which
-// marks a message that wants no acknowledgement.
+// Commands is the table of messages awaiting acknowledgement at one end of
+// a session: a server's commands, or a device's acknowledged events and
+// keep-alives. A message unanswered within its timeout expires, which is
+// what bounds every e-Delay and c-Delay in Tables I and II. IDs count from
+// 1 and skip 0, which marks a message that wants no acknowledgement.
 type Commands struct {
 	clk     *simtime.Clock
 	lastID  uint16
@@ -26,14 +28,14 @@ type Commands struct {
 type pendingCommand struct {
 	sentAt simtime.Time
 	timer  *simtime.Timer
-	expire func()
+	expire func(id uint16)
 	done   func(CommandResult)
 }
 
 // NewCommands returns an empty table timed by clk.
 func NewCommands(clk *simtime.Clock) Commands { return Commands{clk: clk} }
 
-// NextID returns the ID for the next command.
+// NextID returns the ID for the next message.
 func (c *Commands) NextID() uint16 {
 	c.lastID++
 	if c.lastID == 0 {
@@ -42,10 +44,10 @@ func (c *Commands) NextID() uint16 {
 	return c.lastID
 }
 
-// Await files command id, which has just been sent. If timeout is nonzero
-// and no Ack arrives within it, the entry is dropped, expire runs, and
+// Await files message id, which has just been sent. If timeout is nonzero
+// and no Ack arrives within it, the entry is dropped, expire(id) runs, and
 // done sees Acked=false; a zero timeout waits forever. done may be nil.
-func (c *Commands) Await(id uint16, timeout time.Duration, expire func(), done func(CommandResult)) {
+func (c *Commands) Await(id uint16, timeout time.Duration, expire func(id uint16), done func(CommandResult)) {
 	if c.pending == nil {
 		c.pending = make(map[uint16]pendingCommand)
 	}
@@ -56,9 +58,18 @@ func (c *Commands) Await(id uint16, timeout time.Duration, expire func(), done f
 	c.pending[id] = p
 }
 
-// Ack resolves command id as acknowledged. An ID that is not pending, such
+// Ack resolves message id as acknowledged. An ID that is not pending, such
 // as one whose timeout has fired, is ignored.
 func (c *Commands) Ack(id uint16) { c.resolve(id, true) }
+
+// Stop empties the table when its session ends: every timer stops, and
+// neither expire nor done runs.
+func (c *Commands) Stop() {
+	for id, p := range c.pending {
+		p.timer.Stop()
+		delete(c.pending, id)
+	}
+}
 
 func (c *Commands) resolve(id uint16, acked bool) {
 	p, ok := c.pending[id]
@@ -69,7 +80,7 @@ func (c *Commands) resolve(id uint16, acked bool) {
 	if acked {
 		p.timer.Stop()
 	} else {
-		p.expire()
+		p.expire(id)
 	}
 	if p.done != nil {
 		p.done(CommandResult{ID: id, Acked: acked, Duration: c.clk.Now() - p.sentAt})

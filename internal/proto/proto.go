@@ -1,7 +1,8 @@
 // Package proto holds what the simulation's application protocols share:
-// keep-alive patterns, session close reasons, server-side alarms, and the
-// two tables every simulated server keeps, its pending commands and its
-// device sessions, so that each server-side rule is written once.
+// keep-alive patterns, session close reasons, server-side alarms, the
+// table of messages awaiting acknowledgement that both ends of every
+// session keep, and the table of device sessions every simulated server
+// keeps, so that each rule is written once.
 package proto
 
 import (

@@ -29,7 +29,12 @@ func TestCommandAckAfterTimeoutIgnored(t *testing.T) {
 	id := c.NextID()
 	expired := 0
 	var results []CommandResult
-	c.Await(id, 5*time.Second, func() { expired++ }, func(r CommandResult) {
+	c.Await(id, 5*time.Second, func(got uint16) {
+		if got != id {
+			t.Errorf("expire got ID %d, want %d", got, id)
+		}
+		expired++
+	}, func(r CommandResult) {
 		if expired != 1 {
 			t.Errorf("done ran with %d expiries, want it after the one", expired)
 		}
@@ -49,7 +54,7 @@ func TestCommandAckStopsTimeout(t *testing.T) {
 	id := c.NextID()
 	expired := false
 	var results []CommandResult
-	c.Await(id, 5*time.Second, func() { expired = true }, func(r CommandResult) { results = append(results, r) })
+	c.Await(id, 5*time.Second, func(uint16) { expired = true }, func(r CommandResult) { results = append(results, r) })
 	clk.RunFor(2 * time.Second)
 	c.Ack(id)
 	if n := clk.Pending(); n != 0 {
@@ -67,7 +72,7 @@ func TestCommandZeroTimeoutWaitsForever(t *testing.T) {
 	c := NewCommands(clk)
 	id := c.NextID()
 	var results []CommandResult
-	c.Await(id, 0, func() { t.Error("a zero timeout expired") }, func(r CommandResult) { results = append(results, r) })
+	c.Await(id, 0, func(uint16) { t.Error("a zero timeout expired") }, func(r CommandResult) { results = append(results, r) })
 	if n := clk.Pending(); n != 0 {
 		t.Fatalf("a zero timeout scheduled %d events", n)
 	}
@@ -80,6 +85,23 @@ func TestCommandZeroTimeoutWaitsForever(t *testing.T) {
 	if len(results) != 1 || results[0] != want {
 		t.Fatalf("results = %+v, want [%+v]", results, want)
 	}
+}
+
+func TestCommandsStopRunsNothing(t *testing.T) {
+	clk := simtime.NewClock()
+	c := NewCommands(clk)
+	expire := func(uint16) { t.Error("expire ran after Stop") }
+	done := func(r CommandResult) { t.Errorf("done ran after Stop: %+v", r) }
+	timed, untimed := c.NextID(), c.NextID()
+	c.Await(timed, 5*time.Second, expire, done)
+	c.Await(untimed, 0, expire, done)
+	c.Stop()
+	if n := clk.Pending(); n != 0 {
+		t.Fatalf("clock holds %d events after Stop, want 0", n)
+	}
+	clk.RunFor(time.Minute)
+	c.Ack(timed)
+	c.Ack(untimed)
 }
 
 type session struct{ name string }

@@ -249,9 +249,6 @@ func NewEngine(clk *simtime.Clock) *Engine {
 	return &Engine{clk: clk, store: NewStore()}
 }
 
-// Store exposes the engine's state store.
-func (e *Engine) Store() *Store { return e.store }
-
 // AddRule validates and installs a rule.
 func (e *Engine) AddRule(r Rule) error {
 	if err := r.Validate(); err != nil {
@@ -259,13 +256,6 @@ func (e *Engine) AddRule(r Rule) error {
 	}
 	e.rules = append(e.rules, r)
 	return nil
-}
-
-// Rules returns the installed rules.
-func (e *Engine) Rules() []Rule {
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
 }
 
 // Trace returns all fired actions so far.

@@ -223,31 +223,3 @@ func (c *Classifier) IdentifyFlow(records []RecordMeta) (string, float64, bool) 
 	}
 	return bestModel, bestScore, true
 }
-
-// EstimateKeepAlivePeriod estimates a flow's keep-alive period from the
-// inter-arrival gaps of its most frequent client-to-server record length
-// during idle observation. ok is false with fewer than three samples.
-func EstimateKeepAlivePeriod(records []RecordMeta) (time.Duration, bool) {
-	byLen := make(map[int][]RecordMeta)
-	for _, r := range records {
-		if r.Type == tlssim.RecordApplication && r.Dir == DirClientToServer {
-			byLen[r.WireLen] = append(byLen[r.WireLen], r)
-		}
-	}
-	var best []RecordMeta
-	bestLen := 0
-	for l, rs := range byLen {
-		if len(rs) > len(best) || (len(rs) == len(best) && l < bestLen) {
-			best, bestLen = rs, l
-		}
-	}
-	if len(best) < 3 {
-		return 0, false
-	}
-	gaps := make([]time.Duration, 0, len(best)-1)
-	for i := 1; i < len(best); i++ {
-		gaps = append(gaps, best[i].At-best[i-1].At)
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i] < gaps[j] })
-	return gaps[len(gaps)/2], true
-}

@@ -135,25 +135,6 @@ func TestIdentifyFlowPicksRightModel(t *testing.T) {
 	}
 }
 
-func TestEstimateKeepAlivePeriod(t *testing.T) {
-	tb, cap := buildHome(t, "H1") // SmartThings: 31s on-idle
-	tb.Clock.RunFor(10 * time.Minute)
-	stAddr := tb.DeviceAddrs["H1"]
-	var flowRecs []sniff.RecordMeta
-	for _, flow := range cap.Flows() {
-		if flow.Client.Addr == stAddr {
-			flowRecs = cap.FlowRecords(flow)
-		}
-	}
-	period, ok := sniff.EstimateKeepAlivePeriod(flowRecs)
-	if !ok {
-		t.Fatal("period estimation failed")
-	}
-	if period < 30*time.Second || period > 33*time.Second {
-		t.Fatalf("estimated period %v, want about 31s", period)
-	}
-}
-
 func TestHAPFlowCaptured(t *testing.T) {
 	tb, cap := buildHome(t, "A1")
 	if err := tb.Device("A1").TriggerEvent("contact", "open"); err != nil {

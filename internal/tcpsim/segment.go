@@ -58,9 +58,6 @@ type Endpoint struct {
 // String renders addr:port.
 func (e Endpoint) String() string { return fmt.Sprintf("%s:%d", e.Addr, e.Port) }
 
-// IsZero reports whether the endpoint is unset.
-func (e Endpoint) IsZero() bool { return e.Addr.IsZero() && e.Port == 0 }
-
 // Segment is a TCP segment. Src/Dst addresses travel in the IP header; the
 // ports, sequence numbers and flags are marshalled into the payload.
 type Segment struct {
@@ -124,9 +121,6 @@ func UnmarshalSegment(b []byte) (Segment, error) {
 		Payload: b[headerLen : headerLen+n],
 	}, nil
 }
-
-// Len returns the marshalled size in bytes.
-func (s Segment) Len() int { return headerLen + len(s.Payload) }
 
 // seqLen is the sequence space the segment occupies (SYN and FIN each
 // consume one sequence number).

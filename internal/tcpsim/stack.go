@@ -204,12 +204,6 @@ func NewStack(clk *simtime.Clock, ip *ipnet.Stack, cfg Config, seed int64) *Stac
 	return s
 }
 
-// Clock returns the stack's virtual clock.
-func (s *Stack) Clock() *simtime.Clock { return s.clk }
-
-// Config returns the stack's effective configuration.
-func (s *Stack) Config() Config { return s.cfg }
-
 // Listen registers an accept callback for inbound connections to port. The
 // callback runs when a SYN arrives, before the SYN-ACK is sent, so it can
 // install the connection's event handlers.
