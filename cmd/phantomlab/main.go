@@ -198,7 +198,7 @@ func run(args []string) error {
 	runOne := func(name string) error {
 		switch name {
 		case "table1":
-			rows := experiment.RunTable(cloudLabels(), opts)
+			rows := experiment.RunTable1(opts)
 			acc.Add(experiment.MergedMetrics(rows))
 			rowSources(rows)
 			if *jsonOut {
@@ -208,7 +208,7 @@ func run(args []string) error {
 		case "table2":
 			t2 := opts
 			t2.UnboundedDemo = 2 * time.Hour
-			rows := experiment.RunTable(localLabels(), t2)
+			rows := experiment.RunTable2(t2)
 			acc.Add(experiment.MergedMetrics(rows))
 			rowSources(rows)
 			if *jsonOut {
@@ -571,22 +571,6 @@ func writeTrace(path, format, cmd string, srcs []timeline.Source) error {
 		return fmt.Errorf("trace output: %w", err)
 	}
 	return f.Close()
-}
-
-func cloudLabels() []string {
-	var out []string
-	for _, p := range device.CloudProfiles() {
-		out = append(out, p.Label)
-	}
-	return out
-}
-
-func localLabels() []string {
-	var out []string
-	for _, p := range device.LocalProfiles() {
-		out = append(out, p.Label)
-	}
-	return out
 }
 
 // catalogLabels lists every catalog device in declaration order — the

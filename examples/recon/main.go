@@ -60,7 +60,7 @@ func run() error {
 
 	// Step 1: identify the devices behind each TLS flow.
 	cl := sniff.NewClassifier(sniff.BuildCatalogSignatures())
-	flows := cl.IdentifyAllFlows(capture, 0.5)
+	flows := cl.IdentifyAllFlows(capture)
 	fmt.Printf("observed %d flows, identified %d:\n", len(capture.Flows()), len(flows))
 	var lines []string
 	for flow, model := range flows {

@@ -63,6 +63,9 @@ func (h *LocalHub) Alarms() []proto.Alarm { return h.hub.Alarms() }
 // AlarmCount returns the number of hub-side alarms raised so far.
 func (h *LocalHub) AlarmCount() int { return h.hub.AlarmCount() }
 
+// LastAlarm returns the latest hub-side alarm, if any.
+func (h *LocalHub) LastAlarm() (proto.Alarm, bool) { return h.hub.LastAlarm() }
+
 // SendCommand writes a characteristic on an accessory directly. done may
 // be nil.
 func (h *LocalHub) SendCommand(label, attr, value string, done func(proto.CommandResult)) error {

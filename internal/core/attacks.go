@@ -61,11 +61,11 @@ func NewActionDelay(cfg ActionDelayConfig) *ActionDelay {
 	return a
 }
 
-// ReleaseWhen releases op as soon as the watching hijacker observes a
-// record from origin of the given kind (plus extra slack). This is the
-// ordering tool of the Type-III attacks: "hold the condition event until
-// the trigger has gone past".
-func ReleaseWhen(op *DelayOp, watch *Hijacker, origin string, kind sniff.MsgKind, extra time.Duration) {
+// ReleaseWhen releases op as soon as the watching hijacker observes an
+// event record from origin (plus extra slack). This is the ordering tool
+// of the Type-III attacks: "hold the condition event until the trigger has
+// gone past".
+func ReleaseWhen(op *DelayOp, watch *Hijacker, origin string, extra time.Duration) {
 	prev := watch.OnRecord
 	done := false
 	watch.OnRecord = func(b *Bridge, r RecordInfo) {
@@ -76,7 +76,7 @@ func ReleaseWhen(op *DelayOp, watch *Hijacker, origin string, kind sniff.MsgKind
 			return
 		}
 		cr := watch.classify(r)
-		if !cr.Known || cr.Msg.Origin != origin || cr.Msg.Kind != kind {
+		if !cr.Known || cr.Msg.Origin != origin || cr.Msg.Kind != sniff.KindEvent {
 			return
 		}
 		done = true
@@ -96,7 +96,7 @@ func ReleaseWhen(op *DelayOp, watch *Hijacker, origin string, kind sniff.MsgKind
 // passing through watchTrigger, after slack.
 func SpuriousExecution(condHijacker *Hijacker, condOrigin string, watchTrigger *Hijacker, triggerOrigin string, slack time.Duration) *DelayOp {
 	op := condHijacker.EDelay(condOrigin, 0)
-	ReleaseWhen(op, watchTrigger, triggerOrigin, sniff.KindEvent, slack)
+	ReleaseWhen(op, watchTrigger, triggerOrigin, slack)
 	return op
 }
 

@@ -65,10 +65,6 @@ type Bridge struct {
 
 	// OnRecord observes every record as it arrives (before the policy).
 	OnRecord func(RecordInfo)
-	// OnDeviceClosed fires when the device-side connection ends.
-	OnDeviceClosed func(error)
-	// OnServerClosed fires when the server-side connection ends.
-	OnServerClosed func(error)
 }
 
 type bridgeDir struct {
@@ -95,30 +91,24 @@ func newBridge(clk *simtime.Clock, devConn, srvConn *tcpsim.Conn, policy *Policy
 	met.bridges.Inc()
 	devConn.OnData = func(data []byte) { b.onData(sniff.DirClientToServer, data) }
 	srvConn.OnData = func(data []byte) { b.onData(sniff.DirServerToClient, data) }
-	devConn.OnClose = func(err error) {
+	devConn.OnClose = func(error) {
 		if b.devClosed {
 			return
 		}
 		b.devClosed = true
 		b.devClosedAt = clk.Now()
-		if b.OnDeviceClosed != nil {
-			b.OnDeviceClosed(err)
-		}
 		// Propagate unless told to keep the server side half-open or there
 		// are still held records to deliver.
 		if !b.HoldDeviceClose && !b.dirs[0].holding && !b.srvClosed {
 			b.srvConn.Close()
 		}
 	}
-	srvConn.OnClose = func(err error) {
+	srvConn.OnClose = func(error) {
 		if b.srvClosed {
 			return
 		}
 		b.srvClosed = true
 		b.srvClosedAt = clk.Now()
-		if b.OnServerClosed != nil {
-			b.OnServerClosed(err)
-		}
 		if !b.dirs[1].holding && !b.devClosed {
 			b.devConn.Close()
 		}
@@ -162,10 +152,9 @@ func (b *Bridge) ForwardedCount(d sniff.Direction) int { return b.dir(d).forward
 func (b *Bridge) onData(d sniff.Direction, data []byte) {
 	st := b.dir(d)
 	st.buf = append(st.buf, data...)
-	for len(st.buf) >= tlssim.HeaderLen {
-		n := int(st.buf[3])<<8 | int(st.buf[4])
-		total := tlssim.HeaderLen + n
-		if len(st.buf) < total {
+	for {
+		total, ok := tlssim.RecordLen(st.buf)
+		if !ok {
 			return
 		}
 		rec := make([]byte, total)

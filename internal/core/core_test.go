@@ -174,16 +174,14 @@ func TestHoldingPastTimeoutRaisesDeviceSideTimeout(t *testing.T) {
 		t.Fatal("event not captured")
 	}
 	b := h.Bridges()[0]
-	closed := false
-	var closedAt time.Duration
-	b.OnDeviceClosed = func(error) { closed, closedAt = true, tb.Clock.Now()-matchedAt }
 	tb.Clock.RunFor(2 * time.Minute)
+	closed, closedAt := b.DeviceClosed()
 	if !closed {
 		t.Fatal("device never timed out despite indefinite hold")
 	}
 	want := 47 * time.Second
-	if closedAt < want-3*time.Second || closedAt > want+3*time.Second {
-		t.Fatalf("device closed after %v, want about %v (31s keep-alive + 16s timeout)", closedAt, want)
+	if held := closedAt - matchedAt; held < want-3*time.Second || held > want+3*time.Second {
+		t.Fatalf("device closed after %v, want about %v (31s keep-alive + 16s timeout)", held, want)
 	}
 }
 

@@ -33,8 +33,6 @@ type DelayOp struct {
 	// record), set at match time.
 	traceDetail string
 
-	// OnMatched fires when the target record starts being held.
-	OnMatched func(ClassifiedRecord)
 	// OnReleased fires when the hold ends, with the achieved delay.
 	OnReleased func(held time.Duration)
 }
@@ -102,9 +100,6 @@ func (h *Hijacker) opsPolicy(b *Bridge, r RecordInfo) Decision {
 				op.traceDetail = cr.Msg.Origin + "/" + cr.Msg.Kind.String()
 			}
 			m.trace.Emit(op.matchedAt, "core", "op_matched", op.traceDetail, int64(r.WireLen))
-		}
-		if op.OnMatched != nil {
-			op.OnMatched(cr)
 		}
 		h.scheduleRelease(op, cr)
 		return Hold
@@ -184,15 +179,14 @@ func (h *Hijacker) CDelay(origin string, hold time.Duration) *DelayOp {
 	})
 }
 
-// DelayKeepAlive arms a hold on the next device keep-alive (the profiling
-// step 3 measurement). A zero duration makes the hold manual.
-func (h *Hijacker) DelayKeepAlive(hold time.Duration) *DelayOp {
+// DelayKeepAlive arms a manual hold on the next device keep-alive (the
+// profiling step 3 measurement).
+func (h *Hijacker) DelayKeepAlive() *DelayOp {
 	return h.arm(&DelayOp{
-		h:       h,
-		dir:     sniff.DirClientToServer,
-		match:   func(cr ClassifiedRecord) bool { return cr.Known && cr.Msg.Kind == sniff.KindKeepAlive },
-		holdFor: hold,
-		manual:  hold == 0,
+		h:      h,
+		dir:    sniff.DirClientToServer,
+		match:  func(cr ClassifiedRecord) bool { return cr.Known && cr.Msg.Kind == sniff.KindKeepAlive },
+		manual: true,
 	})
 }
 

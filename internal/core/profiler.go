@@ -27,7 +27,7 @@ type Lab struct {
 	// device. Nil for pure sensors.
 	TriggerCommand func() error
 	// EventOrigin/CommandOrigin are the fingerprint origins of the
-	// triggered messages (default: the hijack target's model).
+	// triggered messages. CommandOrigin is read only with TriggerCommand.
 	EventOrigin   string
 	CommandOrigin string
 	// ServerAlarmAt reports the latest lab-server alarm, if any — the
@@ -41,12 +41,15 @@ type Lab struct {
 	// Recovery is the inter-trial settling time. Default 2 minutes, as in
 	// the paper.
 	Recovery time.Duration
-	// IdleObservation bounds the keep-alive discovery phase. Default 10m.
-	IdleObservation time.Duration
-	// UnboundedCap is how long a hold runs before the profiler declares
-	// "no timeout". Default 15 minutes.
-	UnboundedCap time.Duration
 }
+
+const (
+	// idleObservation bounds the keep-alive discovery phase.
+	idleObservation = 10 * time.Minute
+	// unboundedCap is how long a hold runs before the profiler declares
+	// "no timeout".
+	unboundedCap = 15 * time.Minute
+)
 
 // ErrNoSession reports that the lab device never connected through the
 // hijacker.
@@ -58,18 +61,6 @@ func (l *Lab) fill() {
 	}
 	if l.Recovery <= 0 {
 		l.Recovery = 2 * time.Minute
-	}
-	if l.IdleObservation <= 0 {
-		l.IdleObservation = 10 * time.Minute
-	}
-	if l.UnboundedCap <= 0 {
-		l.UnboundedCap = 15 * time.Minute
-	}
-	if l.EventOrigin == "" {
-		l.EventOrigin = l.Hijacker.Target().Model
-	}
-	if l.CommandOrigin == "" {
-		l.CommandOrigin = l.Hijacker.Target().Model
 	}
 }
 
@@ -145,7 +136,7 @@ func (l *Lab) observeKeepAlive() (wireLen int, period time.Duration, ok bool) {
 			seen = append(seen, obs{at: r.At, len: r.WireLen})
 		}
 	})
-	l.Clock.RunFor(l.IdleObservation)
+	l.Clock.RunFor(idleObservation)
 	restore()
 
 	byLen := make(map[int][]simtime.Time)
@@ -181,7 +172,7 @@ func (l *Lab) measurePattern(kaLen int, period time.Duration) (proto.Pattern, er
 	defer restore()
 
 	// Wait for a keep-alive to anchor the schedule.
-	if !l.Clock.StepUntil(l.Clock.Now()+2*period+l.IdleObservation, func() bool { return len(kaTimes) > 0 }) {
+	if !l.Clock.StepUntil(l.Clock.Now()+2*period+idleObservation, func() bool { return len(kaTimes) > 0 }) {
 		return 0, fmt.Errorf("core: no keep-alive observed while measuring pattern")
 	}
 	anchor := kaTimes[len(kaTimes)-1]
@@ -211,12 +202,12 @@ func (l *Lab) measurePattern(kaLen int, period time.Duration) (proto.Pattern, er
 func (l *Lab) measureKeepAliveTimeout() (time.Duration, error) {
 	var samples []time.Duration
 	for i := 0; i < l.Trials; i++ {
-		op := l.Hijacker.DelayKeepAlive(0)
-		if !l.waitMatched(op, l.IdleObservation) {
+		op := l.Hijacker.DelayKeepAlive()
+		if !l.waitMatched(op, idleObservation) {
 			return 0, fmt.Errorf("core: keep-alive never captured (trial %d)", i)
 		}
 		_, matchedAt := op.Matched()
-		closedAt, ok := l.waitClose(op, (*Bridge).DeviceClosed, l.UnboundedCap)
+		closedAt, ok := l.waitClose(op, (*Bridge).DeviceClosed, unboundedCap)
 		if !ok {
 			return 0, fmt.Errorf("core: no teardown when holding keep-alive (trial %d)", i)
 		}
@@ -254,7 +245,7 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 		if m.HasKeepAlive {
 			kaBound = m.KeepAlivePeriod + m.KeepAliveTimeout
 		}
-		limit := l.UnboundedCap
+		limit := unboundedCap
 		if kaBound > 0 {
 			limit = kaBound + time.Minute
 		}
@@ -263,7 +254,7 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 		case !closed:
 			// No teardown at all within the cap (HomeKit-style): keep
 			// holding to measure a server-side idle reap if one exists.
-			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, l.UnboundedCap); ok {
+			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, unboundedCap); ok {
 				srvSamples = append(srvSamples, srvAt-matchedAt)
 			}
 		case m.HasKeepAlive && closedAt-matchedAt < kaBound-2*time.Second:
@@ -274,7 +265,7 @@ func (l *Lab) measureEventTimeout(m Measured) (evTimeout, srvIdle time.Duration,
 			// server-side idle reap (the true delivery bound, Finding 1).
 			dedicated++
 			eventSamples = append(eventSamples, closedAt-matchedAt)
-			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, l.UnboundedCap); ok {
+			if srvAt, ok := l.waitClose(op, (*Bridge).ServerClosed, unboundedCap); ok {
 				srvSamples = append(srvSamples, srvAt-matchedAt)
 			}
 		}
@@ -314,7 +305,7 @@ func (l *Lab) measureCommandTimeout(m Measured) (time.Duration, error) {
 		if m.HasKeepAlive {
 			kaBound = m.KeepAlivePeriod + m.KeepAliveTimeout
 		}
-		limit := l.UnboundedCap
+		limit := unboundedCap
 		if kaBound > 0 {
 			limit = kaBound + time.Minute
 		}
@@ -404,7 +395,7 @@ func (l *Lab) waitForKeepAlive() bool {
 		}
 	})
 	defer restore()
-	if !l.Clock.StepUntil(l.Clock.Now()+l.IdleObservation, func() bool { return exchanged }) {
+	if !l.Clock.StepUntil(l.Clock.Now()+idleObservation, func() bool { return exchanged }) {
 		return false
 	}
 	// Small settle so the response also reaches the device.

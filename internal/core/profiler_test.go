@@ -116,7 +116,6 @@ func TestProfilerHomeKitUnbounded(t *testing.T) {
 	}
 	lab.Trials = 1
 	lab.Recovery = 10 * time.Second
-	lab.UnboundedCap = 10 * time.Minute
 	m, err := lab.Profile()
 	if err != nil {
 		t.Fatal(err)
@@ -140,8 +139,6 @@ func TestProfilerHomeKitCommandTimeout(t *testing.T) {
 	}
 	lab.Trials = 2
 	lab.Recovery = 10 * time.Second
-	lab.IdleObservation = 3 * time.Minute
-	lab.UnboundedCap = 5 * time.Minute
 	m, err := lab.Profile()
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/hapsim"
 	"repro/internal/httpsim"
-	"repro/internal/ipnet"
 	"repro/internal/mqttsim"
 	"repro/internal/obs"
 	"repro/internal/proto"
@@ -21,7 +20,6 @@ import (
 // Env is the network context a session-owning device runs in.
 type Env struct {
 	Clock *simtime.Clock
-	IP    *ipnet.Stack
 	TCP   *tcpsim.Stack
 	RNG   *simtime.Rand
 	// Server is the device's cloud endpoint (or local hub for HAP).
@@ -83,12 +81,6 @@ type Device struct {
 	hap  *hapsim.Accessory
 
 	reconnect *simtime.Timer
-
-	// OnActuation fires when a command changes the physical world (after
-	// the state update and before the confirming event is emitted).
-	OnActuation func(attr, value string)
-	// OnSessionClosed observes session loss (reconnection is automatic).
-	OnSessionClosed func(proto.CloseReason)
 }
 
 // New creates a session-owning device (anything but TransportViaHub).
@@ -283,9 +275,6 @@ func (d *Device) sendEventFor(origin Profile, attr, value string) error {
 func (d *Device) applyCommand(attr, value string) {
 	d.state[attr] = value
 	d.logf("command-applied", "%s=%s", attr, value)
-	if d.OnActuation != nil {
-		d.OnActuation(attr, value)
-	}
 	// The confirming event is best-effort; a torn session drops it.
 	_ = d.TriggerEvent(attr, value)
 }
@@ -315,9 +304,6 @@ func (d *Device) onClosed(reason proto.CloseReason) {
 	d.http = nil
 	d.hap = nil
 	d.logf("closed", "%s", reason)
-	if d.OnSessionClosed != nil {
-		d.OnSessionClosed(reason)
-	}
 	if d.stopped || reason == proto.ReasonGraceful {
 		return
 	}

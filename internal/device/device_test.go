@@ -94,15 +94,13 @@ func TestChildEventDroppedWhileHubDown(t *testing.T) {
 
 func TestActuationEmitsConfirmingEvent(t *testing.T) {
 	tb := home(t, "P2")
-	actuated := ""
-	tb.Device("P2").OnActuation = func(attr, value string) { actuated = attr + "=" + value }
 	ep := tb.Endpoints["tplinkcloud.com"]
 	if err := ep.SendCommand("P2", "switch", "on", nil); err != nil {
 		t.Fatal(err)
 	}
 	tb.Clock.RunFor(2 * time.Second)
-	if actuated != "switch=on" {
-		t.Fatalf("actuation hook = %q", actuated)
+	if got := lastLog(tb.Device("P2"), "command-applied"); got != "switch=on" {
+		t.Fatalf("applied command = %q", got)
 	}
 	// The confirming state update reached the cloud.
 	evs := tb.Integration.Events()
@@ -158,13 +156,22 @@ func TestNewChildPanicsOnSessionOwner(t *testing.T) {
 
 func TestSessionLossReasonSurfaced(t *testing.T) {
 	tb := home(t, "P2")
-	var reason proto.CloseReason
-	tb.Device("P2").OnSessionClosed = func(r proto.CloseReason) { reason = r }
 	tb.Device("P2").TCPConn().Abort()
 	tb.Clock.RunFor(time.Second)
-	if reason != proto.ReasonTransport {
-		t.Fatalf("reason = %v, want transport", reason)
+	if got, want := lastLog(tb.Device("P2"), "closed"), proto.ReasonTransport.String(); got != want {
+		t.Fatalf("reason = %q, want %q", got, want)
 	}
+}
+
+// lastLog returns the detail of d's latest log entry of the given kind.
+func lastLog(d *device.Device, kind string) string {
+	log := d.Log()
+	for i := len(log) - 1; i >= 0; i-- {
+		if log[i].Kind == kind {
+			return log[i].Detail
+		}
+	}
+	return ""
 }
 
 func TestDeviceLogCopies(t *testing.T) {

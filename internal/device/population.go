@@ -35,74 +35,48 @@ func Ecosystems() []Ecosystem {
 	return out
 }
 
-// PopulationTemplate parameterises synthetic home sampling: the probability
-// that each kind of deployment is present in a home. Real smart homes are
-// heterogeneous mixes of hub ecosystems, direct WiFi devices, battery
-// on-demand sensors and local HomeKit accessories; the template controls
-// how often each shows up.
-type PopulationTemplate struct {
-	// Name identifies the template in campaign fingerprints.
-	Name string
-	// EcosystemProb is the probability that each hub ecosystem (hub plus a
-	// sampled subset of its children) is deployed.
-	EcosystemProb float64
-	// ChildProb is the per-child inclusion probability within a deployed
-	// ecosystem (at least one child is always kept).
-	ChildProb float64
-	// DirectProb is the per-device probability for direct WiFi devices
-	// (cameras, plugs, bulbs, keypads, ...).
-	DirectProb float64
-	// OnDemandProb is the per-device probability for battery on-demand
-	// sensors (the Finding 1 devices).
-	OnDemandProb float64
-	// HAPProb is the probability that the home runs a local HomeKit
-	// deployment at all.
-	HAPProb float64
-	// MaxHAP bounds how many HomeKit accessories a HAP home gets.
-	MaxHAP int
-}
-
-// DefaultPopulationTemplate is the standard mix: most homes have one or two
-// hub ecosystems, a few direct WiFi devices, occasionally on-demand sensors
-// and a HomeKit corner. Mean home size lands in the 4–10 device range the
+// The population mix: the probability that each kind of deployment is
+// present in a home. Real smart homes are heterogeneous mixes of hub
+// ecosystems, direct WiFi devices, battery on-demand sensors and local
+// HomeKit accessories. Most sampled homes have one or two hub ecosystems,
+// a few direct WiFi devices, occasionally on-demand sensors and a HomeKit
+// corner, so the mean home size lands in the 4–10 device range the
 // traffic-characterization literature reports for real deployments.
-func DefaultPopulationTemplate() PopulationTemplate {
-	return PopulationTemplate{
-		Name:          "default",
-		EcosystemProb: 0.35,
-		ChildProb:     0.6,
-		DirectProb:    0.18,
-		OnDemandProb:  0.2,
-		HAPProb:       0.25,
-		MaxHAP:        4,
-	}
-}
+const (
+	// ecosystemProb is the probability that each hub ecosystem (hub plus a
+	// sampled subset of its children) is deployed.
+	ecosystemProb = 0.35
+	// childProb is the per-child inclusion probability within a deployed
+	// ecosystem (at least one child is always kept).
+	childProb = 0.6
+	// directProb is the per-device probability for direct WiFi devices
+	// (cameras, plugs, bulbs, keypads, ...).
+	directProb = 0.18
+	// onDemandProb is the per-device probability for battery on-demand
+	// sensors (the Finding 1 devices).
+	onDemandProb = 0.2
+	// hapProb is the probability that the home runs a local HomeKit
+	// deployment at all.
+	hapProb = 0.25
+	// maxHAP bounds how many HomeKit accessories a HAP home gets.
+	maxHAP = 4
+)
 
-func (t *PopulationTemplate) fill() {
-	if t.Name == "" {
-		*t = DefaultPopulationTemplate()
-	}
-	if t.MaxHAP <= 0 {
-		t.MaxHAP = 1
-	}
-}
-
-// SampleDevices draws one home's device mix from the template. The walk
-// over the catalog is in a fixed order, so a given rng state fully
-// determines the mix. The result always contains at least one attackable
-// device (a minimal SmartThings deployment is substituted for an empty
-// draw) and lists hubs before their children.
-func (t PopulationTemplate) SampleDevices(rng *simtime.Rand) []string {
-	t.fill()
+// SampleDevices draws one home's device mix. The walk over the catalog is
+// in a fixed order, so a given rng state fully determines the mix. The
+// result always contains at least one attackable device (a minimal
+// SmartThings deployment is substituted for an empty draw) and lists hubs
+// before their children.
+func SampleDevices(rng *simtime.Rand) []string {
 	var out []string
 	for _, eco := range Ecosystems() {
-		if rng.Float64() >= t.EcosystemProb {
+		if rng.Float64() >= ecosystemProb {
 			continue
 		}
 		out = append(out, eco.Hub)
 		picked := 0
 		for _, child := range eco.Children {
-			if rng.Float64() < t.ChildProb {
+			if rng.Float64() < childProb {
 				out = append(out, child)
 				picked++
 			}
@@ -118,17 +92,17 @@ func (t PopulationTemplate) SampleDevices(rng *simtime.Rand) []string {
 			if p.IsHub() {
 				continue // hubs are sampled as ecosystems
 			}
-			if rng.Float64() < t.DirectProb {
+			if rng.Float64() < directProb {
 				out = append(out, p.Label)
 			}
 		case TransportHTTPOnDemand:
-			if rng.Float64() < t.OnDemandProb {
+			if rng.Float64() < onDemandProb {
 				out = append(out, p.Label)
 			}
 		}
 	}
-	if rng.Float64() < t.HAPProb {
-		out = append(out, sampleK(rng, hapLabels(), 1+rng.Intn(t.MaxHAP))...)
+	if rng.Float64() < hapProb {
+		out = append(out, sampleK(rng, hapLabels(), 1+rng.Intn(maxHAP))...)
 	}
 	if len(out) == 0 {
 		out = []string{"H1", "C1"}

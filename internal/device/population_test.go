@@ -27,11 +27,10 @@ func TestEcosystemsCoverEveryViaHubDevice(t *testing.T) {
 }
 
 func TestSampleDevicesDeterministicAndValid(t *testing.T) {
-	tmpl := device.DefaultPopulationTemplate()
 	byLabel := device.Index()
 	for seed := int64(0); seed < 50; seed++ {
-		a := tmpl.SampleDevices(simtime.NewRand(seed))
-		b := tmpl.SampleDevices(simtime.NewRand(seed))
+		a := device.SampleDevices(simtime.NewRand(seed))
+		b := device.SampleDevices(simtime.NewRand(seed))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: sampling not deterministic: %v vs %v", seed, a, b)
 		}
@@ -56,10 +55,9 @@ func TestSampleDevicesDeterministicAndValid(t *testing.T) {
 }
 
 func TestSampleDevicesMixesVary(t *testing.T) {
-	tmpl := device.DefaultPopulationTemplate()
 	sizes := make(map[int]bool)
 	for seed := int64(0); seed < 200; seed++ {
-		sizes[len(tmpl.SampleDevices(simtime.NewRand(seed)))] = true
+		sizes[len(device.SampleDevices(simtime.NewRand(seed)))] = true
 	}
 	if len(sizes) < 4 {
 		t.Fatalf("population not heterogeneous: only %d distinct home sizes", len(sizes))

@@ -75,7 +75,7 @@ func (tb *Testbed) Hijack(atk *core.Attacker, label string) (*core.Hijacker, err
 	}
 	cl := sniff.CatalogClassifier()
 	h := core.NewHijacker(atk, target, cl)
-	if err := h.Install(nil); err != nil {
+	if err := h.Install(); err != nil {
 		return nil, err
 	}
 	// Let the poisoning exchanges settle.

@@ -94,7 +94,7 @@ func runFinding2(seed int64) (res FindingResult) {
 	firstBridge.HoldDeviceClose = true
 
 	// Force a device-side timeout by holding its keep-alives forever.
-	h.DelayKeepAlive(0)
+	h.DelayKeepAlive()
 	tb.Clock.RunFor(2 * time.Minute) // device times out (~47s) and reconnects (+3s)
 
 	newBridge, ok := h.CurrentBridge()
@@ -142,7 +142,7 @@ func runFinding3(seed int64) (res FindingResult) {
 
 	// Hold everything the device sends, forever, and count what the
 	// server spontaneously sends toward the device.
-	h.DelayKeepAlive(0)
+	h.DelayKeepAlive()
 	before := b.ForwardedCount(sniff.DirServerToClient)
 	tb.Clock.RunFor(30 * time.Minute)
 	after := b.ForwardedCount(sniff.DirServerToClient)

@@ -48,11 +48,8 @@ func (tb *Testbed) NewLab(h *core.Hijacker, label string) (*core.Lab, error) {
 				return tb.LocalHub.SendCommand(label, p.CommandAttr, v, nil)
 			}
 			lab.ServerAlarmAt = func() (simtime.Time, bool) {
-				alarms := tb.LocalHub.Alarms()
-				if len(alarms) == 0 {
-					return 0, false
-				}
-				return alarms[len(alarms)-1].At, true
+				a, ok := tb.LocalHub.LastAlarm()
+				return a.At, ok
 			}
 		} else {
 			ep, ok := tb.Endpoints[owner.ServerDomain]

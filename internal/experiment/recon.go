@@ -36,43 +36,51 @@ func (r ReconResult) Coverage() float64 {
 }
 
 // RunReconCoverage deploys the given devices, lets the attacker sniff
-// passively, and sweeps fingerprint databases limited to the top-N
-// session-owning models by app popularity.
+// passively, and scores fingerprint databases limited to the top-N
+// session-owning models by app popularity against that one capture.
 func RunReconCoverage(labels []string, topNs []int, seed int64) []ReconResult {
+	capture, err := reconCapture(labels, seed)
 	out := make([]ReconResult, 0, len(topNs))
 	for _, n := range topNs {
-		out = append(out, reconPoint(labels, n, seed))
+		if err != nil {
+			out = append(out, ReconResult{TopN: n, Err: err})
+			continue
+		}
+		out = append(out, reconPoint(labels, capture, n))
 	}
 	return out
 }
 
-func reconPoint(labels []string, topN int, seed int64) ReconResult {
-	res := ReconResult{TopN: topN}
+// reconCapture builds the home and returns what the attacker's passive
+// tap on its LAN sees of household activity and the idle keep-alives
+// after it.
+func reconCapture(labels []string, seed int64) (*sniff.Capture, error) {
 	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: labels})
 	if err != nil {
-		res.Err = err
-		return res
+		return nil, err
 	}
 	capture := sniff.NewCapture(tb.Clock)
 	tb.LAN.AddTap(capture.Tap())
 	tb.Start()
-
-	// Household activity so events are observable, then idle keep-alives.
-	i := 0
-	for _, label := range labels {
+	for i, label := range labels {
 		p := tb.Profile(label)
 		_ = tb.Device(label).TriggerEvent(p.EventAttr, p.EventValues[i%len(p.EventValues)])
-		i++
 		tb.Clock.RunFor(10 * time.Second)
 	}
 	tb.Clock.RunFor(5 * time.Minute)
+	return capture, nil
+}
 
+// reconPoint scores a database of the topN models' signatures against the
+// capture.
+func reconPoint(labels []string, capture *sniff.Capture, topN int) ReconResult {
+	res := ReconResult{TopN: topN}
 	sigs := topModelSignatures(topN)
 	for _, s := range sigs {
 		res.ProfiledModels = append(res.ProfiledModels, s.Owner)
 	}
 	cl := sniff.NewClassifier(sigs)
-	identified := cl.IdentifyAllFlows(capture, 0.5)
+	identified := cl.IdentifyAllFlows(capture)
 	res.FlowsObserved = len(capture.Flows())
 	res.FlowsIdentified = len(identified)
 

@@ -80,7 +80,7 @@ func resetScenarios() []resetScenario {
 					return err
 				}
 				tb.Start()
-				op := h.DelayKeepAlive(0)
+				op := h.DelayKeepAlive()
 				tb.Clock.RunFor(30 * time.Second)
 				op.Release()
 				// Stop short of full recovery so sessions still hold pending

@@ -294,7 +294,6 @@ func (tb *Testbed) addDevice(p device.Profile) error {
 	}
 	env := device.Env{
 		Clock: tb.Clock,
-		IP:    ip,
 		TCP:   tcpsim.NewStack(tb.Clock, ip, tcpsim.Config{}, tb.cfg.Seed+int64(tb.nextHost)),
 		RNG:   tb.rng,
 		Trace: tb.Metrics.Trace(),

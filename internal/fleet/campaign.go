@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/device"
 	"repro/internal/obs"
 )
 
@@ -33,8 +32,6 @@ type Campaign struct {
 	// interrupted campaign resumes instead of restarting. The file stays
 	// O(aggregate + reorder window) no matter how many shards are done.
 	CheckpointPath string
-	// Template drives device-mix sampling; zero value selects the default.
-	Template device.PopulationTemplate
 	// Observe, when set, watches the run through the aggregator's own
 	// state: the collector calls it after each landed shard's checkpoint
 	// save, and once more, before any live shard, when a checkpoint seeds
@@ -283,7 +280,6 @@ func (c Campaign) runShard(idx int) ShardResult {
 	sr := ShardResult{Index: idx, FirstHome: first, Homes: n}
 	pc := PopulationConfig{
 		Seed:         c.Seed,
-		Template:     c.Template,
 		TimingJitter: c.Spec.TimingJitter,
 		RulesPerHome: c.Spec.RulesPerHome,
 	}

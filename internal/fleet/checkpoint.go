@@ -18,8 +18,10 @@ import (
 // v1 retained every completed ShardResult (each save rewrote them all —
 // O(shards²) I/O across a campaign); v2 persists a compacted mergeable
 // Partial whose size is bounded by the reorder window; v3 has v2's shape,
-// written with simtime's splitmix64 streams and the offline target fix.
-const checkpointVersion = 3
+// written with simtime's splitmix64 streams and the offline target fix; v4
+// has v3's shape and homes, with the always-empty population-template key
+// gone from the identity, which moves every fingerprint.
+const checkpointVersion = 4
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -29,11 +31,10 @@ const checkpointVersion = 3
 // here alongside a test proving resume-across-the-flag equals an
 // uninterrupted run.
 type identity struct {
-	Spec      Spec   `json:"spec"`
-	Homes     int    `json:"homes"`
-	Seed      int64  `json:"seed"`
-	ShardSize int    `json:"shardSize"`
-	Template  string `json:"template"`
+	Spec      Spec  `json:"spec"`
+	Homes     int   `json:"homes"`
+	Seed      int64 `json:"seed"`
+	ShardSize int   `json:"shardSize"`
 }
 
 func (c Campaign) identity() identity {
@@ -42,7 +43,6 @@ func (c Campaign) identity() identity {
 		Homes:     c.Homes,
 		Seed:      c.Seed,
 		ShardSize: c.ShardSize,
-		Template:  c.Template.Name,
 	}
 }
 
@@ -79,9 +79,11 @@ func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	switch f.Version {
 	case checkpointVersion:
 	case 1:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v3 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v4 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	case 2:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written with the previous random streams (v2), so its homes differ from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	case 3:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v3) whose campaign identity had a population-template key, so its fingerprint differs from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	default:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, f.Version, checkpointVersion)
 	}

@@ -252,7 +252,7 @@ func offlineTrial(tb *experiment.Testbed, h *core.Hijacker, spec Spec) (time.Dur
 		return 0, false, fmt.Errorf("fleet: no live bridge for offline hold")
 	}
 	b.HoldDeviceClose = true
-	op := h.DelayKeepAlive(0)
+	op := h.DelayKeepAlive()
 	alarmsBefore := tb.TotalAlarmCount()
 	tb.Clock.RunFor(spec.Hold())
 	success := tb.TotalAlarmCount() == alarmsBefore

@@ -5,7 +5,6 @@ import (
 	"os"
 	"sort"
 
-	"repro/internal/device"
 	"repro/internal/obs"
 )
 
@@ -18,7 +17,7 @@ type PartialTally struct {
 	DelaySum obs.FloatSum `json:"delaySum"`
 }
 
-// Partial is the checkpoint payload (format v3, and v2 before it) and the
+// Partial is the checkpoint payload (format v4, and v2 and v3 before it) and the
 // unit of multi-process fleet sharding: the mergeable aggregate of the
 // shard range [Start, Watermark) plus the completed-but-unfolded shards
 // sitting past the watermark.
@@ -140,7 +139,6 @@ func LoadPartials(paths []string) (Campaign, []Partial, error) {
 				Homes:     f.Identity.Homes,
 				Seed:      f.Identity.Seed,
 				ShardSize: f.Identity.ShardSize,
-				Template:  device.PopulationTemplate{Name: f.Identity.Template},
 			}
 			fp = f.Identity.fingerprint()
 			if f.Fingerprint != fp {

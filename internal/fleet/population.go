@@ -15,9 +15,6 @@ import (
 type PopulationConfig struct {
 	// Seed is the population master seed.
 	Seed int64
-	// Template drives device-mix sampling. Zero value selects the default
-	// template.
-	Template device.PopulationTemplate
 	// TimingJitter perturbs each home's profile timing parameters.
 	TimingJitter float64
 	// RulesPerHome bounds the synthetic TCA rules installed per home.
@@ -65,7 +62,7 @@ func GenerateHome(cfg PopulationConfig, index int) HomeSpec {
 	home := HomeSpec{
 		Index:      index,
 		Seed:       seed,
-		Devices:    cfg.Template.SampleDevices(rng),
+		Devices:    device.SampleDevices(rng),
 		LANLatency: rng.DurationRange(time.Millisecond, 5*time.Millisecond),
 		WANLatency: rng.DurationRange(5*time.Millisecond, 30*time.Millisecond),
 		LinkJitter: 0.05 + 0.1*rng.Float64(),

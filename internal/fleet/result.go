@@ -246,7 +246,7 @@ func (g *aggregator) absorb(p Partial) error {
 		}
 		agg.absorb(t)
 	}
-	if err := g.metrics.Absorb(p.Metrics, p.MetricSums, p.Watermark-p.Start); err != nil {
+	if err := g.metrics.Absorb(p.Metrics, p.MetricSums); err != nil {
 		return err
 	}
 	g.next = p.Watermark

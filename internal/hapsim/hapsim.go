@@ -220,6 +220,9 @@ func (h *Hub) Alarms() []proto.Alarm { return h.alarms.All() }
 // AlarmCount returns the number of alarms raised so far.
 func (h *Hub) AlarmCount() int { return h.alarms.Count() }
 
+// LastAlarm returns the latest alarm, if any.
+func (h *Hub) LastAlarm() (proto.Alarm, bool) { return h.alarms.Last() }
+
 // Connected reports whether an accessory has a live session.
 func (h *Hub) Connected(accessoryID string) bool {
 	_, ok := h.sessions.Live(accessoryID)

@@ -223,9 +223,8 @@ func (m *merger) snapshot() Snapshot {
 // Like Merge, Add panics when a histogram re-appears with different bucket
 // bounds — bounds are part of a metric's identity.
 type Accumulator struct {
-	mu   sync.Mutex
-	m    merger
-	adds int
+	mu sync.Mutex
+	m  merger
 }
 
 // NewAccumulator returns an empty accumulator: State() is a zero Snapshot
@@ -238,7 +237,6 @@ func (a *Accumulator) Add(s Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.m.fold(s, nil)
-	a.adds++
 }
 
 // AddRegistry folds r's current state into the aggregate, exactly as
@@ -248,21 +246,13 @@ func (a *Accumulator) AddRegistry(r *Registry) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.m.foldRegistry(r)
-	a.adds++
-}
-
-// Adds reports how many snapshots (and registries) have been folded in.
-func (a *Accumulator) Adds() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.adds
 }
 
 // HistogramSums returns the exact histogram sums behind the aggregate,
 // index-aligned with State().Histograms. Each State() entry's Sum is the
-// corresponding exact sum rounded once. Exporting State, HistogramSums
-// and Adds together captures the accumulator's complete fold state; a
-// fresh accumulator Absorbing that triple continues the fold as if it had
+// corresponding exact sum rounded once. Exporting State and HistogramSums
+// together captures the accumulator's complete fold state; a fresh
+// accumulator Absorbing that pair continues the fold as if it had
 // performed every original Add itself.
 func (a *Accumulator) HistogramSums() []FloatSum {
 	a.mu.Lock()
@@ -275,23 +265,20 @@ func (a *Accumulator) HistogramSums() []FloatSum {
 }
 
 // Absorb folds a previously exported aggregate — a State() snapshot with
-// its HistogramSums() and Adds() — into this accumulator, exactly.
+// its HistogramSums() — into this accumulator, exactly.
 // Add(s) alone would restart each histogram's exact sum from the rounded
 // float64 in the snapshot; Absorb carries the exact state across, so the
 // result is bit-identical to having performed the source accumulator's
-// Adds in place. Any grouping of the same snapshots into absorbed
+// Add calls in place. Any grouping of the same snapshots into absorbed
 // aggregates converges on the same state, which is what makes checkpoint
 // resume and per-process shard-range partials byte-identical to an
 // uninterrupted single-process fold.
 //
 // sums must be index-aligned with s.Histograms and s must be in canonical
-// order (State output always is); adds is folded into the Adds count.
-func (a *Accumulator) Absorb(s Snapshot, sums []FloatSum, adds int) error {
+// order (State output always is).
+func (a *Accumulator) Absorb(s Snapshot, sums []FloatSum) error {
 	if len(sums) != len(s.Histograms) {
 		return fmt.Errorf("obs: Absorb of %d exact sums for %d histograms", len(sums), len(s.Histograms))
-	}
-	if adds < 0 {
-		return fmt.Errorf("obs: Absorb of negative add count %d", adds)
 	}
 	if !s.canonical() {
 		return fmt.Errorf("obs: Absorb needs a canonically ordered snapshot")
@@ -299,7 +286,6 @@ func (a *Accumulator) Absorb(s Snapshot, sums []FloatSum, adds int) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.m.fold(s, sums)
-	a.adds += adds
 	return nil
 }
 

@@ -40,9 +40,6 @@ func TestAccumulatorEqualsMerge(t *testing.T) {
 		if got, want := acc.State(), Merge(snaps...); !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: Accumulator state diverges from Merge:\n got %+v\nwant %+v", n, got, want)
 		}
-		if acc.Adds() != n {
-			t.Fatalf("n=%d: Adds() = %d", n, acc.Adds())
-		}
 	}
 }
 
@@ -137,8 +134,12 @@ func TestAccumulatorConcurrentReads(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if acc.Adds() != 200 {
-		t.Fatalf("Adds() = %d", acc.Adds())
+	serial := NewAccumulator()
+	for i := 0; i < 200; i++ {
+		serial.Add(accSnap(i % 8))
+	}
+	if !reflect.DeepEqual(acc.State(), serial.State()) {
+		t.Fatal("concurrent reads changed the fold")
 	}
 }
 
@@ -438,8 +439,7 @@ func TestFoldMatchesMergeJoinReference(t *testing.T) {
 		acc := NewAccumulator()
 		fold(acc, c.steps, 0)
 		if !sameBytes(t, "State", acc.State(), ref.out) ||
-			!sameBytes(t, "HistogramSums", acc.HistogramSums(), ref.sums()) ||
-			acc.Adds() != len(c.steps) {
+			!sameBytes(t, "HistogramSums", acc.HistogramSums(), ref.sums()) {
 			return false
 		}
 		// Split the same fold in two and absorb both halves.
@@ -449,13 +449,12 @@ func TestFoldMatchesMergeJoinReference(t *testing.T) {
 		fold(b, c.steps[k:], k)
 		joined := NewAccumulator()
 		for _, part := range []*Accumulator{a, b} {
-			if err := joined.Absorb(part.State(), part.HistogramSums(), part.Adds()); err != nil {
+			if err := joined.Absorb(part.State(), part.HistogramSums()); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return sameBytes(t, "absorbed State", joined.State(), ref.out) &&
-			sameBytes(t, "absorbed HistogramSums", joined.HistogramSums(), ref.sums()) &&
-			joined.Adds() == len(c.steps)
+			sameBytes(t, "absorbed HistogramSums", joined.HistogramSums(), ref.sums())
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -495,7 +494,6 @@ func TestSeriesTableConcurrent(t *testing.T) {
 	type part struct {
 		s    Snapshot
 		sums []FloatSum
-		adds int
 	}
 	fold := func(w int) part {
 		acc := NewAccumulator()
@@ -506,7 +504,7 @@ func TestSeriesTableConcurrent(t *testing.T) {
 				acc.Add(build(w, round).Snapshot())
 			}
 		}
-		return part{acc.State(), acc.HistogramSums(), acc.Adds()}
+		return part{acc.State(), acc.HistogramSums()}
 	}
 	const workers = 8
 	parts := make([]part, workers)
@@ -522,10 +520,10 @@ func TestSeriesTableConcurrent(t *testing.T) {
 	got, want := NewAccumulator(), NewAccumulator()
 	for w := 0; w < workers; w++ {
 		serial := fold(w)
-		if err := want.Absorb(serial.s, serial.sums, serial.adds); err != nil {
+		if err := want.Absorb(serial.s, serial.sums); err != nil {
 			t.Fatal(err)
 		}
-		if err := got.Absorb(parts[w].s, parts[w].sums, parts[w].adds); err != nil {
+		if err := got.Absorb(parts[w].s, parts[w].sums); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -226,10 +226,10 @@ func TestAbsorbReassociatesExactly(t *testing.T) {
 			right.Add(s)
 		}
 		merged := NewAccumulator()
-		if err := merged.Absorb(left.State(), left.HistogramSums(), left.Adds()); err != nil {
+		if err := merged.Absorb(left.State(), left.HistogramSums()); err != nil {
 			t.Fatal(err)
 		}
-		if err := merged.Absorb(right.State(), right.HistogramSums(), right.Adds()); err != nil {
+		if err := merged.Absorb(right.State(), right.HistogramSums()); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := merged.State(), serial.State(); !reflect.DeepEqual(got, want) {
@@ -237,9 +237,6 @@ func TestAbsorbReassociatesExactly(t *testing.T) {
 		}
 		if got, want := merged.HistogramSums(), serial.HistogramSums(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("split %d: exact sums diverge after absorb", split)
-		}
-		if merged.Adds() != serial.Adds() {
-			t.Fatalf("split %d: Adds() = %d, want %d", split, merged.Adds(), serial.Adds())
 		}
 	}
 }
@@ -266,7 +263,7 @@ func TestAbsorbBeatsPlainRefold(t *testing.T) {
 	prefix.Add(b)
 
 	exact := NewAccumulator()
-	if err := exact.Absorb(prefix.State(), prefix.HistogramSums(), prefix.Adds()); err != nil {
+	if err := exact.Absorb(prefix.State(), prefix.HistogramSums()); err != nil {
 		t.Fatal(err)
 	}
 	exact.Add(c)
@@ -288,19 +285,16 @@ func TestAbsorbValidation(t *testing.T) {
 	acc := NewAccumulator()
 	src := NewAccumulator()
 	src.Add(accSnap(0))
-	if err := acc.Absorb(src.State(), nil, src.Adds()); err == nil {
+	if err := acc.Absorb(src.State(), nil); err == nil {
 		t.Fatal("misaligned exact sums accepted")
-	}
-	if err := acc.Absorb(src.State(), src.HistogramSums(), -1); err == nil {
-		t.Fatal("negative add count accepted")
 	}
 	unsorted := src.State()
 	unsorted.Counters = append(unsorted.Counters, CounterValue{Name: "aaa_first"})
-	if err := acc.Absorb(unsorted, src.HistogramSums(), 1); err == nil {
+	if err := acc.Absorb(unsorted, src.HistogramSums()); err == nil {
 		t.Fatal("unsorted snapshot accepted")
 	}
-	if acc.Adds() != 0 {
-		t.Fatalf("failed Absorbs mutated the accumulator: Adds() = %d", acc.Adds())
+	if got, want := acc.State(), NewAccumulator().State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("failed Absorbs mutated the accumulator: %+v", got)
 	}
 }
 
@@ -342,7 +336,7 @@ func TestSnapshotJSONRoundTripFidelity(t *testing.T) {
 	}
 	// Absorbing the round-tripped aggregate must continue the fold exactly.
 	resumed := NewAccumulator()
-	if err := resumed.Absorb(back.State, back.Sums, 2); err != nil {
+	if err := resumed.Absorb(back.State, back.Sums); err != nil {
 		t.Fatal(err)
 	}
 	resumed.Add(accSnap(6))

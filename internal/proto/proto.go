@@ -114,6 +114,14 @@ func (l *AlarmLog) All() []Alarm {
 // Count returns the number of recorded alarms.
 func (l *AlarmLog) Count() int { return len(l.alarms) }
 
+// Last returns the latest alarm, without copying the log.
+func (l *AlarmLog) Last() (Alarm, bool) {
+	if len(l.alarms) == 0 {
+		return Alarm{}, false
+	}
+	return l.alarms[len(l.alarms)-1], true
+}
+
 // CountKind returns the number of alarms of one kind.
 func (l *AlarmLog) CountKind(kind string) int {
 	n := 0

@@ -87,9 +87,6 @@ type Capture struct {
 	mEvictedRecords *obs.Counter
 	mEvictedBytes   *obs.Counter
 	mOOODropped     *obs.Counter
-
-	// OnRecord observes each record as it completes.
-	OnRecord func(RecordMeta)
 }
 
 type flowState struct {
@@ -304,10 +301,10 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 // bytes past the call: retained payloads are clones.
 func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 	off := 0
-	for len(st.buf)-off >= tlssim.HeaderLen {
+	for {
 		rec := st.buf[off:]
-		total := tlssim.HeaderLen + (int(rec[3])<<8 | int(rec[4]))
-		if len(rec) < total {
+		total, ok := tlssim.RecordLen(rec)
+		if !ok {
 			break
 		}
 		meta := RecordMeta{
@@ -326,9 +323,6 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 		c.records = append(c.records, meta)
 		if meta.Payload != nil {
 			c.retainRecord(fs, idx, total)
-		}
-		if c.OnRecord != nil {
-			c.OnRecord(meta)
 		}
 	}
 	if off > 0 {

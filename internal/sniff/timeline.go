@@ -38,13 +38,17 @@ func (c *Classifier) Timeline(records []RecordMeta, flowModels map[FlowKey]strin
 	return out
 }
 
+// minFlowScore is the least confidence at which IdentifyAllFlows
+// attributes a flow to a model.
+const minFlowScore = 0.5
+
 // IdentifyAllFlows runs flow identification over a capture and returns the
-// flows it could attribute with at least the given confidence.
-func (c *Classifier) IdentifyAllFlows(cap *Capture, minScore float64) map[FlowKey]string {
+// flows it could attribute with at least minFlowScore confidence.
+func (c *Classifier) IdentifyAllFlows(cap *Capture) map[FlowKey]string {
 	out := make(map[FlowKey]string)
 	for _, flow := range cap.Flows() {
 		model, score, ok := c.IdentifyFlow(cap.FlowRecords(flow))
-		if ok && score >= minScore {
+		if ok && score >= minFlowScore {
 			out[flow] = model
 		}
 	}

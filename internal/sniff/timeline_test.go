@@ -36,7 +36,7 @@ func TestPassiveRuleInference(t *testing.T) {
 	}
 
 	cl := sniff.NewClassifier(sniff.BuildCatalogSignatures())
-	flows := cl.IdentifyAllFlows(cap, 0.5)
+	flows := cl.IdentifyAllFlows(cap)
 	timeline := cl.Timeline(cap.Records(), flows)
 	if len(timeline) == 0 {
 		t.Fatal("empty timeline")
@@ -74,7 +74,7 @@ func TestTimelineSortedAndFiltered(t *testing.T) {
 	tb.Clock.RunFor(2 * time.Second)
 
 	cl := sniff.NewClassifier(sniff.BuildCatalogSignatures())
-	flows := cl.IdentifyAllFlows(cap, 0.5)
+	flows := cl.IdentifyAllFlows(cap)
 	timeline := cl.Timeline(cap.Records(), flows)
 	for i := 1; i < len(timeline); i++ {
 		if timeline[i].At < timeline[i-1].At {

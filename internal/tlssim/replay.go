@@ -226,14 +226,8 @@ func ReadPlaintext(hello, rec []byte) []byte {
 	if mode, ok := helloMode(hello); !ok || mode != ModeNullCipher {
 		return nil
 	}
-	if len(rec) < HeaderLen+explicitSeqLen {
-		return nil
-	}
-	if RecordType(rec[0]) != RecordApplication {
-		return nil
-	}
-	n := int(binary.BigEndian.Uint16(rec[3:5]))
-	if len(rec) != HeaderLen+n || n < explicitSeqLen {
+	n, ok := RecordLen(rec)
+	if !ok || n != len(rec) || n < HeaderLen+explicitSeqLen || RecordType(rec[0]) != RecordApplication {
 		return nil
 	}
 	return rec[HeaderLen+explicitSeqLen:]
@@ -243,10 +237,7 @@ func ReadPlaintext(hello, rec []byte) []byte {
 // 48-byte body offers ModeSeqBound, the 50-byte body carries its mode byte.
 // It reports false for any other record, and for an undefined mode.
 func helloMode(rec []byte) (ReplayMode, bool) {
-	if len(rec) < HeaderLen || RecordType(rec[0]) != RecordHandshake {
-		return 0, false
-	}
-	if int(binary.BigEndian.Uint16(rec[3:5])) != len(rec)-HeaderLen {
+	if n, ok := RecordLen(rec); !ok || n != len(rec) || RecordType(rec[0]) != RecordHandshake {
 		return 0, false
 	}
 	mode, _, ok := helloOffer(rec[HeaderLen:])

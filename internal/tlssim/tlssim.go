@@ -52,6 +52,18 @@ const (
 // HeaderLen is the cleartext record header size: type(1) version(2) len(2).
 const HeaderLen = 5
 
+// RecordLen reports the wire length of the record at the start of b,
+// header included, and whether b holds all of it. It is the one decoder
+// of the header's length field: the endpoints, the attacker's bridge and
+// the passive sniffer all delimit records with it.
+func RecordLen(b []byte) (n int, ok bool) {
+	if len(b) < HeaderLen {
+		return 0, false
+	}
+	n = HeaderLen + int(binary.BigEndian.Uint16(b[3:5]))
+	return n, len(b) >= n
+}
+
 // Overhead is the per-record size added to an application message: the
 // cleartext header plus the 16-byte AEAD tag. Sniffers subtract it to
 // recover plaintext message lengths from wire observations.
@@ -227,16 +239,13 @@ func (c *Conn) helloRecord() []byte {
 func (c *Conn) onData(b []byte) {
 	c.rbuf = append(c.rbuf, b...)
 	for !c.closed {
-		if len(c.rbuf) < HeaderLen {
-			return
-		}
-		n := int(binary.BigEndian.Uint16(c.rbuf[3:5]))
-		if len(c.rbuf) < HeaderLen+n {
+		n, ok := RecordLen(c.rbuf)
+		if !ok {
 			return
 		}
 		typ := RecordType(c.rbuf[0])
-		body := c.rbuf[HeaderLen : HeaderLen+n]
-		c.rbuf = c.rbuf[HeaderLen+n:]
+		body := c.rbuf[HeaderLen:n]
+		c.rbuf = c.rbuf[n:]
 		c.processRecord(typ, body)
 	}
 }
