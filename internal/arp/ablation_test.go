@@ -21,7 +21,7 @@ func poisonCoverage(t *testing.T, repoisonPeriod, healPeriod time.Duration) floa
 
 	sp := NewSpoofer(e.clk, attacker.client, repoisonPeriod)
 	sp.Start()
-	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.RunFor(2 * time.Second) // let the first poison land
 
 	poisoned, samples := 0, 0
@@ -72,7 +72,7 @@ func TestNoHealingMeansPermanentPoison(t *testing.T) {
 
 	sp := NewSpoofer(e.clk, attacker.client, 5*time.Minute)
 	sp.Start()
-	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.RunFor(time.Hour)
 	if m, ok := victim.client.Lookup(gw.client.Self()); !ok || m != attacker.nic.MAC() {
 		t.Fatal("poison did not persist against a silent gateway")

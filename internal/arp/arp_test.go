@@ -176,12 +176,8 @@ func TestCachePoisoning(t *testing.T) {
 	}
 
 	sp := NewSpoofer(e.clk, attacker.client, time.Second)
-	poisoned := false
-	sp.Poison(victim.client.Self(), gw.client.Self(), func(ok bool) { poisoned = ok })
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.Run()
-	if !poisoned {
-		t.Fatal("poisoning reported failure")
-	}
 	if m, _ := victim.client.Lookup(gw.client.Self()); m != attacker.nic.MAC() {
 		t.Fatalf("victim cache = %v, want attacker MAC %v", m, attacker.nic.MAC())
 	}
@@ -195,7 +191,7 @@ func TestRepoisoningOverridesHealing(t *testing.T) {
 
 	sp := NewSpoofer(e.clk, attacker.client, 500*time.Millisecond)
 	sp.Start()
-	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.RunFor(2 * time.Second)
 
 	// The gateway announces itself (healing the victim's cache)...
@@ -220,7 +216,7 @@ func TestRestoreHealsCache(t *testing.T) {
 
 	sp := NewSpoofer(e.clk, attacker.client, time.Second)
 	sp.Start()
-	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.RunFor(3 * time.Second)
 	sp.Restore()
 	e.clk.RunFor(time.Second)
@@ -233,11 +229,14 @@ func TestPoisonUnknownVictimFails(t *testing.T) {
 	e := newEnv()
 	attacker := e.addHost("attacker", "192.168.1.66")
 	sp := NewSpoofer(e.clk, attacker.client, time.Second)
-	var ok = true
-	sp.Poison(ipaddr.MustParse("192.168.1.77"), ipaddr.MustParse("192.168.1.1"), func(o bool) { ok = o })
+	absent := ipaddr.MustParse("192.168.1.77")
+	sp.Poison(absent, ipaddr.MustParse("192.168.1.1"))
 	e.clk.Run()
-	if ok {
-		t.Fatal("poisoning an absent victim should fail")
+	if _, ok := attacker.client.Lookup(absent); ok {
+		t.Fatal("an absent victim resolved")
+	}
+	if len(sp.entries) != 0 {
+		t.Fatalf("poisoning an absent victim registered %d entries, want 0", len(sp.entries))
 	}
 }
 
@@ -253,7 +252,7 @@ func TestRepoisonRoundAllocFree(t *testing.T) {
 	const period = time.Second
 	sp := NewSpoofer(e.clk, attacker.client, period)
 	sp.Start()
-	sp.Poison(victim.client.Self(), gw.client.Self(), nil)
+	sp.Poison(victim.client.Self(), gw.client.Self())
 	e.clk.RunFor(2 * period) // resolve, first forged reply, one re-poison
 
 	before := victim.nic.Stats().FramesDelivered

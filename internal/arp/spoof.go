@@ -45,14 +45,10 @@ func NewSpoofer(clk *simtime.Clock, client *Client, period time.Duration) *Spoof
 // Poison tells victim that claimed is at the attacker's MAC. It resolves
 // the victim's real MAC first (needed to address the forged reply) and
 // remembers the claimed address's real binding so Restore can heal it.
-// done, if non-nil, fires when the first forged reply has been sent, or
-// with ok=false if the victim could not be resolved.
-func (s *Spoofer) Poison(victim, claimed ipaddr.Addr, done func(ok bool)) {
+// A victim that cannot be resolved is not poisoned.
+func (s *Spoofer) Poison(victim, claimed ipaddr.Addr) {
 	s.client.Resolve(victim, func(victimMAC netsim.MAC, ok bool) {
 		if !ok {
-			if done != nil {
-				done(false)
-			}
 			return
 		}
 		// Learn the claimed address's genuine MAC before we start lying
@@ -69,9 +65,6 @@ func (s *Spoofer) Poison(victim, claimed ipaddr.Addr, done func(ok bool)) {
 			s.sendForged(s.entries[len(s.entries)-1])
 			if s.active && s.ticker == nil {
 				s.startTicker()
-			}
-			if done != nil {
-				done(true)
 			}
 		})
 	})

@@ -54,8 +54,8 @@ func TestCellularBackupActivatesUnderBlackhole(t *testing.T) {
 	}
 	// Jammer mode: poison both directions, swallow everything, bridge
 	// nothing.
-	atk.Spoofer.Poison(target.DeviceAddr, target.GatewayAddr, nil)
-	atk.Spoofer.Poison(target.GatewayAddr, target.DeviceAddr, nil)
+	atk.Spoofer.Poison(target.DeviceAddr, target.GatewayAddr)
+	atk.Spoofer.Poison(target.GatewayAddr, target.DeviceAddr)
 	atk.AddDivert(func(p ipnet.Packet) bool {
 		return p.Src == target.DeviceAddr || p.Dst == target.DeviceAddr
 	})

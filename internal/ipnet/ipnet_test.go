@@ -246,7 +246,7 @@ func TestDivertConsumesRedirectedTraffic(t *testing.T) {
 
 	// Poison the victim's view of the gateway.
 	sp := arp.NewSpoofer(clk, atkIfc.ARP(), time.Second)
-	sp.Poison(victim.Addr(), gw.Addr(), nil)
+	sp.Poison(victim.Addr(), gw.Addr())
 	clk.RunFor(100 * time.Millisecond)
 
 	// Victim sends to an off-link destination; the frame goes to the
