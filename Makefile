@@ -31,11 +31,12 @@ test:
 
 # The packages with real goroutine concurrency: the obs snapshot/merge
 # boundary, the fleet sharded worker pool (which drives experiment
-# testbeds from concurrent workers), and the serve plane, whose HTTP
-# handlers read the fleet progress tracker while the campaign's collector
-# writes it.
+# testbeds from concurrent workers), the experiment package's per-device
+# pool (tables, verification, replay assessment), and the serve plane,
+# whose HTTP handlers read the fleet progress tracker while the
+# campaign's collector writes it.
 race:
-	$(GO) test -race ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
+	$(GO) test -race ./internal/obs/ ./internal/fleet/ ./internal/experiment/ ./internal/obs/serve/
 
 # verify is the tier-1 gate. verify.sh is its one definition (gofmt, build,
 # vet, lint, test, race), so `make verify` and CI run the same checks.

@@ -195,13 +195,20 @@ func (c *Client) HandleFrame(f netsim.Frame) {
 	}
 	// Vulnerable-by-default cache update: learn the sender binding from any
 	// packet, including unsolicited replies. This is the poisoning surface.
+	// Most frames (a spoofer's re-poison ticks) repeat the cached binding,
+	// so the map is written only on a change and searched for a waiting
+	// resolution only while one is pending.
 	if !p.SenderIP.IsZero() {
-		c.cache[p.SenderIP] = p.SenderMAC
-		if r, ok := c.pending[p.SenderIP]; ok {
-			delete(c.pending, p.SenderIP)
-			r.timer.Stop()
-			for _, cb := range r.callbacks {
-				cb(p.SenderMAC, true)
+		if m, ok := c.cache[p.SenderIP]; !ok || m != p.SenderMAC {
+			c.cache[p.SenderIP] = p.SenderMAC
+		}
+		if len(c.pending) > 0 {
+			if r, ok := c.pending[p.SenderIP]; ok {
+				delete(c.pending, p.SenderIP)
+				r.timer.Stop()
+				for _, cb := range r.callbacks {
+					cb(p.SenderMAC, true)
+				}
 			}
 		}
 	}

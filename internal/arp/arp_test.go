@@ -1,6 +1,7 @@
 package arp
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -240,8 +241,86 @@ func TestPoisonUnknownVictimFails(t *testing.T) {
 	}
 }
 
+// Every re-poison tick sends each entry's own forged reply, for both
+// directions of a two-way poison and again after SetPeriod, and Restore
+// sends the genuine bindings.
+func TestRepoisonFramesCarryEachEntrysBinding(t *testing.T) {
+	e := newEnv()
+	victim := e.addHost("victim", "192.168.1.10")
+	gw := e.addHost("gw", "192.168.1.1")
+	attacker := e.addHost("attacker", "192.168.1.66")
+	var sent []Packet
+	e.seg.AddTap(func(f netsim.Frame) {
+		if f.Type != netsim.EtherTypeARP || f.Src != attacker.nic.MAC() {
+			return
+		}
+		p, err := Unmarshal(f.Payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Op == OpReply && f.Dst != p.TargetMAC {
+			t.Errorf("reply %+v sent to %v", p, f.Dst)
+		}
+		sent = append(sent, p)
+	})
+	reply := func(target *testHost, claimed ipaddr.Addr, mac netsim.MAC) Packet {
+		return Packet{Op: OpReply, SenderMAC: mac, SenderIP: claimed, TargetMAC: target.nic.MAC(), TargetIP: target.client.Self()}
+	}
+	forged := []Packet{
+		reply(victim, gw.client.Self(), attacker.nic.MAC()),
+		reply(gw, victim.client.Self(), attacker.nic.MAC()),
+	}
+	ticks := func(period time.Duration, n int) {
+		t.Helper()
+		sent = nil
+		// Half a period of slack takes in the last tick's delivery.
+		e.clk.RunFor(time.Duration(n)*period + period/2)
+		if len(sent) != n*len(forged) {
+			t.Fatalf("%d forged replies over %d ticks of %v, want %d", len(sent), n, period, n*len(forged))
+		}
+		for i, p := range sent {
+			if p != forged[i%len(forged)] {
+				t.Fatalf("reply %d = %+v, want %+v", i, p, forged[i%len(forged)])
+			}
+		}
+	}
+
+	sp := NewSpoofer(e.clk, attacker.client, time.Second)
+	sp.Start()
+	sp.Poison(victim.client.Self(), gw.client.Self())
+	e.clk.RunFor(100 * time.Millisecond)
+	sp.Poison(gw.client.Self(), victim.client.Self())
+	e.clk.RunFor(100 * time.Millisecond)
+	ticks(time.Second, 3)
+	sp.SetPeriod(300 * time.Millisecond)
+	ticks(300*time.Millisecond, 4)
+	if m, _ := victim.client.Lookup(gw.client.Self()); m != attacker.nic.MAC() {
+		t.Fatalf("victim cache = %v, want attacker MAC %v", m, attacker.nic.MAC())
+	}
+	if m, _ := gw.client.Lookup(victim.client.Self()); m != attacker.nic.MAC() {
+		t.Fatalf("gateway cache = %v, want attacker MAC %v", m, attacker.nic.MAC())
+	}
+
+	sent = nil
+	sp.Restore()
+	e.clk.RunFor(5 * time.Second)
+	genuine := []Packet{
+		reply(victim, gw.client.Self(), gw.nic.MAC()),
+		reply(gw, victim.client.Self(), victim.nic.MAC()),
+	}
+	if !slices.Equal(sent, genuine) {
+		t.Fatalf("restore sent %+v, want %+v", sent, genuine)
+	}
+	if m, _ := victim.client.Lookup(gw.client.Self()); m != gw.nic.MAC() {
+		t.Fatalf("healed victim cache = %v, want gateway MAC %v", m, gw.nic.MAC())
+	}
+	if m, _ := gw.client.Lookup(victim.client.Self()); m != victim.nic.MAC() {
+		t.Fatalf("healed gateway cache = %v, want victim MAC %v", m, victim.nic.MAC())
+	}
+}
+
 // A long hold re-poisons on a timer for hours of virtual time, so one
-// re-poison round — the forged reply marshalled, carried and cached by the
+// re-poison round — the forged reply sent, carried and handled by the
 // victim — must allocate nothing once the frame pool has warmed up.
 func TestRepoisonRoundAllocFree(t *testing.T) {
 	e := newEnv()

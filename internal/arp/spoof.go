@@ -26,6 +26,9 @@ type spoofEntry struct {
 	victimIP  ipaddr.Addr
 	victimMAC netsim.MAC
 	claimedIP ipaddr.Addr
+	// forged is the entry's encoded lie, marshalled once by Poison and
+	// re-sent on every tick (netsim copies a payload before Send returns).
+	forged []byte
 }
 
 // NewSpoofer creates a spoofer that re-poisons every period (default 1s if
@@ -61,6 +64,13 @@ func (s *Spoofer) Poison(victim, claimed ipaddr.Addr) {
 				victimIP:  victim,
 				victimMAC: victimMAC,
 				claimedIP: claimed,
+				forged: Packet{
+					Op:        OpReply,
+					SenderMAC: s.client.nic.MAC(), // the lie: claimed is-at attacker
+					SenderIP:  claimed,
+					TargetMAC: victimMAC,
+					TargetIP:  victim,
+				}.Marshal(),
 			})
 			s.sendForged(s.entries[len(s.entries)-1])
 			if s.active && s.ticker == nil {
@@ -133,11 +143,5 @@ func (s *Spoofer) Restore() {
 }
 
 func (s *Spoofer) sendForged(e spoofEntry) {
-	s.client.send(e.victimMAC, Packet{
-		Op:        OpReply,
-		SenderMAC: s.client.nic.MAC(), // the lie: claimedIP is-at attacker
-		SenderIP:  e.claimedIP,
-		TargetMAC: e.victimMAC,
-		TargetIP:  e.victimIP,
-	})
+	s.client.nic.Send(netsim.Frame{Dst: e.victimMAC, Type: netsim.EtherTypeARP, Payload: e.forged})
 }

@@ -66,11 +66,9 @@ const replayRetainBytes = 4096
 // (Seed, position), so the resulting table is a pure function of the
 // options — byte-identical across runs and machines.
 func RunReplayAssessment(labels []string, opts ReplayOptions) []ReplayResult {
-	out := make([]ReplayResult, 0, len(labels))
-	for i, label := range labels {
-		out = append(out, assessReplay(label, opts, opts.Seed+int64(i)*317))
-	}
-	return out
+	return measureEach(labels, func(i int, label string) ReplayResult {
+		return assessReplay(label, opts, opts.Seed+int64(i)*317)
+	})
 }
 
 func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResult) {

@@ -83,15 +83,13 @@ type TableRow struct {
 }
 
 // RunTable measures every given catalog label, building a fresh hijacked
-// testbed per device (as the paper measures devices one at a time).
+// testbed per device (as the paper measures devices one at a time); the
+// devices run concurrently (see measureEach).
 func RunTable(labels []string, opts TableOptions) []TableRow {
 	opts.fill()
-	rows := make([]TableRow, 0, len(labels))
-	for i, label := range labels {
-		row := measureDevice(label, opts, opts.Seed+int64(i)*101)
-		rows = append(rows, row)
-	}
-	return rows
+	return measureEach(labels, func(i int, label string) TableRow {
+		return measureDevice(label, opts, opts.Seed+int64(i)*101)
+	})
 }
 
 // RunTable1 reproduces Table I (cloud-connected devices).

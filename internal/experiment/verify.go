@@ -50,11 +50,9 @@ func RunVerification(labels []string, opts VerifyOptions) []VerifyResult {
 	if opts.Trials <= 0 {
 		opts.Trials = 5
 	}
-	out := make([]VerifyResult, 0, len(labels))
-	for i, label := range labels {
-		out = append(out, verifyDevice(label, opts, opts.Seed+int64(i)*311))
-	}
-	return out
+	return measureEach(labels, func(i int, label string) VerifyResult {
+		return verifyDevice(label, opts, opts.Seed+int64(i)*311)
+	})
 }
 
 func verifyDevice(label string, opts VerifyOptions, seed int64) (res VerifyResult) {

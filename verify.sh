@@ -10,10 +10,11 @@
 #   test     — full test suite
 #   race     — the packages that spawn goroutines (the obs
 #              snapshot/merge boundary, the fleet worker pool, which
-#              drives experiment testbeds from concurrent workers) and
-#              the serve plane, whose HTTP handlers read the fleet
-#              progress tracker while the collector writes it, under the
-#              race detector
+#              drives experiment testbeds from concurrent workers, and
+#              the experiment package's per-device pool for the tables,
+#              verification and replay assessment) and the serve plane,
+#              whose HTTP handlers read the fleet progress tracker while
+#              the collector writes it, under the race detector
 set -eu
 cd "$(dirname "$0")"
 
@@ -33,5 +34,5 @@ go run ./cmd/phantomlint ./...
 echo "== go test"
 go test ./...
 echo "== go test -race (concurrency boundary)"
-go test -race ./internal/obs/ ./internal/fleet/ ./internal/obs/serve/
+go test -race ./internal/obs/ ./internal/fleet/ ./internal/experiment/ ./internal/obs/serve/
 echo "verify: OK"
