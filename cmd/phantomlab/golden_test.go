@@ -21,7 +21,7 @@ import (
 func TestPaperOutputGolden(t *testing.T) {
 	const (
 		wantStdout   = "8b08afdf0e5d33e8"
-		wantMetrics  = "3bbf2576f70958b0"
+		wantMetrics  = "e153cd93e7057039"
 		wantTimeline = "37d056b62b17f944"
 	)
 	type pin struct{ name, path, want string }

@@ -23,6 +23,7 @@
 //	-seed N            deterministic seed (default 1)
 //	-trials N          measurement trials per message class (default 3; paper: 20)
 //	-recovery D        inter-trial recovery (default 30s; paper: 2m)
+//	-json              emit JSON rows instead of rendered tables (table1, table2, table3)
 //	-metrics F         write the run's merged metrics snapshot to F
 //	-metrics-format X  metrics encoding: json (default) or openmetrics
 //	-trace F           write the run's attack flight-recorder timeline to F
@@ -31,6 +32,11 @@
 //	                   /trace, /healthz, /debug/pprof) on ADDR while the run executes
 //	-cpuprofile F      write a CPU profile of the run to F (go tool pprof)
 //	-memprofile F      write a heap profile taken at exit to F
+//
+// Before the fleet command word only -serve, -metrics, -metrics-format,
+// -cpuprofile and -memprofile apply; fleet refuses the other flags there
+// and takes its own -seed after the word. Every flag is checked against
+// the command before anything runs.
 package main
 
 import (
@@ -57,10 +63,14 @@ import (
 // metricsCommands lists every command whose run produces observability
 // snapshots, i.e. the commands -metrics accepts. traceCommands is the
 // subset whose per-run results carry flight-recorder events when asked
-// to, i.e. the commands -trace accepts.
+// to, i.e. the commands -trace accepts, and jsonCommands the commands
+// -json renders. fleetInherits lists the top-level flags fleet honours;
+// it refuses every other one, since it takes its own -seed.
 var (
 	metricsCommands = []string{"table1", "table2", "table3", "verify", "findings", "defense", "replay", "all", "fleet"}
 	traceCommands   = []string{"table1", "table2", "table3", "verify", "replay", "all"}
+	jsonCommands    = []string{"table1", "table2", "table3"}
+	fleetInherits   = []string{"serve", "metrics", "metrics-format", "cpuprofile", "memprofile"}
 )
 
 // cliTraceCap sizes the flight-recorder ring for -trace runs: large enough
@@ -113,6 +123,45 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch *metricsFormat {
+	case "json", "openmetrics":
+	default:
+		return fmt.Errorf("-metrics-format: unknown format %q (supported: json, openmetrics)", *metricsFormat)
+	}
+	switch *traceFormat {
+	case "chrome", "text":
+	default:
+		return fmt.Errorf("-trace-format: unknown format %q (supported: chrome, text)", *traceFormat)
+	}
+	// Flag parsing stops at the first positional, so subcommand flags
+	// arrive in fs.Args()[1:].
+	cmd := fs.Arg(0)
+	if cmd != "fleet" && fs.NArg() != 1 {
+		fs.Usage()
+		return fmt.Errorf("expected one command: table1|table2|table3|verify|findings|defense|recon|ablation|replay|all|fleet")
+	}
+	// Check every flag against the command before anything runs.
+	if cmd == "fleet" {
+		var refused []string
+		fs.Visit(func(f *flag.Flag) {
+			if !supports(fleetInherits, f.Name) {
+				refused = append(refused, "-"+f.Name)
+			}
+		})
+		if len(refused) > 0 {
+			return fmt.Errorf("%s does not apply to fleet; fleet's own flags follow the command word (phantomlab fleet -seed N)", strings.Join(refused, ", "))
+		}
+	}
+	if *jsonOut && !supports(jsonCommands, cmd) {
+		return fmt.Errorf("-json: command %q has no JSON form (supported: %s)", cmd, strings.Join(jsonCommands, ", "))
+	}
+	if *metricsOut != "" && !supports(metricsCommands, cmd) {
+		return fmt.Errorf("-metrics: command %q produces no metrics (supported: %s)", cmd, strings.Join(metricsCommands, ", "))
+	}
+	if *traceOut != "" && !supports(traceCommands, cmd) {
+		return fmt.Errorf("-trace: command %q records no timeline (supported: %s)", cmd, strings.Join(traceCommands, ", "))
+	}
+
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
@@ -134,28 +183,8 @@ func run(args []string) error {
 			}
 		}()
 	}
-	switch *metricsFormat {
-	case "json", "openmetrics":
-	default:
-		return fmt.Errorf("-metrics-format: unknown format %q (supported: json, openmetrics)", *metricsFormat)
-	}
-	switch *traceFormat {
-	case "chrome", "text":
-	default:
-		return fmt.Errorf("-trace-format: unknown format %q (supported: chrome, text)", *traceFormat)
-	}
-	// Flag parsing stops at the first positional, so subcommand flags
-	// arrive in fs.Args()[1:].
-	if fs.NArg() >= 1 && fs.Arg(0) == "fleet" {
+	if cmd == "fleet" {
 		return runFleet(fs.Args()[1:], *serveAddr, *metricsOut, *metricsFormat)
-	}
-	if fs.NArg() != 1 {
-		fs.Usage()
-		return fmt.Errorf("expected one command: table1|table2|table3|verify|findings|defense|recon|ablation|replay|all|fleet")
-	}
-	cmd := fs.Arg(0)
-	if *traceOut != "" && !supports(traceCommands, cmd) {
-		return fmt.Errorf("-trace: command %q records no timeline (supported: %s)", cmd, strings.Join(traceCommands, ", "))
 	}
 
 	opts := experiment.TableOptions{Seed: *seed, Trials: *trials, Recovery: *recovery}
@@ -295,7 +324,7 @@ func run(args []string) error {
 	} else if err := runOne(cmd); err != nil {
 		return err
 	}
-	if err := writeMetrics(*metricsOut, *metricsFormat, cmd, acc.State()); err != nil {
+	if err := writeMetrics(*metricsOut, *metricsFormat, acc.State()); err != nil {
 		return err
 	}
 	return writeTrace(*traceOut, *traceFormat, cmd, traceSrcs.snapshot())
@@ -431,7 +460,7 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 	if err := writeResult(*outPath, res); err != nil {
 		return err
 	}
-	return writeMetrics(*metricsOut, *metricsFormat, "fleet", res.Metrics)
+	return writeMetrics(*metricsOut, *metricsFormat, res.Metrics)
 }
 
 // mergeFleet folds completed -shard-range partials into the final campaign
@@ -449,7 +478,7 @@ func mergeFleet(paths []string, outPath, metricsOut, metricsFormat string) error
 	if err := writeResult(outPath, res); err != nil {
 		return err
 	}
-	return writeMetrics(metricsOut, metricsFormat, "fleet", res.Metrics)
+	return writeMetrics(metricsOut, metricsFormat, res.Metrics)
 }
 
 // parseShardRange parses the -shard-range A:B flag value.
@@ -517,15 +546,11 @@ func (t *traceStore) snapshot() []timeline.Source {
 	return append([]timeline.Source(nil), t.srcs...)
 }
 
-// writeMetrics dumps cmd's merged metrics snapshot to path, in the
-// requested encoding. A command that produces no snapshots has nothing
-// meaningful to write — that is a usage error, not an empty file.
-func writeMetrics(path, format, cmd string, snap obs.Snapshot) error {
+// writeMetrics dumps the run's merged metrics snapshot to path, in the
+// requested encoding.
+func writeMetrics(path, format string, snap obs.Snapshot) error {
 	if path == "" {
 		return nil
-	}
-	if !supports(metricsCommands, cmd) {
-		return fmt.Errorf("-metrics: command %q produces no metrics (supported: %s)", cmd, strings.Join(metricsCommands, ", "))
 	}
 	f, err := os.Create(path)
 	if err != nil {

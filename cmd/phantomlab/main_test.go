@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/fleet"
@@ -20,6 +21,25 @@ func TestRunRejectsBadInput(t *testing.T) {
 	}
 	if err := run([]string{"-seed", "x", "table1"}); err == nil {
 		t.Fatal("bad flag should fail")
+	}
+	// fleet takes its own -seed; a top-level flag it does not inherit is
+	// refused by name, not ignored.
+	for _, args := range [][]string{
+		{"-seed", "5", "fleet", "-homes", "20"},
+		{"-trials", "1", "fleet"},
+		{"-json", "fleet"},
+		{"-trace-format", "text", "fleet"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), args[0]) {
+			t.Errorf("%v: err = %v, want a refusal naming %s", args, err, args[0])
+		}
+	}
+	// -json renders only the three tables.
+	for _, cmd := range []string{"verify", "findings", "all", "fleet"} {
+		if err := run([]string{"-json", cmd}); err == nil {
+			t.Errorf("-json %s accepted", cmd)
+		}
 	}
 }
 
@@ -170,16 +190,23 @@ func TestRunTraceRejectsBadUsage(t *testing.T) {
 	if err := run([]string{"-metrics", path, "-metrics-format", "yaml", "findings"}); err == nil {
 		t.Fatal("bad -metrics-format accepted")
 	}
+	if err := run([]string{"-trace", path, "fleet"}); err == nil {
+		t.Fatal("-trace on fleet accepted")
+	}
 	if _, statErr := os.Stat(path); statErr == nil {
 		t.Fatal("rejected run still wrote a file")
 	}
 }
 
+// TestWriteMetricsRejectsEmpty: a command that produces no snapshots has
+// nothing meaningful to write, so -metrics on it is a usage error, found
+// before the command runs, and no file is written.
 func TestWriteMetricsRejectsEmpty(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.json")
-	err := writeMetrics(path, "json", "recon", obs.Snapshot{})
-	if err == nil {
-		t.Fatal("empty snapshot set should be rejected")
+	for _, cmd := range []string{"recon", "ablation"} {
+		if err := run([]string{"-metrics", path, cmd}); err == nil {
+			t.Errorf("-metrics %s accepted", cmd)
+		}
 	}
 	if _, statErr := os.Stat(path); statErr == nil {
 		t.Fatal("rejected -metrics run still wrote a file")

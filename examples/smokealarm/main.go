@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/rules"
 )
@@ -65,8 +64,6 @@ func run() error {
 		lo.Round(time.Second), hi.Round(time.Second))
 
 	h.ArmPredictor(measured)
-	op := core.StateUpdateDelay(h, "SD1", 0)
-	op.Cancel() // replace the manual op with the predicted-maximum one
 	h.MaxEDelay("SD1", 2*time.Second)
 
 	fireAt := tb.Clock.Now()

@@ -11,7 +11,6 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/rules"
 )
@@ -58,10 +57,8 @@ func run() error {
 	// Stack the two primitives: the sensor's on-demand session tolerates
 	// minutes of event delay (Finding 1); the valve command adds its own
 	// window on top.
-	core.NewActionDelay(core.ActionDelayConfig{
-		TriggerHijacker: hSensor, TriggerOrigin: "W1", TriggerHold: 90 * time.Second,
-		CommandHijacker: hValve, CommandOrigin: "V1", CommandHold: 18 * time.Second,
-	})
+	hSensor.EDelay("W1", 90*time.Second)
+	hValve.CDelay("V1", 18*time.Second)
 
 	leakAt := tb.Clock.Now()
 	if err := tb.Device("W1").TriggerEvent("water", "wet"); err != nil {

@@ -12,7 +12,8 @@
 //     timeout" maximisation;
 //   - the Section IV-C profiler that derives a device's timeout-behaviour
 //     parameters from controlled delays against a lab copy;
-//   - orchestrators for the Type-I/II/III attacks of Section V.
+//   - the ordering of the Type-III attacks of Section V (ReleaseWhen);
+//     Type-I and Type-II are e-Delay and c-Delay themselves.
 package core
 
 import (
@@ -56,25 +57,13 @@ func NewAttacker(nw *netsim.Network, lan *netsim.Segment, name, cidr string, gat
 	if err := ip.SetDefaultGateway(gateway); err != nil {
 		return nil, err
 	}
-	return NewAttackerOn(clk, lan, ip, tcpsim.NewStack(clk, ip, tcpsim.Config{}, seed), simtime.NewRand(seed+1))
-}
-
-// NewAttackerOn assembles an attacker from pre-built components: an IP
-// stack already attached to the LAN with its default gateway set, a TCP
-// stack bound to it, and a randomness source. NewAttacker builds these and
-// calls it.
-func NewAttackerOn(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp *tcpsim.Stack, rng *simtime.Rand) (*Attacker, error) {
-	ifaces := ip.Ifaces()
-	if len(ifaces) == 0 {
-		return nil, fmt.Errorf("core: attacker IP stack has no interface")
-	}
 	a := &Attacker{
 		Clock:     clk,
 		Host:      ip.Host(),
 		IP:        ip,
-		TCP:       tcp,
+		TCP:       tcpsim.NewStack(clk, ip, tcpsim.Config{}, seed),
 		Capture:   sniff.NewCapture(clk),
-		rng:       rng,
+		rng:       simtime.NewRand(seed + 1),
 		acceptors: make(map[uint16]map[ipaddr.Addr]func(*tcpsim.Conn)),
 	}
 	// Forward traffic that is not being attacked; divert what is. Unknown
@@ -83,7 +72,7 @@ func NewAttackerOn(clk *simtime.Clock, lan *netsim.Segment, ip *ipnet.Stack, tcp
 	a.IP.Forwarding = true
 	a.IP.Divert = a.divert
 	a.TCP.SendRST = false
-	a.Spoofer = arp.NewSpoofer(clk, ifaces[0].ARP(), 0)
+	a.Spoofer = arp.NewSpoofer(clk, ip.Ifaces()[0].ARP(), 0)
 	a.Spoofer.Start()
 	// Passive sniffing of the WiFi medium (the radio, not the NIC).
 	lan.AddTap(a.Capture.Tap())

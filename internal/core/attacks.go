@@ -16,51 +16,6 @@ import (
 // (disabled execution). Both reduce to "release when some other message is
 // observed", which ReleaseWhen implements across hijacked sessions.
 
-// StateUpdateDelay launches a Type-I attack: the next event from the
-// device is delayed, deferring the user's awareness of the state change
-// (e.g. a smoke alert). With hold == 0 the delay runs until released.
-func StateUpdateDelay(h *Hijacker, origin string, hold time.Duration) *DelayOp {
-	return h.EDelay(origin, hold)
-}
-
-// ActionDelay is a Type-II attack: an automation's effect is deferred by
-// delaying its trigger event and/or its action command. Combining both
-// extends the window beyond either timeout alone (the Case 3/4 technique:
-// e-Delay on the contact sensor plus c-Delay on the lock stack to at least
-// 60 seconds).
-type ActionDelay struct {
-	// TriggerOp is the e-Delay on the rule's trigger event (nil if only
-	// the command is delayed).
-	TriggerOp *DelayOp
-	// CommandOp is the c-Delay on the resulting action command (nil if
-	// only the event is delayed).
-	CommandOp *DelayOp
-}
-
-// ActionDelayConfig selects what to delay.
-type ActionDelayConfig struct {
-	// TriggerHijacker/TriggerOrigin delay the trigger event. Optional.
-	TriggerHijacker *Hijacker
-	TriggerOrigin   string
-	TriggerHold     time.Duration
-	// CommandHijacker/CommandOrigin delay the action command. Optional.
-	CommandHijacker *Hijacker
-	CommandOrigin   string
-	CommandHold     time.Duration
-}
-
-// NewActionDelay arms a Type-II attack.
-func NewActionDelay(cfg ActionDelayConfig) *ActionDelay {
-	a := &ActionDelay{}
-	if cfg.TriggerHijacker != nil {
-		a.TriggerOp = cfg.TriggerHijacker.EDelay(cfg.TriggerOrigin, cfg.TriggerHold)
-	}
-	if cfg.CommandHijacker != nil {
-		a.CommandOp = cfg.CommandHijacker.CDelay(cfg.CommandOrigin, cfg.CommandHold)
-	}
-	return a
-}
-
 // ReleaseWhen releases op as soon as the watching hijacker observes an
 // event record from origin (plus extra slack). This is the ordering tool
 // of the Type-III attacks: "hold the condition event until the trigger has
@@ -68,14 +23,13 @@ func NewActionDelay(cfg ActionDelayConfig) *ActionDelay {
 func ReleaseWhen(op *DelayOp, watch *Hijacker, origin string, extra time.Duration) {
 	prev := watch.OnRecord
 	done := false
-	watch.OnRecord = func(b *Bridge, r RecordInfo) {
+	watch.OnRecord = func(b *Bridge, cr ClassifiedRecord) {
 		if prev != nil {
-			prev(b, r)
+			prev(b, cr)
 		}
 		if done {
 			return
 		}
-		cr := watch.classify(r)
 		if !cr.Known || cr.Msg.Origin != origin || cr.Msg.Kind != sniff.KindEvent {
 			return
 		}

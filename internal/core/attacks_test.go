@@ -9,7 +9,7 @@ import (
 	"repro/internal/rules"
 )
 
-func TestTypeIStateUpdateDelay(t *testing.T) {
+func TestTypeIDelaysStateUpdate(t *testing.T) {
 	// Fig. 3(a): the "smoke detected" notification reaches the user tens
 	// of seconds late.
 	tb, _, h := hijackedHome(t, "SD1", "SD1")
@@ -21,7 +21,7 @@ func TestTypeIStateUpdateDelay(t *testing.T) {
 		t.Fatal(err)
 	}
 	const hold = 35 * time.Second
-	core.StateUpdateDelay(h, "SD1", hold)
+	h.EDelay("SD1", hold)
 	if err := tb.Device("SD1").TriggerEvent("smoke", "detected"); err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,8 @@ func TestTypeIIActionDelayCombinesPrimitives(t *testing.T) {
 	tb.Start()
 
 	const eHold, cHold = 40 * time.Second, 15 * time.Second
-	core.NewActionDelay(core.ActionDelayConfig{
-		TriggerHijacker: hSensor,
-		TriggerOrigin:   "W1",
-		TriggerHold:     eHold,
-		CommandHijacker: hValve,
-		CommandOrigin:   "V1",
-		CommandHold:     cHold,
-	})
+	hSensor.EDelay("W1", eHold)
+	hValve.CDelay("V1", cHold)
 
 	leakAt := tb.Clock.Now()
 	if err := tb.Device("W1").TriggerEvent("water", "wet"); err != nil {
@@ -225,6 +219,30 @@ func TestTypeIIIDisabledExecution(t *testing.T) {
 	}
 	if tb.TotalAlarmCount() != 0 {
 		t.Fatalf("alarms = %d", tb.TotalAlarmCount())
+	}
+}
+
+// TestReleaseWhenOnSharedSession: C2 and M3 ride one H3 hub session. With
+// no slack, ReleaseWhen releases the held event from inside the observer,
+// before the hold decision, so the watched event that set off the release
+// flows right behind it instead of queueing with no op left to release it.
+func TestReleaseWhenOnSharedSession(t *testing.T) {
+	tb, _, h := hijackedHome(t, "C2", "C2", "M3")
+	core.DisabledExecution(h, "C2", h, "M3", 0)
+	if err := tb.Device("C2").TriggerEvent("contact", "open"); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock.RunFor(5 * time.Second)
+	if n := len(tb.Integration.Events()); n != 0 {
+		t.Fatalf("%d events escaped the hold", n)
+	}
+	if err := tb.Device("M3").TriggerEvent("motion", "active"); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock.RunFor(2 * time.Second)
+	evs := tb.Integration.Events()
+	if len(evs) != 2 || evs[0].Device != "C2" || evs[1].Device != "M3" {
+		t.Fatalf("events = %v, want the held C2 event, then the watched M3 event", evs)
 	}
 }
 

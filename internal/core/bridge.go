@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"repro/internal/simtime"
 	"repro/internal/sniff"
 	"repro/internal/tcpsim"
@@ -21,36 +19,16 @@ type RecordInfo struct {
 	Index int
 }
 
-// Decision is a policy verdict for one record.
-type Decision int
-
-// Decisions.
-const (
-	// Forward relays the record immediately.
-	Forward Decision = iota + 1
-	// Hold enqueues the record; every later record in the same direction
-	// is forced to queue behind it so that release preserves TLS order.
-	Hold
-)
-
-// Policy decides the fate of each record crossing a bridge. Policies run
-// only for records at the head of a flowing direction: once a direction
-// holds, ordering forces everything behind into the queue.
-type Policy func(*Bridge, RecordInfo) Decision
-
-// ForwardAll is the transparent relay policy.
-func ForwardAll(*Bridge, RecordInfo) Decision { return Forward }
-
 // Bridge is one split connection: the attacker terminates TCP with the
 // device (impersonating the server) and with the server (impersonating the
 // device), bridging TLS records between the two byte streams. Both kernels
 // see a perfectly healthy peer — ACKs are immediate — which is what keeps
 // every TCP-layer timer quiet during arbitrarily long holds.
 type Bridge struct {
+	h       *Hijacker
 	clk     *simtime.Clock
 	devConn *tcpsim.Conn
 	srvConn *tcpsim.Conn
-	policy  *Policy
 	dirs    [2]*bridgeDir
 	met     coreMetrics
 
@@ -62,9 +40,6 @@ type Bridge struct {
 	// HoldDeviceClose prevents a device-side close from propagating to the
 	// server, keeping the server-side connection half-open (Finding 2).
 	HoldDeviceClose bool
-
-	// OnRecord observes every record as it arrives (before the policy).
-	OnRecord func(RecordInfo)
 }
 
 type bridgeDir struct {
@@ -77,14 +52,15 @@ type bridgeDir struct {
 	held      int
 }
 
-// newBridge wires the two connections. srvConn may still be handshaking;
-// tcpsim queues writes until establishment.
-func newBridge(clk *simtime.Clock, devConn, srvConn *tcpsim.Conn, policy *Policy, met coreMetrics) *Bridge {
+// newBridge wires the two connections of h's hijack. srvConn may still be
+// handshaking; tcpsim queues writes until establishment.
+func newBridge(h *Hijacker, devConn, srvConn *tcpsim.Conn) *Bridge {
+	clk, met := h.atk.Clock, h.atk.met
 	b := &Bridge{
+		h:       h,
 		clk:     clk,
 		devConn: devConn,
 		srvConn: srvConn,
-		policy:  policy,
 		dirs:    [2]*bridgeDir{{}, {}},
 		met:     met,
 	}
@@ -164,6 +140,7 @@ func (b *Bridge) onData(d sniff.Direction, data []byte) {
 	}
 }
 
+// processRecord holds or forwards one record as the hijacker decides.
 func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
 	info := RecordInfo{
 		At:      b.clk.Now(),
@@ -174,16 +151,7 @@ func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
 	}
 	st.index++
 	b.met.byDir(b.met.observed, d).Inc()
-	if b.OnRecord != nil {
-		b.OnRecord(info)
-	}
-	decision := Forward
-	if st.holding {
-		decision = Hold // ordering constraint: nothing overtakes a held record
-	} else if p := *b.policy; p != nil {
-		decision = p(b, info)
-	}
-	if decision == Hold {
+	if b.h.hold(b, info) {
 		if !st.holding {
 			st.holding = true
 			st.heldSince = b.clk.Now()
@@ -235,11 +203,6 @@ func (b *Bridge) Release(d sniff.Direction) int {
 	return n
 }
 
-// ReleaseAfter schedules a Release of the direction after delay d.
-func (b *Bridge) ReleaseAfter(dir sniff.Direction, d time.Duration) *simtime.Timer {
-	return b.clk.Schedule(d, func() { b.Release(dir) })
-}
-
 // CloseServerSide ends the server-facing connection gracefully.
 func (b *Bridge) CloseServerSide() { b.srvConn.Close() }
 
@@ -247,7 +210,7 @@ func (b *Bridge) CloseServerSide() { b.srvConn.Close() }
 // given direction, exactly as if the bridge were forwarding it — the raw
 // half of a record-and-replay attack. The receiver's TLS stack decides the
 // outcome: seq-bound sessions alert on the duplicate, explicit-sequence
-// sessions accept or window-drop it. Injection bypasses the delay policy
+// sessions accept or window-drop it. Injection bypasses the hold decision
 // (a replayed record is the attacker's own traffic, not a held one).
 func (b *Bridge) Inject(d sniff.Direction, rec []byte) {
 	b.send(d, rec)

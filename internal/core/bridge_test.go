@@ -4,28 +4,21 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/rules"
 	"repro/internal/sniff"
-	"repro/internal/tlssim"
 )
 
-// TestBridgeRawPolicyHoldAndTimedRelease exercises the bridge primitives
-// directly: a raw policy holding all device-to-server application records,
-// inspection of the hold queue, and a scheduled ReleaseAfter.
-func TestBridgeRawPolicyHoldAndTimedRelease(t *testing.T) {
+// TestBridgeHoldAndTimedRelease exercises the bridge's hold queue under a
+// timed e-Delay: the held record is queued and inspectable, nothing leaks
+// while it is held, and the release lands it on time.
+func TestBridgeHoldAndTimedRelease(t *testing.T) {
 	tb, _, h := hijackedHome(t, "C2", "C2")
 	b, ok := h.CurrentBridge()
 	if !ok {
 		t.Fatal("no bridge")
 	}
-	h.SetRawPolicy(func(_ *core.Bridge, r core.RecordInfo) core.Decision {
-		if r.Dir == sniff.DirClientToServer && r.Type == tlssim.RecordApplication {
-			return core.Hold
-		}
-		return core.Forward
-	})
+	h.EDelay("C2", 10*time.Second)
 	if err := tb.Device("C2").TriggerEvent("contact", "open"); err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +33,6 @@ func TestBridgeRawPolicyHoldAndTimedRelease(t *testing.T) {
 	if len(tb.Integration.Events()) != 0 {
 		t.Fatal("event leaked through a holding bridge")
 	}
-
-	// Timed flush. Restore a pass-through policy first so later records flow.
-	h.SetRawPolicy(core.ForwardAll)
-	b.ReleaseAfter(sniff.DirClientToServer, 10*time.Second)
 	tb.Clock.RunFor(5 * time.Second)
 	if len(tb.Integration.Events()) != 0 {
 		t.Fatal("released early")
@@ -58,19 +47,12 @@ func TestBridgeRawPolicyHoldAndTimedRelease(t *testing.T) {
 }
 
 // TestBridgeOrderingForcesQueueing: once one record is held, later records
-// in the same direction queue behind it even if the policy would forward
-// them — the TLS sequencing constraint.
+// in the same direction queue behind it although no op captures them — the
+// TLS sequencing constraint.
 func TestBridgeOrderingForcesQueueing(t *testing.T) {
 	tb, _, h := hijackedHome(t, "C2", "C2")
 	b, _ := h.CurrentBridge()
-	held := 0
-	h.SetRawPolicy(func(_ *core.Bridge, r core.RecordInfo) core.Decision {
-		if r.Dir == sniff.DirClientToServer && r.Type == tlssim.RecordApplication && held == 0 {
-			held++
-			return core.Hold
-		}
-		return core.Forward // policy would forward, ordering must override
-	})
+	h.EDelay("C2", 0) // manual
 	_ = tb.Device("C2").TriggerEvent("contact", "open")
 	tb.Clock.RunFor(time.Second)
 	_ = tb.Device("C2").TriggerEvent("contact", "closed")
@@ -131,7 +113,7 @@ func TestAttackerForwardsUnrelatedFlows(t *testing.T) {
 }
 
 // TestTwoHijackersSameAttacker: one foothold, two victims, independent
-// delay policies.
+// delay ops.
 func TestTwoHijackersSameAttacker(t *testing.T) {
 	tb, err := newTB(77, "C2", "P2")
 	if err != nil {
@@ -170,23 +152,27 @@ func TestTwoHijackersSameAttacker(t *testing.T) {
 	}
 }
 
-// TestDelayMatchingCustomMatcher delays only a specific record size class.
-func TestDelayMatchingCustomMatcher(t *testing.T) {
+// TestEDelayPicksOriginOnSharedSession: C2 and M3 ride one H3 hub
+// session. An e-Delay armed for M3 lets C2's event pass and captures
+// M3's.
+func TestEDelayPicksOriginOnSharedSession(t *testing.T) {
 	tb, _, h := hijackedHome(t, "C2", "C2", "M3")
-	// Delay only motion events (M3, 1010+21 wire bytes); contact events
-	// (C2) pass freely — both ride the same H3 session.
-	op := h.DelayMatching(sniff.DirClientToServer, func(cr core.ClassifiedRecord) bool {
-		return cr.Known && cr.Msg.Origin == "M3"
-	}, 20*time.Second)
+	op := h.EDelay("M3", 20*time.Second)
+	_ = tb.Device("C2").TriggerEvent("contact", "open")
+	tb.Clock.RunFor(2 * time.Second)
+	if matched, _ := op.Matched(); matched {
+		t.Fatal("M3's e-Delay captured C2's event")
+	}
 	_ = tb.Device("M3").TriggerEvent("motion", "active")
 	tb.Clock.RunFor(2 * time.Second)
-	// C2's event arrives after M3's hold started: ordering queues it too —
-	// demonstrate that the matcher picked M3's record as the head.
 	if matched, _ := op.Matched(); !matched {
-		t.Fatal("custom matcher never matched")
+		t.Fatal("M3's event never matched")
+	}
+	if evs := tb.Integration.Events(); len(evs) != 1 || evs[0].Device != "C2" {
+		t.Fatalf("during the hold want only C2's event, got %v", evs)
 	}
 	tb.Clock.RunFor(30 * time.Second)
-	if len(tb.Integration.Events()) != 1 {
+	if len(tb.Integration.Events()) != 2 {
 		t.Fatalf("motion event not delivered after hold: %v", tb.Integration.Events())
 	}
 }

@@ -309,6 +309,37 @@ func TestSequentialDelayOps(t *testing.T) {
 	}
 }
 
+// TestOpNeverCapturesQueuedRecord: C2 and M3 ride one H3 hub session. A
+// record queued behind another op's hold is not at the head of a flowing
+// direction, so no armed op captures it; a second op's shorter hold would
+// otherwise cut the first one short.
+func TestOpNeverCapturesQueuedRecord(t *testing.T) {
+	tb, _, h := hijackedHome(t, "C2", "C2", "M3")
+	h.EDelay("M3", 30*time.Second)
+	short := h.EDelay("C2", 5*time.Second)
+	_ = tb.Device("M3").TriggerEvent("motion", "active")
+	tb.Clock.RunFor(2 * time.Second)
+	_ = tb.Device("C2").TriggerEvent("contact", "open")
+	tb.Clock.RunFor(10 * time.Second)
+	if matched, _ := short.Matched(); matched {
+		t.Fatal("an op captured a record queued behind another hold")
+	}
+	if n := len(tb.Integration.Events()); n != 0 {
+		t.Fatalf("%d events escaped the 30 s hold", n)
+	}
+	tb.Clock.RunFor(25 * time.Second)
+	evs := tb.Integration.Events()
+	if len(evs) != 2 || evs[0].Device != "M3" || evs[1].Device != "C2" {
+		t.Fatalf("events after the release = %v, want M3's then C2's", evs)
+	}
+	// The second op captures the next C2 event instead.
+	_ = tb.Device("C2").TriggerEvent("contact", "closed")
+	tb.Clock.RunFor(2 * time.Second)
+	if matched, _ := short.Matched(); !matched {
+		t.Fatal("the second op never captured C2's next event")
+	}
+}
+
 func TestTLSAlertsNeverRaisedByHold(t *testing.T) {
 	// Holding + in-order release never violates TLS: no alerts anywhere.
 	tb, _, h := hijackedHome(t, "C2", "C2")

@@ -71,21 +71,18 @@ func (op *DelayOp) Cancel() {
 	op.cancelled = true
 }
 
-// arm registers the op and ensures the hijacker's policy dispatches ops.
+// arm registers the op with the hijacker's hold decision.
 func (h *Hijacker) arm(op *DelayOp) *DelayOp {
-	if h.policy == nil {
-		h.policy = h.opsPolicy
-	}
 	h.ops = append(h.ops, op)
 	return op
 }
 
-// opsPolicy is the hijacker's default policy: the first armed, unmatched
-// op whose matcher accepts the record captures it.
-func (h *Hijacker) opsPolicy(b *Bridge, r RecordInfo) Decision {
-	cr := h.classify(r)
+// capture offers a record at the head of a flowing direction to the armed
+// ops: the first unmatched op whose matcher accepts it captures it, and b
+// holds it.
+func (h *Hijacker) capture(b *Bridge, cr ClassifiedRecord) bool {
 	for _, op := range h.ops {
-		if op.cancelled || op.matched || op.dir != r.Dir {
+		if op.cancelled || op.matched || op.dir != cr.Dir {
 			continue
 		}
 		if !op.match(cr) {
@@ -95,16 +92,16 @@ func (h *Hijacker) opsPolicy(b *Bridge, r RecordInfo) Decision {
 		op.matchedAt = h.atk.Clock.Now()
 		op.bridge = b
 		if m := h.atk.met; m.trace != nil {
-			op.traceDetail = r.Dir.String()
+			op.traceDetail = cr.Dir.String()
 			if cr.Known {
 				op.traceDetail = cr.Msg.Origin + "/" + cr.Msg.Kind.String()
 			}
-			m.trace.Emit(op.matchedAt, "core", "op_matched", op.traceDetail, int64(r.WireLen))
+			m.trace.Emit(op.matchedAt, "core", "op_matched", op.traceDetail, int64(cr.WireLen))
 		}
 		h.scheduleRelease(op, cr)
-		return Hold
+		return true
 	}
-	return Forward
+	return false
 }
 
 // armRelease (re)schedules the op's release at the given instant, reusing
@@ -139,7 +136,7 @@ func (h *Hijacker) scheduleRelease(op *DelayOp, cr ClassifiedRecord) {
 		if releaseAt <= h.atk.Clock.Now() {
 			// The margin consumes the whole window: release as soon as the
 			// record has been enqueued (never synchronously from inside the
-			// policy, which runs before the record joins the hold queue).
+			// hold decision, which runs before the record joins the queue).
 			op.armRelease(h.atk.Clock.Now())
 			return
 		}
@@ -212,17 +209,5 @@ func (h *Hijacker) MaxCDelay(origin string, margin time.Duration) *DelayOp {
 		match:     matcherFor(origin, sniff.KindCommand),
 		predicted: true,
 		margin:    margin,
-	})
-}
-
-// DelayMatching arms a custom delay. dir orients the hold; match sees
-// classified records; hold semantics follow EDelay.
-func (h *Hijacker) DelayMatching(dir sniff.Direction, match func(ClassifiedRecord) bool, hold time.Duration) *DelayOp {
-	return h.arm(&DelayOp{
-		h:       h,
-		dir:     dir,
-		match:   match,
-		holdFor: hold,
-		manual:  hold == 0,
 	})
 }

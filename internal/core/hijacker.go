@@ -28,30 +28,29 @@ type Target struct {
 // Hijacker owns the man-in-the-middle position for one device↔server pair:
 // ARP poisoning on both sides, a divert rule for the flow, and a split
 // bridge per TCP connection (devices reconnect; each connection gets a
-// fresh bridge under the same policy).
+// fresh bridge under the same armed ops).
 type Hijacker struct {
 	atk        *Attacker
 	target     Target
 	classifier *sniff.Classifier
-	policy     Policy
 	bridges    []*Bridge
 	installed  bool
 	ops        []*DelayOp
 
-	// OnRecord observes every record on every bridge.
-	OnRecord func(*Bridge, RecordInfo)
+	// OnRecord observes every classified record on every bridge, before
+	// the hold decision.
+	OnRecord func(*Bridge, ClassifiedRecord)
 
 	predictor *Predictor
 }
 
-// NewHijacker prepares (but does not install) a hijack. classifier may be
-// nil if only manual policies are used.
+// NewHijacker prepares (but does not install) a hijack. With a nil
+// classifier no record is recognised, so no op ever captures one.
 func NewHijacker(atk *Attacker, target Target, classifier *sniff.Classifier) *Hijacker {
 	return &Hijacker{
 		atk:        atk,
 		target:     target,
 		classifier: classifier,
-		policy:     nil,
 	}
 }
 
@@ -122,10 +121,6 @@ func (h *Hijacker) CurrentBridge() (*Bridge, bool) {
 	return nil, false
 }
 
-// SetRawPolicy replaces the per-record policy for all bridges, bypassing
-// the delay-operation machinery.
-func (h *Hijacker) SetRawPolicy(p Policy) { h.policy = p }
-
 // Predictor returns the hijacker's timeout predictor, once armed with a
 // measured profile via ArmPredictor.
 func (h *Hijacker) Predictor() *Predictor { return h.predictor }
@@ -158,16 +153,24 @@ func (h *Hijacker) accept(devConn *tcpsim.Conn) {
 		devConn.Remote(), // the device's true endpoint, spoofed
 		tcpsim.Endpoint{Addr: h.target.ServerAddr, Port: h.target.ServerPort},
 	)
-	b := newBridge(h.atk.Clock, devConn, srvConn, &h.policy, h.atk.met)
-	b.OnRecord = func(r RecordInfo) {
-		if h.predictor != nil {
-			h.predictor.Observe(h.classify(r))
-		}
-		if h.OnRecord != nil {
-			h.OnRecord(b, r)
-		}
+	h.bridges = append(h.bridges, newBridge(h, devConn, srvConn))
+}
+
+// hold is the one decision per record of Figure 2. It classifies r once
+// and passes it to the predictor and the OnRecord observer, then reports
+// whether b holds r: a holding direction holds everything behind its head,
+// so that release preserves TLS order; otherwise the first armed op that
+// accepts r captures it.
+func (h *Hijacker) hold(b *Bridge, r RecordInfo) bool {
+	cr := h.classify(r)
+	if h.predictor != nil {
+		h.predictor.Observe(cr)
 	}
-	h.bridges = append(h.bridges, b)
+	if h.OnRecord != nil {
+		h.OnRecord(b, cr)
+	}
+	holding, _ := b.Holding(r.Dir)
+	return holding || h.capture(b, cr)
 }
 
 // classify resolves a record against the target model's signature.
@@ -181,13 +184,6 @@ func (h *Hijacker) classify(r RecordInfo) ClassifiedRecord {
 		cr.Known = true
 	}
 	return cr
-}
-
-// Classify resolves a record against the target model's fingerprint, for
-// observers (tracing, custom policies).
-func (h *Hijacker) Classify(r RecordInfo) (sniff.MsgSignature, bool) {
-	cr := h.classify(r)
-	return cr.Msg, cr.Known
 }
 
 // ClassifiedRecord pairs a record with its fingerprint match, if any.

@@ -170,16 +170,21 @@ func TestLargeRecordSpansSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := tb.Hijack(atk, "C5")
+	// The catalog signature no longer matches the fat record; the
+	// attacker's lab signature of the overridden profile does.
+	target, err := tb.HijackTarget("C5")
 	if err != nil {
 		t.Fatal(err)
 	}
+	cl := sniff.NewClassifier([]sniff.ModelSignature{sniff.BuildSignature(big, nil)})
+	h := core.NewHijacker(atk, target, cl)
+	if err := h.Install(); err != nil {
+		t.Fatal(err)
+	}
+	tb.Clock.RunFor(500 * time.Millisecond)
 	tb.Start()
 
-	// The stock signature no longer matches the fat record; match on size.
-	op := h.DelayMatching(sniff.DirClientToServer, func(cr core.ClassifiedRecord) bool {
-		return cr.WireLen > 4000
-	}, 20*time.Second)
+	op := h.EDelay("C5", 20*time.Second)
 	if err := tb.Device("C5").TriggerEvent("contact", "open"); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ type coreMetrics struct {
 //
 //	core_bridges_total                      split connections established
 //	core_records_observed_total{dir}        TLS records crossing any bridge
-//	core_records_held_total{dir}            records the policy enqueued
+//	core_records_held_total{dir}            records a hold enqueued
 //	core_records_released_total{dir}        held records flushed by Release
 //	core_held_records                       records currently queued (Max = high-water)
 //	core_release_latency_seconds            hold duration per Release call

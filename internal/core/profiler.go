@@ -131,7 +131,7 @@ func (l *Lab) observeKeepAlive() (wireLen int, period time.Duration, ok bool) {
 		len int
 	}
 	var seen []obs
-	restore := l.hookRecords(func(_ *Bridge, r RecordInfo) {
+	restore := l.hookRecords(func(_ *Bridge, r ClassifiedRecord) {
 		if r.Dir == sniff.DirClientToServer && r.Type == tlssim.RecordApplication {
 			seen = append(seen, obs{at: r.At, len: r.WireLen})
 		}
@@ -164,7 +164,7 @@ func (l *Lab) observeKeepAlive() (wireLen int, period time.Duration, ok bool) {
 // keep-alive shifted (on-idle) or stayed on schedule (fixed).
 func (l *Lab) measurePattern(kaLen int, period time.Duration) (proto.Pattern, error) {
 	var kaTimes []simtime.Time
-	restore := l.hookRecords(func(_ *Bridge, r RecordInfo) {
+	restore := l.hookRecords(func(_ *Bridge, r ClassifiedRecord) {
 		if r.Dir == sniff.DirClientToServer && r.WireLen == kaLen {
 			kaTimes = append(kaTimes, r.At)
 		}
@@ -365,9 +365,9 @@ func (l *Lab) waitCommandOutcome(op *DelayOp, since simtime.Time, limit time.Dur
 
 // hookRecords chains an observer onto the hijacker and returns a restore
 // function.
-func (l *Lab) hookRecords(fn func(*Bridge, RecordInfo)) (restore func()) {
+func (l *Lab) hookRecords(fn func(*Bridge, ClassifiedRecord)) (restore func()) {
 	prev := l.Hijacker.OnRecord
-	l.Hijacker.OnRecord = func(b *Bridge, r RecordInfo) {
+	l.Hijacker.OnRecord = func(b *Bridge, r ClassifiedRecord) {
 		fn(b, r)
 		if prev != nil {
 			prev(b, r)
@@ -384,9 +384,8 @@ func (l *Lab) hookRecords(fn func(*Bridge, RecordInfo)) (restore func()) {
 func (l *Lab) waitForKeepAlive() bool {
 	kaSeen := false
 	exchanged := false
-	restore := l.hookRecords(func(_ *Bridge, r RecordInfo) {
-		cr := l.Hijacker.classify(r)
-		if cr.Known && cr.Msg.Kind == sniff.KindKeepAlive && r.Dir == sniff.DirClientToServer {
+	restore := l.hookRecords(func(_ *Bridge, r ClassifiedRecord) {
+		if r.Known && r.Msg.Kind == sniff.KindKeepAlive && r.Dir == sniff.DirClientToServer {
 			kaSeen = true
 			return
 		}

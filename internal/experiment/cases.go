@@ -87,10 +87,10 @@ func (cr *CaseRun) Hijack(label string) (*core.Hijacker, error) {
 }
 
 func (cr *CaseRun) traceBridge(owner string, h *core.Hijacker) {
-	h.OnRecord = func(b *core.Bridge, r core.RecordInfo) {
+	h.OnRecord = func(b *core.Bridge, r core.ClassifiedRecord) {
 		label := "?"
-		if cls, ok := h.Classify(r); ok {
-			label = cls.Origin + "/" + cls.Kind.String()
+		if r.Known {
+			label = r.Msg.Origin + "/" + r.Msg.Kind.String()
 		}
 		held := ""
 		if holding, since := b.Holding(r.Dir); holding {

@@ -57,10 +57,8 @@ func Table3Cases() []Case {
 			}
 			// The Case 3/4 technique: stack e-Delay on the contact sensor
 			// with c-Delay on the lock to pass the one-minute mark.
-			core.NewActionDelay(core.ActionDelayConfig{
-				TriggerHijacker: hDoor, TriggerOrigin: "C2", TriggerHold: 55 * time.Second,
-				CommandHijacker: hLock, CommandOrigin: "LK1", CommandHold: 14 * time.Second,
-			})
+			hDoor.EDelay("C2", 55*time.Second)
+			hLock.CDelay("LK1", 14*time.Second)
 			return nil
 		},
 		Scenario: play(step{"C2.contact=closed", 3 * time.Minute}),

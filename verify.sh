@@ -5,6 +5,10 @@
 #              included) is gofmt-clean
 #   build    — the whole module compiles
 #   vet      — static checks
+#   perfbench — the benchmark module (a nested module, so the module's
+#              own build never compiles it) builds and vets against this
+#              tree, since its worker and probe call the module's
+#              exported names
 #   lint     — phantomlint (internal/analysis): determinism and zero-tax
 #              tracing invariants, machine-checked (DESIGN.md §10)
 #   test     — full test suite
@@ -29,6 +33,8 @@ echo "== go build"
 go build ./...
 echo "== go vet"
 go vet ./...
+echo "== perfbench build and vet"
+(cd perfbench && go build ./... && go vet ./...)
 echo "== phantomlint"
 go run ./cmd/phantomlint ./...
 echo "== go test"
