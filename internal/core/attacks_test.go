@@ -9,7 +9,7 @@ import (
 	"repro/internal/rules"
 )
 
-func TestTypeIDelaysStateUpdate(t *testing.T) {
+func TestTypeIStateUpdateDelay(t *testing.T) {
 	// Fig. 3(a): the "smoke detected" notification reaches the user tens
 	// of seconds late.
 	tb, _, h := hijackedHome(t, "SD1", "SD1")
