@@ -41,6 +41,29 @@ func TestRunRejectsBadInput(t *testing.T) {
 			t.Errorf("-json %s accepted", cmd)
 		}
 	}
+	// -trials and -recovery are refused, before anything runs, by the
+	// commands that never read them.
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-trials", []string{"-trials", "7", "findings"}},
+		{"-trials", []string{"-trials", "7", "defense"}},
+		{"-trials", []string{"-trials", "7", "table3"}},
+		{"-trials", []string{"-trials", "7", "replay"}},
+		{"-trials", []string{"-trials", "7", "recon"}},
+		{"-recovery", []string{"-recovery", "5m", "findings"}},
+		{"-recovery", []string{"-recovery", "5m", "defense"}},
+		{"-recovery", []string{"-recovery", "5m", "table3"}},
+		{"-recovery", []string{"-recovery", "5m", "replay"}},
+		{"-recovery", []string{"-recovery", "5m", "recon"}},
+		{"-recovery", []string{"-trials", "1", "-recovery", "5m", "verify"}},
+		{"-recovery", []string{"-trials", "1", "-recovery", "5m", "ablation"}},
+	} {
+		if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want a refusal naming %s", tc.args, err, tc.flag)
+		}
+	}
 }
 
 func TestRunTableWithMetricsOutput(t *testing.T) {

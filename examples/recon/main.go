@@ -44,6 +44,7 @@ func run() error {
 
 	// The attacker only listens: a promiscuous capture on the WiFi medium.
 	capture := sniff.NewCapture(tb.Clock)
+	capture.Record(0)
 	tb.LAN.AddTap(capture.Tap())
 	tb.Start()
 

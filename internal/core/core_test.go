@@ -368,6 +368,7 @@ func TestSnifferIdentifiesVictimBeforeHijack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	atk.Capture.Record(0)
 	tb.Start()
 	tb.Clock.RunFor(3 * time.Minute)
 	if err := tb.Device("C2").TriggerEvent("contact", "open"); err != nil {

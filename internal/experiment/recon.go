@@ -60,6 +60,7 @@ func reconCapture(labels []string, seed int64) (*sniff.Capture, error) {
 		return nil, err
 	}
 	capture := sniff.NewCapture(tb.Clock)
+	capture.Record(0)
 	tb.LAN.AddTap(capture.Tap())
 	tb.Start()
 	for i, label := range labels {

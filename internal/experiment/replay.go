@@ -89,7 +89,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	atk.Capture.RetainPayloads(replayRetainBytes)
+	atk.Capture.Record(replayRetainBytes)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		res.Err = err

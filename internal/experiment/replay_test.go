@@ -125,7 +125,7 @@ func replayLab(t *testing.T, cfg TestbedConfig, retain int) (*Testbed, *core.Hij
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk.Capture.RetainPayloads(retain)
+	atk.Capture.Record(retain)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		t.Fatal(err)

@@ -85,7 +85,7 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 		return res
 	}
 	if spec.Attack == AttackReplay && spec.Replay != nil {
-		atk.Capture.RetainPayloads(spec.Replay.RetainBytes)
+		atk.Capture.Record(spec.Replay.RetainBytes)
 	}
 	// One hijack per session owner, shared by targets riding the same hub.
 	hijackers := make(map[string]*core.Hijacker)

@@ -48,17 +48,17 @@ type Message struct {
 // ErrBadMessage reports an undecodable message.
 var ErrBadMessage = errors.New("hapsim: bad message")
 
-// Marshal encodes the message padded to at least padTo bytes.
-func (m Message) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32)
+// AppendTo appends the encoded message to dst, padded to at least padTo
+// bytes.
+func (m Message) AppendTo(dst []byte, padTo int) []byte {
+	w := wire.Append(dst)
 	w.U8(uint8(m.Type))
 	w.String(m.AccessoryID)
 	w.U16(m.ID)
 	w.String(m.Characteristic)
 	w.String(m.Value)
 	w.U64(uint64(m.Timestamp))
-	w.PadTo(padTo)
-	return w.Bytes()
+	return w.PadTo(padTo).Bytes()
 }
 
 // Unmarshal decodes a message, ignoring trailing padding.
@@ -84,6 +84,10 @@ type Accessory struct {
 	accessoryID string
 	ready       bool
 	closed      bool
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnReady fires once the session is usable.
 	OnReady func()
@@ -101,7 +105,9 @@ func NewAccessory(clk *simtime.Clock, sess *tlssim.Conn, accessoryID string) *Ac
 	sess.OnMessage = a.onMessage
 	sess.OnClose = func(error) { a.teardown(proto.ReasonTransport) }
 	hello := func() {
-		_ = sess.Send(Message{Type: MsgHello, AccessoryID: accessoryID, Timestamp: clk.Now()}.Marshal(0))
+		m := Message{Type: MsgHello, AccessoryID: accessoryID, Timestamp: clk.Now()}
+		a.txbuf = m.AppendTo(a.txbuf[:0], 0)
+		_ = sess.Send(a.txbuf)
 		a.ready = true
 		if a.OnReady != nil {
 			a.OnReady()
@@ -134,7 +140,8 @@ func (a *Accessory) SendEvent(characteristic, value string, padTo int) error {
 		Value:          value,
 		Timestamp:      a.clk.Now(),
 	}
-	return a.sess.Send(m.Marshal(padTo))
+	a.txbuf = m.AppendTo(a.txbuf[:0], padTo)
+	return a.sess.Send(a.txbuf)
 }
 
 // Close ends the session gracefully.
@@ -160,7 +167,8 @@ func (a *Accessory) onMessage(b []byte) {
 		ID:          m.ID,
 		Timestamp:   a.clk.Now(),
 	}
-	_ = a.sess.Send(resp.Marshal(0))
+	a.txbuf = resp.AppendTo(a.txbuf[:0], 0)
+	_ = a.sess.Send(a.txbuf)
 	if a.OnCommand != nil {
 		a.OnCommand(m)
 	}
@@ -190,6 +198,10 @@ type Hub struct {
 	sessions proto.Sessions[*hubSession]
 	commands proto.Commands
 	alarms   proto.AlarmLog
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnEvent delivers accessory events.
 	OnEvent func(accessoryID string, m Message)
@@ -243,7 +255,8 @@ func (h *Hub) Command(accessoryID, characteristic, value string, padTo int, done
 		Value:          value,
 		Timestamp:      h.clk.Now(),
 	}
-	if err := hs.sess.Send(m.Marshal(padTo)); err != nil {
+	h.txbuf = m.AppendTo(h.txbuf[:0], padTo)
+	if err := hs.sess.Send(h.txbuf); err != nil {
 		return err
 	}
 	h.commands.Await(id, CommandTimeout, func(uint16) {

@@ -99,7 +99,7 @@ func TestUnboundedEventDelayRaisesNothing(t *testing.T) {
 			Value:          "open",
 			Timestamp:      e.clk.Now(),
 		}
-		return m.Marshal(0)
+		return m.AppendTo(nil, 0)
 	}()
 	e.clk.Schedule(8*time.Hour, func() {
 		sess := e.acc.Session()
@@ -192,7 +192,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgCommandResp, ID: 5},
 	}
 	for _, want := range tests {
-		got, err := Unmarshal(want.Marshal(64))
+		got, err := Unmarshal(want.AppendTo(nil, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,5 +205,40 @@ func TestMessageRoundTrip(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte{0xee}); err == nil {
 		t.Fatal("garbage should fail")
+	}
+}
+
+// TestDecodedMessageOutlivesNextRecord: the session reuses its receive
+// buffer for the next record, so a decoded event must own its strings.
+// Two same-shaped events put the second one's bytes exactly where the
+// first one's were.
+func TestDecodedMessageOutlivesNextRecord(t *testing.T) {
+	e := newEnv(t)
+	var got []Message
+	e.hub.OnEvent = func(_ string, m Message) { got = append(got, m) }
+	if err := e.acc.SendEvent("contact", "open", 128); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if err := e.acc.SendEvent("battery", "full", 128); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if len(got) != 2 || got[0].AccessoryID != "aqara-contact-1" || got[0].Characteristic != "contact" || got[0].Value != "open" ||
+		got[1].Characteristic != "battery" || got[1].Value != "full" {
+		t.Fatalf("hub kept %+v", got)
+	}
+}
+
+// TestAppendToAllocFree: encoding into a grown buffer allocates nothing.
+func TestAppendToAllocFree(t *testing.T) {
+	m := Message{Type: MsgEvent, AccessoryID: "acc-1", Characteristic: "contact", Value: "open", Timestamp: time.Second}
+	buf := m.AppendTo(nil, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = m.AppendTo(buf[:0], 256) }); n != 0 {
+		t.Fatalf("AppendTo into a grown buffer allocates %.2f per op, want 0", n)
+	}
+	got, err := Unmarshal(buf)
+	if err != nil || len(buf) != 256 || got != m {
+		t.Fatalf("re-encoded %d bytes decode to %+v, %v", len(buf), got, err)
 	}
 }

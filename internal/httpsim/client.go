@@ -49,6 +49,10 @@ type Client struct {
 	// The two expiries are bound once per session, not once per request.
 	acks                           proto.Commands
 	expireRequest, expireKeepAlive func(id uint16)
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnReady fires when the session is usable.
 	OnReady func()
@@ -143,7 +147,8 @@ func (c *Client) request(path string, body []byte, padTo int, timeout time.Durat
 		Body:      body,
 		Timestamp: c.clk.Now(),
 	}
-	if err := c.sess.Send(m.Marshal(padTo)); err != nil {
+	c.txbuf = m.AppendTo(c.txbuf[:0], padTo)
+	if err := c.sess.Send(c.txbuf); err != nil {
 		return 0, err
 	}
 	if path == KeepAlivePath {
@@ -214,7 +219,8 @@ func (c *Client) onMessage(b []byte) {
 			Status:    StatusOK,
 			Timestamp: c.clk.Now(),
 		}
-		_ = c.sess.Send(resp.Marshal(0))
+		c.txbuf = resp.AppendTo(c.txbuf[:0], 0)
+		_ = c.sess.Send(c.txbuf)
 		if c.OnCommand != nil {
 			c.OnCommand(m)
 		}

@@ -5,14 +5,14 @@ import "testing"
 // FuzzUnmarshal: arbitrary bytes must never panic the message decoder.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Message{Type: MsgRequest, ID: 1, DeviceID: "d", Path: "/event", Body: []byte("b")}.Marshal(0))
-	f.Add(Message{Type: MsgResponse, ID: 2, Status: 200}.Marshal(128))
+	f.Add(Message{Type: MsgRequest, ID: 1, DeviceID: "d", Path: "/event", Body: []byte("b")}.AppendTo(nil, 0))
+	f.Add(Message{Type: MsgResponse, ID: 2, Status: 200}.AppendTo(nil, 128))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Unmarshal(data)
 		if err != nil {
 			return
 		}
-		round, err := Unmarshal(m.Marshal(0))
+		round, err := Unmarshal(m.AppendTo(nil, 0))
 		if err != nil {
 			t.Fatalf("re-encode of %+v failed: %v", m, err)
 		}

@@ -306,7 +306,7 @@ func TestMessageRoundTrip(t *testing.T) {
 		{Type: MsgRequest, ID: 9, DeviceID: "d2", Path: KeepAlivePath},
 	}
 	for _, want := range tests {
-		got, err := Unmarshal(want.Marshal(100))
+		got, err := Unmarshal(want.AppendTo(nil, 100))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -321,5 +321,42 @@ func TestMessageRoundTrip(t *testing.T) {
 func TestUnmarshalGarbage(t *testing.T) {
 	if _, err := Unmarshal([]byte{9, 9}); err == nil {
 		t.Fatal("garbage should fail")
+	}
+}
+
+// TestDecodedMessageOutlivesNextRecord: the session reuses its receive
+// buffer for the next record, so a decoded request must own its device
+// ID, path and body. Two same-shaped requests put the second one's bytes
+// exactly where the first one's were.
+func TestDecodedMessageOutlivesNextRecord(t *testing.T) {
+	e := newEnv(ServerConfig{})
+	var got []Message
+	e.server.OnRequest = func(_ *Session, m Message) { got = append(got, m) }
+	cli := e.dial(longLivedCfg())
+	e.clk.RunFor(time.Second)
+	if _, err := cli.Request("/event", []byte("open"), 128); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if _, err := cli.Request("/other", []byte("shut"), 128); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if len(got) != 2 || got[0].DeviceID != "cam-1" || got[0].Path != "/event" || string(got[0].Body) != "open" ||
+		got[1].Path != "/other" || string(got[1].Body) != "shut" {
+		t.Fatalf("server kept %+v", got)
+	}
+}
+
+// TestAppendToAllocFree: encoding into a grown buffer allocates nothing.
+func TestAppendToAllocFree(t *testing.T) {
+	m := Message{Type: MsgRequest, ID: 3, DeviceID: "cam-1", Path: "/event", Body: []byte("motion"), Timestamp: time.Second}
+	buf := m.AppendTo(nil, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = m.AppendTo(buf[:0], 256) }); n != 0 {
+		t.Fatalf("AppendTo into a grown buffer allocates %.2f per op, want 0", n)
+	}
+	got, err := Unmarshal(buf)
+	if err != nil || len(buf) != 256 || got.Path != m.Path || string(got.Body) != "motion" {
+		t.Fatalf("re-encoded %d bytes decode to %+v, %v", len(buf), got, err)
 	}
 }

@@ -57,9 +57,10 @@ const (
 // ErrBadMessage reports an undecodable message.
 var ErrBadMessage = errors.New("httpsim: bad message")
 
-// Marshal encodes the message, padded with zeros to at least padTo bytes.
-func (m Message) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32 + len(m.Body))
+// AppendTo appends the encoded message to dst, padded with zeros to at
+// least padTo bytes.
+func (m Message) AppendTo(dst []byte, padTo int) []byte {
+	w := wire.Append(dst)
 	w.U8(uint8(m.Type))
 	w.U16(m.ID)
 	w.String(m.DeviceID)
@@ -67,8 +68,7 @@ func (m Message) Marshal(padTo int) []byte {
 	w.U16(m.Status)
 	w.U64(uint64(m.Timestamp))
 	w.Bytes16(m.Body)
-	w.PadTo(padTo)
-	return w.Bytes()
+	return w.PadTo(padTo).Bytes()
 }
 
 // Unmarshal decodes a message, ignoring trailing padding.

@@ -37,6 +37,10 @@ type Server struct {
 	sessions proto.Sessions[*Session]
 	commands proto.Commands
 	alarms   proto.AlarmLog
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnRequest delivers every device request (except keep-alives, which
 	// are answered internally) after the 200 response has been sent.
@@ -90,7 +94,8 @@ func (s *Server) Command(deviceID, path string, body []byte, padTo int, ackTimeo
 		Body:      body,
 		Timestamp: s.clk.Now(),
 	}
-	if err := ss.sess.Send(m.Marshal(padTo)); err != nil {
+	s.txbuf = m.AppendTo(s.txbuf[:0], padTo)
+	if err := ss.sess.Send(s.txbuf); err != nil {
 		return err
 	}
 	s.commands.Await(id, ackTimeout, func(uint16) {
@@ -121,7 +126,8 @@ func (s *Server) onMessage(ss *Session, b []byte) {
 			Status:    StatusOK,
 			Timestamp: s.clk.Now(),
 		}
-		_ = ss.sess.Send(resp.Marshal(0))
+		s.txbuf = resp.AppendTo(s.txbuf[:0], 0)
+		_ = ss.sess.Send(s.txbuf)
 		if m.Path != KeepAlivePath && s.OnRequest != nil {
 			s.OnRequest(ss, m)
 		}

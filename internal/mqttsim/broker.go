@@ -33,6 +33,10 @@ type Broker struct {
 	sessions proto.Sessions[*Session]
 	commands proto.Commands
 	alarms   proto.AlarmLog
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnPublish delivers every client PUBLISH to the server application.
 	OnPublish func(*Session, Packet)
@@ -86,7 +90,8 @@ func (b *Broker) Publish(clientID, topic string, payload []byte, padTo int, ackT
 		Payload:   payload,
 		Timestamp: b.clk.Now(),
 	}
-	if err := s.sess.Send(pkt.Marshal(padTo)); err != nil {
+	b.txbuf = pkt.AppendTo(b.txbuf[:0], padTo)
+	if err := s.sess.Send(b.txbuf); err != nil {
 		return err
 	}
 	b.commands.Await(id, ackTimeout, func(uint16) {
@@ -138,8 +143,10 @@ func (b *Broker) onSessionClosed(s *Session) {
 }
 
 func (s *Session) send(pkt Packet, padTo int) {
+	b := s.broker
+	b.txbuf = pkt.AppendTo(b.txbuf[:0], padTo)
 	// Transport errors surface through the session's OnClose.
-	_ = s.sess.Send(pkt.Marshal(padTo))
+	_ = s.sess.Send(b.txbuf)
 }
 
 // close ends the session from the broker side.

@@ -48,6 +48,10 @@ type Client struct {
 	// expireAck ends the session when a PUBACK is overdue. It is bound
 	// once per session, not once per message.
 	expireAck func(id uint16)
+	// txbuf is the encoding scratch for every message sent: tlssim.Conn.Send
+	// seals a message into its own buffer before it returns, so one
+	// buffer serves them all.
+	txbuf []byte
 
 	// OnConnected fires when the CONNACK arrives.
 	OnConnected func()
@@ -150,8 +154,9 @@ func (c *Client) Disconnect() {
 }
 
 func (c *Client) send(pkt Packet, padTo int) {
+	c.txbuf = pkt.AppendTo(c.txbuf[:0], padTo)
 	// Transport errors surface through the session's OnClose.
-	_ = c.sess.Send(pkt.Marshal(padTo))
+	_ = c.sess.Send(c.txbuf)
 	if c.cfg.Pattern == proto.PatternOnIdle && c.connected && pkt.Type != PacketPingReq {
 		c.armPing()
 	}

@@ -421,7 +421,7 @@ func TestPacketRoundTrip(t *testing.T) {
 		{Type: PacketDisconnect},
 	}
 	for _, want := range tests {
-		got, err := Unmarshal(want.Marshal(0))
+		got, err := Unmarshal(want.AppendTo(nil, 0))
 		if err != nil {
 			t.Fatalf("%v: %v", want.Type, err)
 		}
@@ -436,7 +436,7 @@ func TestPacketRoundTrip(t *testing.T) {
 
 func TestPacketPadding(t *testing.T) {
 	p := Packet{Type: PacketPingReq}
-	b := p.Marshal(48)
+	b := p.AppendTo(nil, 48)
 	if len(b) != 48 {
 		t.Fatalf("padded len = %d, want 48", len(b))
 	}
@@ -452,5 +452,42 @@ func TestUnmarshalGarbage(t *testing.T) {
 	}
 	if _, err := Unmarshal(nil); err == nil {
 		t.Fatal("empty should fail to decode")
+	}
+}
+
+// TestDecodedPacketOutlivesNextRecord: the session reuses its receive
+// buffer for the next record, so a decoded packet must own its topic and
+// payload. Two same-shaped publishes put the second one's bytes exactly
+// where the first one's were.
+func TestDecodedPacketOutlivesNextRecord(t *testing.T) {
+	e := newEnv()
+	var got []Packet
+	e.broker.OnPublish = func(_ *Session, p Packet) { got = append(got, p) }
+	cli := e.dial(defaultCfg())
+	e.clk.RunFor(time.Second)
+	if _, err := cli.Publish("door/first", []byte("open"), 128, false); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if _, err := cli.Publish("lamp/other", []byte("shut"), 128, false); err != nil {
+		t.Fatal(err)
+	}
+	e.clk.RunFor(time.Second)
+	if len(got) != 2 || got[0].Topic != "door/first" || string(got[0].Payload) != "open" ||
+		got[1].Topic != "lamp/other" || string(got[1].Payload) != "shut" {
+		t.Fatalf("broker kept %+v", got)
+	}
+}
+
+// TestAppendToAllocFree: encoding into a grown buffer allocates nothing.
+func TestAppendToAllocFree(t *testing.T) {
+	p := Packet{Type: PacketPublish, Topic: "contact/state", ID: 7, Payload: []byte("open"), Timestamp: 5 * time.Second}
+	buf := p.AppendTo(nil, 256)
+	if n := testing.AllocsPerRun(100, func() { buf = p.AppendTo(buf[:0], 256) }); n != 0 {
+		t.Fatalf("AppendTo into a grown buffer allocates %.2f per op, want 0", n)
+	}
+	got, err := Unmarshal(buf)
+	if err != nil || len(buf) != 256 || got.Topic != p.Topic || string(got.Payload) != "open" {
+		t.Fatalf("re-encoded %d bytes decode to %+v, %v", len(buf), got, err)
 	}
 }

@@ -89,10 +89,11 @@ type Packet struct {
 // ErrBadPacket reports an undecodable packet.
 var ErrBadPacket = errors.New("mqttsim: bad packet")
 
-// Marshal encodes the packet, padding with zeros to at least padTo bytes
-// so that its TLS record has the profile-specified wire length.
-func (p Packet) Marshal(padTo int) []byte {
-	w := wire.NewWriter(32 + len(p.Payload))
+// AppendTo appends the encoded packet to dst, padded with zeros to at
+// least padTo bytes so that its TLS record has the profile-specified wire
+// length.
+func (p Packet) AppendTo(dst []byte, padTo int) []byte {
+	w := wire.Append(dst)
 	w.U8(uint8(p.Type))
 	switch p.Type {
 	case PacketConnect:
@@ -108,8 +109,7 @@ func (p Packet) Marshal(padTo int) []byte {
 	case PacketPubAck:
 		w.U16(p.ID)
 	}
-	w.PadTo(padTo)
-	return w.Bytes()
+	return w.PadTo(padTo).Bytes()
 }
 
 // Unmarshal decodes a packet, ignoring trailing padding.

@@ -117,7 +117,7 @@ func recordEvent(t *testing.T, label string) (*core.Attacker, []sniff.RecordMeta
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk.Capture.RetainPayloads(4096)
+	atk.Capture.Record(4096)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		t.Fatal(err)

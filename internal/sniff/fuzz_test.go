@@ -26,12 +26,12 @@ func recordStream(data []byte) []byte {
 	return out
 }
 
-// captureStream feeds stream to a fresh retaining capture, cut into
+// captureStream feeds stream to a fresh recording capture, cut into
 // in-order segments whose lengths cycle through cuts (each byte c gives a
 // c+1-byte segment), or as one segment when cuts is empty.
 func captureStream(stream, cuts []byte) []sniff.RecordMeta {
 	cap := sniff.NewCapture(simtime.NewClock())
-	cap.RetainPayloads(1024)
+	cap.Record(1024)
 	f := newFeeder(cap, 50000)
 	for i := 0; len(stream) > 0; i++ {
 		n := len(stream)
@@ -57,7 +57,7 @@ func FuzzCaptureReassembly(f *testing.F) {
 			data = data[:4096] // keep every stream inside one IP packet
 		}
 		raw := sniff.NewCapture(simtime.NewClock())
-		raw.RetainPayloads(1024)
+		raw.Record(1024)
 		raw.HandleFrame(netsim.Frame{Type: netsim.EtherTypeIPv4, Payload: data})
 		newFeeder(raw, 50000).stream(data)
 

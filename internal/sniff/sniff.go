@@ -50,7 +50,7 @@ type RecordMeta struct {
 	// WireLen is the record's total on-the-wire size (header + body).
 	WireLen int
 	// Payload is the record's raw wire bytes (header included), retained
-	// only when the capture is in RetainPayloads mode and the per-flow
+	// only when the capture records with a payload budget and that
 	// budget has not evicted it. Replay attacks re-inject these bytes.
 	Payload []byte
 }
@@ -73,9 +73,12 @@ const maxOOOSegments = 512
 
 // Capture reassembles TLS record metadata from observed frames.
 type Capture struct {
-	clk     *simtime.Clock
-	flows   map[FlowKey]*flowState
-	records []RecordMeta
+	clk   *simtime.Clock
+	flows map[FlowKey]*flowState
+
+	// recording turns the record log on (see Record); records is the log.
+	recording bool
+	records   []RecordMeta
 
 	// retainBudget > 0 enables payload retention: each flow keeps up to
 	// that many raw record bytes, oldest-evicted-first.
@@ -111,19 +114,18 @@ func NewCapture(clk *simtime.Clock) *Capture {
 	return &Capture{clk: clk, flows: make(map[FlowKey]*flowState)}
 }
 
-// RetainPayloads turns on raw payload retention with the given per-flow
-// byte budget (0 turns it off). Only records observed after the call are
-// retained; when a flow exceeds its budget the oldest retained payloads
-// are evicted and counted.
-func (c *Capture) RetainPayloads(budgetPerFlow int) {
-	if budgetPerFlow < 0 {
-		budgetPerFlow = 0
-	}
-	c.retainBudget = budgetPerFlow
+// Record starts the record log that Records and FlowRecords read: every
+// record observed after the call is logged. A per-flow budget above 0
+// also retains each record's raw bytes, and when a flow exceeds its
+// budget the oldest retained payloads are evicted and counted; 0 logs
+// metadata only. A new capture logs nothing, so only the attacks that
+// read records pay for the log. Flow tracking, reassembly, Flows and
+// StreamSeq run either way, so a log started mid-stream begins at a
+// record boundary.
+func (c *Capture) Record(budgetPerFlow int) {
+	c.recording = true
+	c.retainBudget = max(budgetPerFlow, 0)
 }
-
-// Retaining reports the active per-flow retention budget (0 = off).
-func (c *Capture) Retaining() int { return c.retainBudget }
 
 // EvictedRecords counts payloads evicted by the per-flow retention budget.
 func (c *Capture) EvictedRecords() uint64 { return c.evictedRecords }
@@ -148,14 +150,14 @@ func (c *Capture) Tap() netsim.Tap {
 	return func(f netsim.Frame) { c.HandleFrame(f) }
 }
 
-// Records returns all records observed so far.
+// Records returns the records logged since Record was called.
 func (c *Capture) Records() []RecordMeta {
 	out := make([]RecordMeta, len(c.records))
 	copy(out, c.records)
 	return out
 }
 
-// FlowRecords returns the records of one flow in order.
+// FlowRecords returns the logged records of one flow in order.
 func (c *Capture) FlowRecords(key FlowKey) []RecordMeta {
 	var out []RecordMeta
 	for _, r := range c.records {
@@ -295,10 +297,11 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 	}
 }
 
-// drainRecords emits every complete record at the front of st.buf, then
-// moves the unconsumed tail to the front so the buffer keeps its capacity
-// and the next ingest appends without reallocating. Nothing keeps buf
-// bytes past the call: retained payloads are clones.
+// drainRecords consumes every complete record at the front of st.buf,
+// logging each when the capture records, then moves the unconsumed tail
+// to the front so the buffer keeps its capacity and the next ingest
+// appends without reallocating. Nothing keeps buf bytes past the call:
+// retained payloads are clones.
 func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 	off := 0
 	for {
@@ -306,6 +309,10 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 		total, ok := tlssim.RecordLen(rec)
 		if !ok {
 			break
+		}
+		off += total
+		if !c.recording {
+			continue
 		}
 		meta := RecordMeta{
 			At:      c.clk.Now(),
@@ -318,7 +325,6 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 			// Clone: the compaction below reuses the stream buffer.
 			meta.Payload = append([]byte(nil), rec[:total]...)
 		}
-		off += total
 		idx := len(c.records)
 		c.records = append(c.records, meta)
 		if meta.Payload != nil {

@@ -196,7 +196,7 @@ func (c *Conn) processExplicitSeq(body []byte) {
 		ct := body[explicitSeqLen:]
 		aad := c.additionalData(RecordApplication, seq, len(ct))
 		var err error
-		plain, err = c.recvAEAD.Open(nil, nonce, ct, aad)
+		plain, err = c.recvAEAD.Open(ct[:0], nonce, ct, aad)
 		if err != nil {
 			c.emit("record_bad", c.label, int64(seq))
 			c.fail("bad_record_mac")

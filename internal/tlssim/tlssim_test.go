@@ -377,3 +377,46 @@ func TestAlertErrorDescription(t *testing.T) {
 		t.Fatalf("Error() = %q", err.Error())
 	}
 }
+
+// TestRoundTripAllocFree: once a session's buffers have grown, a message
+// sealed by Send, delivered, and handed to OnMessage, plus the reply sent
+// from inside that handler, allocate nothing in any replay mode.
+func TestRoundTripAllocFree(t *testing.T) {
+	for _, mode := range []ReplayMode{ModeSeqBound, ModeLegacyNonce, ModeNullCipher} {
+		t.Run(mode.String(), func(t *testing.T) {
+			e := newModeEnv(t, mode, 0)
+			msg := []byte("event: contact open, padded to a realistic record length")
+			reply := []byte("ack")
+			requests, replies := 0, 0
+			e.srv.OnMessage = func(m []byte) {
+				if string(m) != string(msg) {
+					t.Fatalf("server got %q", m)
+				}
+				requests++
+				if err := e.srv.Send(reply); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e.cli.OnMessage = func(m []byte) {
+				if string(m) != string(reply) {
+					t.Fatalf("client got %q", m)
+				}
+				replies++
+			}
+			const runs = 100
+			n := testing.AllocsPerRun(runs, func() {
+				if err := e.cli.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				e.clk.RunFor(10 * time.Millisecond) // two 2 ms round trips, with room
+			})
+			if n != 0 {
+				t.Fatalf("Send → OnMessage round trip allocates %.2f per op, want 0", n)
+			}
+			// AllocsPerRun adds one warm-up run to the measured ones.
+			if requests != runs+1 || replies != runs+1 {
+				t.Fatalf("%d requests and %d replies delivered, want %d each", requests, replies, runs+1)
+			}
+		})
+	}
+}

@@ -6,7 +6,8 @@ import "testing"
 func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
-	f.Add(NewWriter(16).U8(1).U16(2).String("abc").Bytes())
+	w := Append(nil)
+	f.Add(w.U8(1).U16(2).String("abc").Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(data)
 		_ = r.U8()

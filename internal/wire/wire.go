@@ -12,21 +12,24 @@ import (
 // ErrTruncated reports a read past the end of a message.
 var ErrTruncated = errors.New("wire: truncated message")
 
-// Writer appends binary fields to a buffer.
+// Writer appends one message's binary fields to a caller's buffer, so an
+// encoder that passes a reused scratch buffer allocates nothing once the
+// buffer has grown.
 type Writer struct {
-	buf []byte
+	buf   []byte
+	start int
 }
 
-// NewWriter returns a writer with the given capacity hint.
-func NewWriter(capacity int) *Writer {
-	return &Writer{buf: make([]byte, 0, capacity)}
+// Append returns a writer that appends a message to dst.
+func Append(dst []byte) Writer {
+	return Writer{buf: dst, start: len(dst)}
 }
 
-// Bytes returns the encoded buffer.
+// Bytes returns dst with the message appended.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the current encoded length.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the message's encoded length so far.
+func (w *Writer) Len() int { return len(w.buf) - w.start }
 
 // U8 appends a byte.
 func (w *Writer) U8(v uint8) *Writer {
@@ -66,12 +69,12 @@ func (w *Writer) Bytes16(b []byte) *Writer {
 	return w
 }
 
-// PadTo extends the buffer with zero bytes to reach exactly n. If the
-// buffer is already longer, it is returned unchanged: padding can only
-// grow a message. Decoders ignore trailing padding.
+// PadTo extends the message with zero bytes to exactly n bytes. If it is
+// already longer, it is left unchanged: padding can only grow a message.
+// Decoders ignore trailing padding.
 func (w *Writer) PadTo(n int) *Writer {
-	for len(w.buf) < n {
-		w.buf = append(w.buf, 0)
+	if pad := n - w.Len(); pad > 0 {
+		w.buf = append(w.buf, make([]byte, pad)...)
 	}
 	return w
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRoundTripAllTypes(t *testing.T) {
-	w := NewWriter(64)
+	w := Append(nil)
 	w.U8(7).U16(300).U32(70000).U64(1 << 40).String("hello").Bytes16([]byte{1, 2, 3})
 	r := NewReader(w.Bytes())
 	if got := r.U8(); got != 7 {
@@ -50,7 +50,7 @@ func TestTruncatedRead(t *testing.T) {
 }
 
 func TestTruncatedString(t *testing.T) {
-	w := NewWriter(8)
+	w := Append(nil)
 	w.U16(100) // claims 100 bytes, provides none
 	r := NewReader(w.Bytes())
 	if r.String() != "" || !errors.Is(r.Err(), ErrTruncated) {
@@ -59,7 +59,7 @@ func TestTruncatedString(t *testing.T) {
 }
 
 func TestPadTo(t *testing.T) {
-	w := NewWriter(8)
+	w := Append(nil)
 	w.U8(1)
 	w.PadTo(20)
 	if w.Len() != 20 {
@@ -76,7 +76,7 @@ func TestPadTo(t *testing.T) {
 }
 
 func TestPadToNeverShrinks(t *testing.T) {
-	w := NewWriter(8)
+	w := Append(nil)
 	w.String("a fairly long field")
 	n := w.Len()
 	w.PadTo(4)
@@ -85,12 +85,26 @@ func TestPadToNeverShrinks(t *testing.T) {
 	}
 }
 
+// TestAppendPadsOnlyItsMessage: a writer appends after what dst holds,
+// counts and pads only its own message, and pads with zeros even where
+// a reused buffer's spare capacity holds old bytes.
+func TestAppendPadsOnlyItsMessage(t *testing.T) {
+	scratch := append(make([]byte, 0, 32), "prefix"...)
+	copy(scratch[len(scratch):cap(scratch)], bytes.Repeat([]byte{0xff}, cap(scratch)))
+	w := Append(scratch)
+	w.U8(1).PadTo(10)
+	want := append([]byte("prefix"), 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	if w.Len() != 10 || !bytes.Equal(w.Bytes(), want) {
+		t.Fatalf("Append(prefix).U8(1).PadTo(10) = %d bytes %x, want 10 bytes after the prefix: %x", w.Len(), w.Bytes(), want)
+	}
+}
+
 func TestPropertyStringRoundTrip(t *testing.T) {
 	f := func(s string, pad uint8) bool {
 		if len(s) > 60000 {
 			return true
 		}
-		w := NewWriter(len(s) + 2)
+		w := Append(nil)
 		w.String(s)
 		w.PadTo(w.Len() + int(pad))
 		r := NewReader(w.Bytes())
@@ -103,7 +117,7 @@ func TestPropertyStringRoundTrip(t *testing.T) {
 
 func TestPropertyIntRoundTrip(t *testing.T) {
 	f := func(a uint8, b uint16, c uint32, d uint64) bool {
-		w := NewWriter(15)
+		w := Append(nil)
 		w.U8(a).U16(b).U32(c).U64(d)
 		r := NewReader(w.Bytes())
 		return r.U8() == a && r.U16() == b && r.U32() == c && r.U64() == d && r.Err() == nil
