@@ -9,7 +9,7 @@ BENCH_OUT ?= BENCH_hotpath.json
 BENCH_PKGS = . ./internal/simtime ./internal/tcpsim
 BENCH_MATCH = ^(BenchmarkTableICloudDevices|BenchmarkTableIIIPoCCases|BenchmarkSimulatedHomeHour|BenchmarkFleetCampaign|BenchmarkOfflineHoldHour|BenchmarkReplayCampaign|BenchmarkTimerChurn|BenchmarkTimerReset|BenchmarkRTORearm)$$
 
-.PHONY: all build vet lint test race verify bench bench-json bench-check
+.PHONY: all build vet lint test race verify fuzz bench bench-json bench-check
 
 all: verify
 
@@ -42,6 +42,18 @@ race:
 # vet, lint, test, race), so `make verify` and CI run the same checks.
 verify:
 	./verify.sh
+
+# fuzz runs every fuzz target for five seconds past its seed corpus, which
+# plain `go test` runs alone. It finds the targets with `go test -list`, so
+# a new target runs with no list to edit. A crashing input is saved under
+# its package's testdata/fuzz, where `go test` then runs it as a seed.
+fuzz:
+	@set -e; list=$$($(GO) test -list '^Fuzz' ./...); \
+	echo "$$list" | awk '/^Fuzz/ { t[++n] = $$1 } /^ok/ { for (i = 1; i <= n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "== $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem .

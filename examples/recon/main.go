@@ -43,9 +43,7 @@ func run() error {
 	}
 
 	// The attacker only listens: a promiscuous capture on the WiFi medium.
-	capture := sniff.NewCapture(tb.Clock)
-	capture.Record(0)
-	tb.LAN.AddTap(capture.Tap())
+	capture := tb.NewCapture(0)
 	tb.Start()
 
 	// A few hours of household life.

@@ -24,21 +24,20 @@ import (
 	"repro/internal/ipnet"
 	"repro/internal/netsim"
 	"repro/internal/simtime"
-	"repro/internal/sniff"
 	"repro/internal/tcpsim"
 )
 
 // Attacker is the one controlled WiFi device of the attack model. It can
-// sniff the broadcast medium, poison ARP caches, terminate TCP with
-// spoofed addresses, and transparently forward everything it does not
-// care about.
+// poison ARP caches, terminate TCP with spoofed addresses, and
+// transparently forward everything it does not care about. Sniffing the
+// broadcast medium is a separate sniff.Capture on the segment, made by
+// the attacks that read one (fingerprinting, replay, TakeOver).
 type Attacker struct {
 	Clock   *simtime.Clock
 	Host    *netsim.Host
 	IP      *ipnet.Stack
 	TCP     *tcpsim.Stack
 	Spoofer *arp.Spoofer
-	Capture *sniff.Capture
 
 	rng       *simtime.Rand
 	diverters []func(ipnet.Packet) bool
@@ -62,7 +61,6 @@ func NewAttacker(nw *netsim.Network, lan *netsim.Segment, name, cidr string, gat
 		Host:      ip.Host(),
 		IP:        ip,
 		TCP:       tcpsim.NewStack(clk, ip, tcpsim.Config{}, seed),
-		Capture:   sniff.NewCapture(clk),
 		rng:       simtime.NewRand(seed + 1),
 		acceptors: make(map[uint16]map[ipaddr.Addr]func(*tcpsim.Conn)),
 	}
@@ -74,8 +72,6 @@ func NewAttacker(nw *netsim.Network, lan *netsim.Segment, name, cidr string, gat
 	a.TCP.SendRST = false
 	a.Spoofer = arp.NewSpoofer(clk, ip.Ifaces()[0].ARP(), 0)
 	a.Spoofer.Start()
-	// Passive sniffing of the WiFi medium (the radio, not the NIC).
-	lan.AddTap(a.Capture.Tap())
 	return a, nil
 }
 

@@ -15,8 +15,6 @@ type RecordInfo struct {
 	Dir     sniff.Direction
 	Type    tlssim.RecordType
 	WireLen int
-	// Index numbers records per direction, starting at 0.
-	Index int
 }
 
 // Bridge is one split connection: the attacker terminates TCP with the
@@ -42,14 +40,15 @@ type Bridge struct {
 	HoldDeviceClose bool
 }
 
+// bridgeDir is one direction's reassembly buffer and hold queue. The
+// queue owns copies of its records: buf's bytes are reused as soon as
+// onData returns.
 type bridgeDir struct {
 	buf       []byte
 	queue     [][]byte
 	holding   bool
 	heldSince simtime.Time
-	index     int
 	forwarded int
-	held      int
 }
 
 // newBridge wires the two connections of h's hijack. srvConn may still be
@@ -110,11 +109,7 @@ func (b *Bridge) Alive() bool { return !b.devClosed && !b.srvClosed }
 func (b *Bridge) dir(d sniff.Direction) *bridgeDir { return b.dirs[d-1] }
 
 // HeldCount reports how many records are queued in a direction.
-func (b *Bridge) HeldCount(d sniff.Direction) int { return b.dir(d).held - b.releasedCount(d) }
-
-func (b *Bridge) releasedCount(d sniff.Direction) int {
-	return b.dir(d).held - len(b.dir(d).queue)
-}
+func (b *Bridge) HeldCount(d sniff.Direction) int { return len(b.dir(d).queue) }
 
 // Holding reports whether a direction is currently held, and since when.
 func (b *Bridge) Holding(d sniff.Direction) (bool, simtime.Time) {
@@ -125,31 +120,35 @@ func (b *Bridge) Holding(d sniff.Direction) (bool, simtime.Time) {
 // ForwardedCount reports how many records flowed through a direction.
 func (b *Bridge) ForwardedCount(d sniff.Direction) int { return b.dir(d).forwarded }
 
+// onData parses every complete record in st.buf at an offset, then moves
+// the unparsed tail to the front so the buffer keeps its capacity.
 func (b *Bridge) onData(d sniff.Direction, data []byte) {
 	st := b.dir(d)
 	st.buf = append(st.buf, data...)
+	off := 0
 	for {
-		total, ok := tlssim.RecordLen(st.buf)
+		total, ok := tlssim.RecordLen(st.buf[off:])
 		if !ok {
-			return
+			break
 		}
-		rec := make([]byte, total)
-		copy(rec, st.buf[:total])
-		st.buf = st.buf[total:]
-		b.processRecord(d, st, rec)
+		b.processRecord(d, st, st.buf[off:off+total])
+		off += total
+	}
+	if off > 0 {
+		st.buf = st.buf[:copy(st.buf, st.buf[off:])]
 	}
 }
 
-// processRecord holds or forwards one record as the hijacker decides.
+// processRecord holds or forwards one record as the hijacker decides. rec
+// points into st.buf: a forwarded record is sent from there, since
+// tcpsim.Conn.Send copies, and a held one is copied into the queue.
 func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
 	info := RecordInfo{
 		At:      b.clk.Now(),
 		Dir:     d,
 		Type:    tlssim.RecordType(rec[0]),
 		WireLen: len(rec),
-		Index:   st.index,
 	}
-	st.index++
 	b.met.byDir(b.met.observed, d).Inc()
 	if b.h.hold(b, info) {
 		if !st.holding {
@@ -159,8 +158,7 @@ func (b *Bridge) processRecord(d sniff.Direction, st *bridgeDir, rec []byte) {
 				b.met.trace.Emit(b.clk.Now(), "core", "hold_start", d.String(), int64(info.WireLen))
 			}
 		}
-		st.held++
-		st.queue = append(st.queue, rec)
+		st.queue = append(st.queue, append([]byte(nil), rec...))
 		b.met.byDir(b.met.held, d).Inc()
 		b.met.heldDepth.Add(1)
 		return

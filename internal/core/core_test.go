@@ -364,11 +364,7 @@ func TestSnifferIdentifiesVictimBeforeHijack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk, err := tb.NewAttacker()
-	if err != nil {
-		t.Fatal(err)
-	}
-	atk.Capture.Record(0)
+	capture := tb.NewCapture(0)
 	tb.Start()
 	tb.Clock.RunFor(3 * time.Minute)
 	if err := tb.Device("C2").TriggerEvent("contact", "open"); err != nil {
@@ -379,11 +375,11 @@ func TestSnifferIdentifiesVictimBeforeHijack(t *testing.T) {
 	cl := sniff.NewClassifier(sniff.BuildCatalogSignatures())
 	hubAddr := tb.DeviceAddrs["H3"]
 	found := ""
-	for _, flow := range atk.Capture.Flows() {
+	for _, flow := range capture.Flows() {
 		if flow.Client.Addr != hubAddr {
 			continue
 		}
-		if model, score, ok := cl.IdentifyFlow(atk.Capture.FlowRecords(flow)); ok && score > 0.5 {
+		if model, score, ok := cl.IdentifyFlow(capture.FlowRecords(flow)); ok && score > 0.5 {
 			found = model
 		}
 	}

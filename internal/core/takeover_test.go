@@ -17,13 +17,14 @@ func TestTakeOverLiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The attacker's foothold exists from the start (its passive tap hears
-	// everything, as a sniffing device would), but the home connects
+	// The attacker's foothold exists from the start (its passive capture
+	// hears everything, as a sniffing device would), but the home connects
 	// DIRECTLY: no poisoning is in place yet.
 	atk, err := tb.NewAttacker()
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture := tb.NewCapture(0)
 	tb.Start()
 	tb.Clock.RunFor(time.Minute) // sniff a few keep-alive exchanges
 	if !tb.Device("H3").Connected() {
@@ -36,7 +37,7 @@ func TestTakeOverLiveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TakeOver(); err != nil {
+	if err := h.TakeOver(capture); err != nil {
 		t.Fatalf("TakeOver failed: %v", err)
 	}
 
@@ -79,7 +80,7 @@ func TestTakeOverRequiresInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := core.NewHijacker(atk, target, nil)
-	if err := h.TakeOver(); err == nil {
+	if err := h.TakeOver(tb.NewCapture(0)); err == nil {
 		t.Fatal("TakeOver before Install should fail")
 	}
 }
@@ -93,11 +94,12 @@ func TestTakeOverWithoutObservedFlowFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture := tb.NewCapture(0)
 	h, err := tb.Hijack(atk, "C2") // installed, but nothing has connected yet
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TakeOver(); err == nil {
+	if err := h.TakeOver(capture); err == nil {
 		t.Fatal("TakeOver with no observed flow should fail")
 	}
 }

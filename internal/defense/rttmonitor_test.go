@@ -21,6 +21,7 @@ func TestRTTMonitorDetectsTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	capture := tb.NewCapture(0)
 	tb.Start()
 
 	// Clean phase: keep-alives produce RTT samples against the real cloud.
@@ -47,7 +48,7 @@ func TestRTTMonitorDetectsTakeover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.TakeOver(); err != nil {
+	if err := h.TakeOver(capture); err != nil {
 		t.Fatal(err)
 	}
 	tb.Clock.RunFor(30 * time.Second) // reconnect lands on the attacker

@@ -23,6 +23,18 @@ func (tb *Testbed) NewAttacker() (*core.Attacker, error) {
 	return atk, nil
 }
 
+// NewCapture starts the attacker's passive sniffing of the home WiFi: a
+// capture that hears every frame on the LAN from now on, keeps up to
+// retain raw record bytes per flow (0: metadata only) and reports into the
+// testbed's metrics registry. It sees only the flows whose handshake it
+// hears, so the attacks that read it make it before Start.
+func (tb *Testbed) NewCapture(retain int) *sniff.Capture {
+	c := sniff.NewCapture(tb.Clock, retain)
+	c.Instrument(tb.Metrics)
+	tb.LAN.AddTap(c.HandleFrame)
+	return c
+}
+
 // HijackTarget resolves the man-in-the-middle coordinates for a device:
 // the session owner's LAN address, its server's address and port, and the
 // fingerprint model. Works for cloud and local deployments alike.

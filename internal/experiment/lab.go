@@ -174,15 +174,16 @@ type ReplayFacts struct {
 
 // ReplayTrial runs one record-and-replay attempt (DESIGN.md §12): it fires
 // one event from lab's origin, lets it cross for 3 s and finds its record
-// in the capture of h's attacker, which must retain payloads. It then
-// tries raw injection on the live session when raw is set and, only if
-// that was not accepted, the application-layer replay when app is set,
-// settling 5 s after each injection. A record the capture no longer holds
-// is a fact (Found false), not an error.
-func (tb *Testbed) ReplayTrial(h *core.Hijacker, lab *core.Lab, raw, app bool) (ReplayFacts, error) {
+// in capture, which must retain payloads and have watched the session
+// open (NewCapture before Start). It then tries raw injection on h's live
+// session when raw is set and, only if that was not accepted, the
+// application-layer replay when app is set, settling 5 s after each
+// injection. A record the capture no longer holds is a fact (Found
+// false), not an error.
+func (tb *Testbed) ReplayTrial(h *core.Hijacker, lab *core.Lab, capture *sniff.Capture, raw, app bool) (ReplayFacts, error) {
 	var f ReplayFacts
-	atk, origin := h.Attacker(), lab.EventOrigin
-	eng := replay.NewEngine(atk)
+	origin := lab.EventOrigin
+	eng := replay.NewEngine(h.Attacker())
 	eng.Instrument(tb.Metrics)
 	if err := lab.TriggerEvent(); err != nil {
 		return f, err
@@ -192,7 +193,7 @@ func (tb *Testbed) ReplayTrial(h *core.Hijacker, lab *core.Lab, raw, app bool) (
 	// sees the session state a real attacker would.
 	tb.Clock.RunFor(3 * time.Second)
 
-	records := atk.Capture.Records()
+	records := capture.Records()
 	owner := tb.SessionOwnerProfile(origin).Label
 	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner, origin, records)
 	if !ok {

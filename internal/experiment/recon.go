@@ -52,16 +52,14 @@ func RunReconCoverage(labels []string, topNs []int, seed int64) []ReconResult {
 }
 
 // reconCapture builds the home and returns what the attacker's passive
-// tap on its LAN sees of household activity and the idle keep-alives
+// capture on its LAN sees of household activity and the idle keep-alives
 // after it.
 func reconCapture(labels []string, seed int64) (*sniff.Capture, error) {
 	tb, err := NewTestbed(TestbedConfig{Seed: seed, Devices: labels})
 	if err != nil {
 		return nil, err
 	}
-	capture := sniff.NewCapture(tb.Clock)
-	capture.Record(0)
-	tb.LAN.AddTap(capture.Tap())
+	capture := tb.NewCapture(0)
 	tb.Start()
 	for i, label := range labels {
 		p := tb.Profile(label)

@@ -89,7 +89,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 		res.Err = err
 		return res
 	}
-	atk.Capture.Record(replayRetainBytes)
+	capture := tb.NewCapture(replayRetainBytes)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		res.Err = err
@@ -105,7 +105,7 @@ func assessReplay(label string, opts ReplayOptions, seed int64) (res ReplayResul
 	// Let the session settle, then record one genuine event and run the
 	// ladder on it.
 	tb.Clock.RunFor(3 * time.Second)
-	f, err := tb.ReplayTrial(h, lab, true, true)
+	f, err := tb.ReplayTrial(h, lab, capture, true, true)
 	if err != nil {
 		res.Err = err
 		return res

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/obs"
+	"repro/internal/sniff"
 )
 
 // replayProbeLabels covers every protection combination in the catalog:
@@ -112,9 +113,9 @@ func TestReplayAssessmentTrace(t *testing.T) {
 	}
 }
 
-// replayLab builds a one-device home from cfg whose attacker retains
+// replayLab builds a one-device home from cfg with a capture that retains
 // retain bytes of payload per flow, hijacks the device and starts the home.
-func replayLab(t *testing.T, cfg TestbedConfig, retain int) (*Testbed, *core.Hijacker, *core.Lab) {
+func replayLab(t *testing.T, cfg TestbedConfig, retain int) (*Testbed, *core.Hijacker, *core.Lab, *sniff.Capture) {
 	t.Helper()
 	label := cfg.Devices[0]
 	tb, err := NewTestbed(cfg)
@@ -125,7 +126,7 @@ func replayLab(t *testing.T, cfg TestbedConfig, retain int) (*Testbed, *core.Hij
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk.Capture.Record(retain)
+	capture := tb.NewCapture(retain)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		t.Fatal(err)
@@ -135,15 +136,15 @@ func replayLab(t *testing.T, cfg TestbedConfig, retain int) (*Testbed, *core.Hij
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tb, h, lab
+	return tb, h, lab, capture
 }
 
 // TestReplayTrialRetention exercises the capture budget path: a budget
 // smaller than one event record evicts everything, so the trial finds no
 // record and tries neither injection.
 func TestReplayTrialRetention(t *testing.T) {
-	tb, h, lab := replayLab(t, TestbedConfig{Seed: 5, Devices: []string{"P4"}}, 64)
-	f, err := tb.ReplayTrial(h, lab, true, true)
+	tb, h, lab, capture := replayLab(t, TestbedConfig{Seed: 5, Devices: []string{"P4"}}, 64)
+	f, err := tb.ReplayTrial(h, lab, capture, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,8 @@ func TestReplayTrialFacts(t *testing.T) {
 	}
 	for _, tc := range cases {
 		cfg := TestbedConfig{Seed: 5, Devices: []string{tc.label}, Overrides: tc.overrides}
-		tb, h, lab := replayLab(t, cfg, replayRetainBytes)
-		f, err := tb.ReplayTrial(h, lab, tc.raw, tc.app)
+		tb, h, lab, capture := replayLab(t, cfg, replayRetainBytes)
+		f, err := tb.ReplayTrial(h, lab, capture, tc.raw, tc.app)
 		if err != nil {
 			t.Fatal(err)
 		}

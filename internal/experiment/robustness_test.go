@@ -94,3 +94,34 @@ func TestAttackerNetworkFootprint(t *testing.T) {
 		t.Fatalf("slower re-poison should cost less: %.2fx vs %.2fx", quiet, noisy)
 	}
 }
+
+// TestAttackerSniffsOnlyForAReader: joining the WiFi and hijacking a flow
+// put no tap on the LAN. A capture is passive and reports nothing without
+// a registry, so only the tap count shows one that no attack reads; the
+// one tap comes from NewCapture, made by the attack that reads it.
+func TestAttackerSniffsOnlyForAReader(t *testing.T) {
+	tb, err := NewTestbed(TestbedConfig{Seed: 4300, Devices: []string{"C2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	atk, err := tb.NewAttacker()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := tb.Hijack(atk, "C2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb.Start()
+	tb.Clock.RunFor(time.Minute)
+	if len(h.Bridges()) == 0 {
+		t.Fatal("the hijacker bridged no connection")
+	}
+	if n := tb.LAN.Taps(); n != 0 {
+		t.Fatalf("LAN has %d taps after an attacker joined and hijacked, want 0", n)
+	}
+	tb.NewCapture(0)
+	if n := tb.LAN.Taps(); n != 1 {
+		t.Fatalf("LAN has %d taps after NewCapture, want 1", n)
+	}
+}

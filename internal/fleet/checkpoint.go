@@ -20,8 +20,10 @@ import (
 // Partial whose size is bounded by the reorder window; v3 has v2's shape,
 // written with simtime's splitmix64 streams and the offline target fix; v4
 // has v3's shape and homes, with the always-empty population-template key
-// gone from the identity, which moves every fingerprint.
-const checkpointVersion = 4
+// gone from the identity, which moves every fingerprint; v5 has v4's shape
+// and homes, but only homes that sniff carry the three sniff_* counters in
+// their metrics, so a v4 partial would put them back into a v5 result.
+const checkpointVersion = 5
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -79,11 +81,13 @@ func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	switch f.Version {
 	case checkpointVersion:
 	case 1:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v4 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v5 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	case 2:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written with the previous random streams (v2), so its homes differ from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	case 3:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v3) whose campaign identity had a population-template key, so its fingerprint differs from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	case 4:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v4) whose homes all reported sniff_* counters, which this build's non-replay homes no longer have, so merging it would mix two metric sets — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	default:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, f.Version, checkpointVersion)
 	}

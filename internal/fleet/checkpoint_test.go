@@ -171,6 +171,24 @@ func TestCheckpointRejectsV3(t *testing.T) {
 	}, "was written by an earlier build (v3)")
 }
 
+// TestCheckpointRejectsV4: v4 files hold this build's homes and
+// fingerprints, but every home's metrics carried the zero sniff_* counters
+// of an attacker capture that nothing read. Resuming or merging one would
+// put those series back into a result that delay and offline homes no
+// longer report, so they fail by their version, with the cause named.
+func TestCheckpointRejectsV4(t *testing.T) {
+	c := testCampaign(t).withDefaults()
+	c.Spec.fill()
+	g := c.newAggregator(0)
+	g.add(c.runShard(0))
+	rejectsOldCheckpoint(t, c, checkpointFile{
+		Version:     4,
+		Fingerprint: c.identity().fingerprint(),
+		Identity:    c.identity(),
+		Partial:     g.partial(),
+	}, "was written by an earlier build (v4)")
+}
+
 // rejectsOldCheckpoint writes file and requires decoding, merging it as a
 // -partial file and resuming c from it to fail with an error naming the
 // file and containing cause.
@@ -202,10 +220,10 @@ func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":5}`), 0o644); err != nil {
+	if err := os.WriteFile(ck.path, []byte(`{"version":6}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 5, want 4") {
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 6, want 5") {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {
@@ -308,7 +326,7 @@ func TestCheckpointSizeBoundedByWindow(t *testing.T) {
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint decoder:
-// it must never panic, and anything it accepts must be version 4 and
+// it must never panic, and anything it accepts must be version 5 and
 // survive structural validation without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
 	spec := DefaultSpec()

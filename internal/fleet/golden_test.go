@@ -35,9 +35,9 @@ func TestCampaignOutputGolden(t *testing.T) {
 		homes int
 		want  string
 	}{
-		{"default-64", DefaultSpec(), 64, "43acefbb13a04570"},
-		{"offline-hour-16", offline, 16, "9459f5698ca365f9"},
-		{"cdelay-64", cdelay, 64, "00403c455ac0912c"},
+		{"default-64", DefaultSpec(), 64, "ae3f67a4743ab5d7"},
+		{"offline-hour-16", offline, 16, "ea09ee566afdde60"},
+		{"cdelay-64", cdelay, 64, "ac80606769ee2562"},
 		{"replay-auto-64", replaySpec(ReplayModeAuto), 64, "e1274014640f9b82"},
 		{"replay-raw-64", replaySpec(ReplayModeRaw), 64, "540d4071d4f1345b"},
 		{"replay-app-64", replaySpec(ReplayModeApp), 64, "5b6cb14d7d98c5ee"},

@@ -8,6 +8,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/experiment"
 	"repro/internal/obs"
+	"repro/internal/sniff"
 )
 
 // ModelTally accumulates campaign outcomes for one device model.
@@ -84,8 +85,9 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 		res.err = err
 		return res
 	}
+	var capture *sniff.Capture
 	if spec.Attack == AttackReplay && spec.Replay != nil {
-		atk.Capture.Record(spec.Replay.RetainBytes)
+		capture = tb.NewCapture(spec.Replay.RetainBytes)
 	}
 	// One hijack per session owner, shared by targets riding the same hub.
 	hijackers := make(map[string]*core.Hijacker)
@@ -105,7 +107,7 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 
 	for _, label := range targets {
 		h := hijackers[tb.SessionOwnerProfile(label).Label]
-		if err := attackTarget(tb, h, spec, label, res.tallies); err != nil {
+		if err := attackTarget(tb, h, capture, spec, label, res.tallies); err != nil {
 			res.err = fmt.Errorf("home %d target %s: %w", home.Index, label, err)
 			return res
 		}
@@ -142,8 +144,9 @@ func selectTargets(spec Spec, home HomeSpec) []string {
 }
 
 // attackTarget runs the spec's trials against one device, recording
-// outcomes into tallies and the testbed's metrics registry.
-func attackTarget(tb *experiment.Testbed, h *core.Hijacker, spec Spec, label string, tallies map[string]*ModelTally) error {
+// outcomes into tallies and the testbed's metrics registry. capture is
+// the home's capture for replay trials, nil for the other attacks.
+func attackTarget(tb *experiment.Testbed, h *core.Hijacker, capture *sniff.Capture, spec Spec, label string, tallies map[string]*ModelTally) error {
 	owner := tb.SessionOwnerProfile(label)
 	m := experiment.MeasuredFromProfile(owner)
 	h.ArmPredictor(m)
@@ -169,7 +172,7 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, spec Spec, label str
 		case AttackOffline:
 			achieved, success, err = offlineTrial(tb, h, spec)
 		case AttackReplay:
-			achieved, success, err = replayTrial(tb, h, lab, spec)
+			achieved, success, err = replayTrial(tb, h, lab, capture, spec)
 		default:
 			achieved, success, err = delayTrial(tb, h, lab, spec, m)
 		}
@@ -219,14 +222,14 @@ func delayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Sp
 // event record was not retained (eviction, or an out-of-order capture)
 // simply fails — replay coverage is itself a campaign observable, not an
 // error.
-func replayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, spec Spec) (time.Duration, bool, error) {
+func replayTrial(tb *experiment.Testbed, h *core.Hijacker, lab *core.Lab, capture *sniff.Capture, spec Spec) (time.Duration, bool, error) {
 	mode := ReplayModeAuto
 	if spec.Replay != nil && spec.Replay.Mode != "" {
 		mode = spec.Replay.Mode
 	}
 	raw := mode == ReplayModeRaw || mode == ReplayModeAuto
 	app := mode == ReplayModeApp || mode == ReplayModeAuto
-	f, err := tb.ReplayTrial(h, lab, raw, app)
+	f, err := tb.ReplayTrial(h, lab, capture, raw, app)
 	return 0, f.RawAccepted || f.AppAccepted, err
 }
 

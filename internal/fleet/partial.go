@@ -17,7 +17,7 @@ type PartialTally struct {
 	DelaySum obs.FloatSum `json:"delaySum"`
 }
 
-// Partial is the checkpoint payload (format v4, and v2 and v3 before it) and the
+// Partial is the checkpoint payload (format v5, and v2 to v4 before it) and the
 // unit of multi-process fleet sharding: the mergeable aggregate of the
 // shard range [Start, Watermark) plus the completed-but-unfolded shards
 // sitting past the watermark.

@@ -243,6 +243,9 @@ func (s *Segment) Stats() Stats { return s.stats }
 // AddTap registers a passive observer of all frames on the segment.
 func (s *Segment) AddTap(t Tap) { s.taps = append(s.taps, t) }
 
+// Taps counts the passive observers registered with AddTap.
+func (s *Segment) Taps() int { return len(s.taps) }
+
 // send delivers f from the given NIC after the propagation delay.
 func (s *Segment) send(from *NIC, f Frame) {
 	s.stats.FramesSent++

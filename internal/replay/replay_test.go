@@ -117,7 +117,7 @@ func recordEvent(t *testing.T, label string) (*core.Attacker, []sniff.RecordMeta
 	if err != nil {
 		t.Fatal(err)
 	}
-	atk.Capture.Record(4096)
+	capture := tb.NewCapture(4096)
 	h, err := tb.Hijack(atk, label)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func recordEvent(t *testing.T, label string) (*core.Attacker, []sniff.RecordMeta
 		t.Fatal(err)
 	}
 	tb.Clock.RunFor(3 * time.Second)
-	records := atk.Capture.Records()
+	records := capture.Records()
 	owner := tb.SessionOwnerProfile(label).Label
 	idx, ok := replay.FindEventRecord(sniff.CatalogClassifier(), owner, label, records)
 	if !ok {

@@ -21,7 +21,7 @@ import (
 // selection, so its byte layout must be a pure function of the capture.
 func TestFlowsOrderDeterministic(t *testing.T) {
 	clk := simtime.NewClock()
-	cap := sniff.NewCapture(clk)
+	cap := sniff.NewCapture(clk, 0)
 
 	// Enough flows that a map-ordered listing is overwhelmingly unlikely
 	// to match the sorted order by chance (1/64! per call).

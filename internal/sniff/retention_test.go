@@ -66,12 +66,23 @@ func (f *feeder) stream(b []byte) {
 	f.nextSeq += uint32(len(b))
 }
 
-func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
-	cap := sniff.NewCapture(simtime.NewClock())
+// instrumented returns a capture with the given per-flow retain budget that
+// reports into a fresh registry, where the tests read its counters.
+func instrumented(retain int) (*sniff.Capture, *obs.Registry) {
+	cap := sniff.NewCapture(simtime.NewClock(), retain)
 	reg := obs.NewRegistry()
 	cap.Instrument(reg)
-	cap.Record(100)
+	return cap, reg
+}
 
+// evicted reads the retention eviction counters: records, then bytes.
+func evicted(reg *obs.Registry) (uint64, uint64) {
+	snap := reg.Snapshot()
+	return snap.Counter("sniff_retained_evicted_records_total"), snap.Counter("sniff_retained_evicted_bytes_total")
+}
+
+func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
+	cap, reg := instrumented(100)
 	f := newFeeder(cap, 50000)
 	wires := [][]byte{f.record(40, 'a'), f.record(40, 'b'), f.record(40, 'c')}
 
@@ -89,22 +100,13 @@ func TestRetentionBudgetEvictsOldestFirst(t *testing.T) {
 			t.Fatalf("record %d payload = %x, want wire image %x", i, recs[i].Payload, wires[i])
 		}
 	}
-	if cap.EvictedRecords() != 1 || cap.EvictedBytes() != 45 {
-		t.Fatalf("evicted %d records / %d bytes, want 1 / 45",
-			cap.EvictedRecords(), cap.EvictedBytes())
-	}
-	snap := reg.Snapshot()
-	if snap.Counter("sniff_retained_evicted_records_total") != 1 ||
-		snap.Counter("sniff_retained_evicted_bytes_total") != 45 {
-		t.Fatalf("registry counters disagree with capture: %d / %d",
-			snap.Counter("sniff_retained_evicted_records_total"),
-			snap.Counter("sniff_retained_evicted_bytes_total"))
+	if n, b := evicted(reg); n != 1 || b != 45 {
+		t.Fatalf("evicted %d records / %d bytes, want 1 / 45", n, b)
 	}
 }
 
 func TestRetentionBudgetIsPerFlow(t *testing.T) {
-	cap := sniff.NewCapture(simtime.NewClock())
-	cap.Record(100)
+	cap, reg := instrumented(100)
 	a := newFeeder(cap, 50000)
 	b := newFeeder(cap, 50001)
 	// Fill flow A past its budget; flow B stays small.
@@ -122,14 +124,13 @@ func TestRetentionBudgetIsPerFlow(t *testing.T) {
 	if len(bRecs) != 1 || !bytes.Equal(bRecs[0].Payload, bw) {
 		t.Fatalf("flow B lost its payload to flow A's budget: %+v", bRecs)
 	}
-	if cap.EvictedRecords() != 1 {
-		t.Fatalf("evictions = %d, want 1 (flow A only)", cap.EvictedRecords())
+	if n, _ := evicted(reg); n != 1 {
+		t.Fatalf("evictions = %d, want 1 (flow A only)", n)
 	}
 }
 
 func TestRetentionOversizedRecordEvictsItself(t *testing.T) {
-	cap := sniff.NewCapture(simtime.NewClock())
-	cap.Record(40)
+	cap, reg := instrumented(40)
 	f := newFeeder(cap, 50000)
 	f.record(60, 'z') // 65 wire bytes > whole budget
 	recs := cap.Records()
@@ -139,30 +140,26 @@ func TestRetentionOversizedRecordEvictsItself(t *testing.T) {
 	if recs[0].Payload != nil {
 		t.Fatal("oversized record retained past the budget")
 	}
-	if cap.EvictedRecords() != 1 || cap.EvictedBytes() != 65 {
-		t.Fatalf("evicted %d / %d, want 1 / 65", cap.EvictedRecords(), cap.EvictedBytes())
+	if n, b := evicted(reg); n != 1 || b != 65 {
+		t.Fatalf("evicted %d / %d, want 1 / 65", n, b)
 	}
 }
 
 func TestRetentionOffKeepsNothing(t *testing.T) {
-	cap := sniff.NewCapture(simtime.NewClock())
-	cap.Record(-5) // negative clamps to metadata only
+	cap, reg := instrumented(-5) // negative clamps to metadata only
 	f := newFeeder(cap, 50000)
 	f.record(40, 'a')
 	recs := cap.Records()
 	if len(recs) != 1 || recs[0].Payload != nil {
 		t.Fatalf("retention off but payload kept: %+v", recs)
 	}
-	if cap.EvictedRecords() != 0 {
+	if n, _ := evicted(reg); n != 0 {
 		t.Fatal("retention off still counted evictions")
 	}
 }
 
 func TestOutOfOrderBufferCapDropsAndCounts(t *testing.T) {
-	cap := sniff.NewCapture(simtime.NewClock())
-	reg := obs.NewRegistry()
-	cap.Instrument(reg)
-	cap.Record(0)
+	cap, reg := instrumented(0)
 	f := newFeeder(cap, 50000)
 
 	// Non-contiguous future segments pile up in the reassembly buffer until
@@ -171,13 +168,56 @@ func TestOutOfOrderBufferCapDropsAndCounts(t *testing.T) {
 		seq := f.nextSeq + 100 + uint32(i)*10
 		f.frame(tcpsim.Segment{Seq: seq, Flags: tcpsim.FlagACK, Payload: []byte{1}}, f.src, f.dst)
 	}
-	if cap.OOODropped() != 8 {
-		t.Fatalf("OOODropped = %d, want 8 (520 - cap of 512)", cap.OOODropped())
-	}
 	if got := reg.Snapshot().Counter("sniff_ooo_dropped_total"); got != 8 {
-		t.Fatalf("sniff_ooo_dropped_total = %d, want 8", got)
+		t.Fatalf("sniff_ooo_dropped_total = %d, want 8 (520 - cap of 512)", got)
 	}
 	if len(cap.Records()) != 0 {
 		t.Fatal("out-of-order segments produced records without the gap filling")
+	}
+}
+
+// TestSegmentBeyondWindowIgnored: a segment that starts more than TCP's
+// largest unscaled window ahead of its stream belongs to another stream
+// on the four-tuple (a hijacked flow carries the device's and the
+// attacker's), so the capture neither buffers nor counts it, and
+// allocates nothing for it. A segment inside the window still waits for
+// its gap to fill.
+func TestSegmentBeyondWindowIgnored(t *testing.T) {
+	cap, reg := instrumented(1024)
+	f := newFeeder(cap, 50000)
+	f.record(40, 'a')
+
+	// More far-ahead segments than the out-of-order cap holds, so a
+	// capture that buffered them would also count drops.
+	const runs = 600
+	frames := make([]netsim.Frame, runs+1)
+	for i := range frames {
+		seg := tcpsim.Segment{SrcPort: f.src.Port, DstPort: f.dst.Port, Seq: f.nextSeq + 65536 + uint32(i)*1000, Flags: tcpsim.FlagACK, Payload: appRecord(40, 'z')}
+		p := ipnet.Packet{Src: f.src.Addr, Dst: f.dst.Addr, Proto: ipnet.ProtoTCP, Payload: seg.Marshal()}
+		frames[i] = netsim.Frame{Type: netsim.EtherTypeIPv4, Payload: p.Marshal()}
+	}
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		cap.HandleFrame(frames[next])
+		next++
+	}); n != 0 {
+		t.Fatalf("a segment beyond the window allocates %.2f per op, want 0", n)
+	}
+	if got := reg.Snapshot().Counter("sniff_ooo_dropped_total"); got != 0 {
+		t.Fatalf("sniff_ooo_dropped_total = %d, want 0: nothing was buffered", got)
+	}
+
+	// A record split in two, its second half first, within the window.
+	wire := appRecord(40, 'b')
+	f.frame(tcpsim.Segment{Seq: f.nextSeq + 20, Flags: tcpsim.FlagACK, Payload: wire[20:]}, f.src, f.dst)
+	f.stream(wire[:20])
+	f.nextSeq += uint32(len(wire) - 20)
+	recs := cap.Records()
+	if len(recs) != 2 || !bytes.Equal(recs[1].Payload, wire) {
+		t.Fatalf("records = %+v, want the first record and the reassembled %x", recs, wire)
+	}
+	flow := sniff.FlowKey{Client: f.src, Server: f.dst}
+	if seq, ok := cap.StreamSeq(flow, sniff.DirClientToServer); !ok || seq != f.nextSeq {
+		t.Fatalf("StreamSeq = %d, %v; want %d", seq, ok, f.nextSeq)
 	}
 }

@@ -50,8 +50,8 @@ type RecordMeta struct {
 	// WireLen is the record's total on-the-wire size (header + body).
 	WireLen int
 	// Payload is the record's raw wire bytes (header included), retained
-	// only when the capture records with a payload budget and that
-	// budget has not evicted it. Replay attacks re-inject these bytes.
+	// only when the capture has a payload budget and that budget has not
+	// evicted it. Replay attacks re-inject these bytes.
 	Payload []byte
 }
 
@@ -65,27 +65,32 @@ func (r RecordMeta) PlainLen() int {
 }
 
 // maxOOOSegments bounds the out-of-order reassembly buffer per stream
-// direction. A MITM'd connection puts two TCP streams on one four-tuple
-// (the device's and the attacker's re-origination of it); the losing
-// stream's segments never reassemble and would otherwise pile up here for
-// the life of the flow. Overflow drops the new segment and counts it.
+// direction. Overflow drops the new segment and counts it.
 const maxOOOSegments = 512
+
+// maxWindow is TCP's largest unscaled window. A segment that starts
+// further ahead of its stream's next expected byte is taken to belong to
+// another stream: a MITM'd connection puts two TCP streams on one
+// four-tuple (the device's and the attacker's re-origination of it), each
+// from its own initial sequence number, so the untracked stream's segments
+// fall anywhere relative to the tracked one's, and buffered they would
+// wait for a gap that never fills. The test assumes a lossless LAN:
+// tcpsim keeps no send window, so after a lost segment a sender may run
+// more than maxWindow bytes ahead, and the capture would ignore those
+// bytes and stall the stream; no home sets a loss rate on the segment the
+// capture taps.
+const maxWindow = 65535
 
 // Capture reassembles TLS record metadata from observed frames.
 type Capture struct {
 	clk   *simtime.Clock
 	flows map[FlowKey]*flowState
 
-	// recording turns the record log on (see Record); records is the log.
-	recording bool
-	records   []RecordMeta
+	records []RecordMeta
 
 	// retainBudget > 0 enables payload retention: each flow keeps up to
 	// that many raw record bytes, oldest-evicted-first.
-	retainBudget   int
-	evictedRecords uint64
-	evictedBytes   uint64
-	oooDropped     uint64
+	retainBudget int
 
 	mEvictedRecords *obs.Counter
 	mEvictedBytes   *obs.Counter
@@ -109,32 +114,14 @@ type dirStream struct {
 	buf     []byte
 }
 
-// NewCapture creates an empty capture.
-func NewCapture(clk *simtime.Clock) *Capture {
-	return &Capture{clk: clk, flows: make(map[FlowKey]*flowState)}
+// NewCapture creates an empty capture that logs every record it
+// observes for Records and FlowRecords. A per-flow retain budget above 0
+// also keeps each record's raw bytes, and when a flow exceeds its budget
+// the oldest retained payloads are evicted and counted; 0 or less logs
+// metadata only.
+func NewCapture(clk *simtime.Clock, retain int) *Capture {
+	return &Capture{clk: clk, flows: make(map[FlowKey]*flowState), retainBudget: max(retain, 0)}
 }
-
-// Record starts the record log that Records and FlowRecords read: every
-// record observed after the call is logged. A per-flow budget above 0
-// also retains each record's raw bytes, and when a flow exceeds its
-// budget the oldest retained payloads are evicted and counted; 0 logs
-// metadata only. A new capture logs nothing, so only the attacks that
-// read records pay for the log. Flow tracking, reassembly, Flows and
-// StreamSeq run either way, so a log started mid-stream begins at a
-// record boundary.
-func (c *Capture) Record(budgetPerFlow int) {
-	c.recording = true
-	c.retainBudget = max(budgetPerFlow, 0)
-}
-
-// EvictedRecords counts payloads evicted by the per-flow retention budget.
-func (c *Capture) EvictedRecords() uint64 { return c.evictedRecords }
-
-// EvictedBytes counts payload bytes evicted by the retention budget.
-func (c *Capture) EvictedBytes() uint64 { return c.evictedBytes }
-
-// OOODropped counts out-of-order segments dropped by the reassembly cap.
-func (c *Capture) OOODropped() uint64 { return c.oooDropped }
 
 // Instrument attaches registry counters for the capture's memory-bound
 // events: retention evictions and out-of-order drops.
@@ -144,13 +131,7 @@ func (c *Capture) Instrument(reg *obs.Registry) {
 	c.mOOODropped = reg.Counter("sniff_ooo_dropped_total")
 }
 
-// Tap returns a netsim tap feeding the capture; attach it to a segment (or
-// set a promiscuous NIC handler to call HandleFrame).
-func (c *Capture) Tap() netsim.Tap {
-	return func(f netsim.Frame) { c.HandleFrame(f) }
-}
-
-// Records returns the records logged since Record was called.
+// Records returns every record logged so far.
 func (c *Capture) Records() []RecordMeta {
 	out := make([]RecordMeta, len(c.records))
 	copy(out, c.records)
@@ -210,7 +191,7 @@ func (c *Capture) StreamSeq(key FlowKey, dir Direction) (uint32, bool) {
 	return st.nextSeq, true
 }
 
-// HandleFrame ingests one layer-2 frame.
+// HandleFrame ingests one layer-2 frame; it is the capture's netsim tap.
 func (c *Capture) HandleFrame(f netsim.Frame) {
 	if f.Type != netsim.EtherTypeIPv4 {
 		return
@@ -268,8 +249,8 @@ func (c *Capture) lookup(src, dst tcpsim.Endpoint) (*flowState, Direction) {
 }
 
 func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim.Segment) {
-	switch {
-	case seg.Seq == st.nextSeq:
+	switch ahead := seg.Seq - st.nextSeq; {
+	case ahead == 0:
 		st.buf = append(st.buf, seg.Payload...)
 		st.nextSeq += uint32(len(seg.Payload))
 		for {
@@ -282,9 +263,8 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 			st.nextSeq += uint32(len(p))
 		}
 		c.drainRecords(fs, dir, st)
-	case int32(seg.Seq-st.nextSeq) > 0:
+	case ahead <= maxWindow:
 		if len(st.ooo) >= maxOOOSegments {
-			c.oooDropped++
 			c.mOOODropped.Inc()
 			return
 		}
@@ -293,15 +273,15 @@ func (c *Capture) ingest(fs *flowState, dir Direction, st *dirStream, seg tcpsim
 		// until the gap fills.
 		st.ooo[seg.Seq] = append([]byte(nil), seg.Payload...)
 	default:
-		// Retransmission of already-captured bytes: ignore.
+		// A retransmission of already-captured bytes, or a segment of
+		// another stream beyond the window: ignore.
 	}
 }
 
-// drainRecords consumes every complete record at the front of st.buf,
-// logging each when the capture records, then moves the unconsumed tail
-// to the front so the buffer keeps its capacity and the next ingest
-// appends without reallocating. Nothing keeps buf bytes past the call:
-// retained payloads are clones.
+// drainRecords consumes and logs every complete record at the front of
+// st.buf, then moves the unconsumed tail to the front so the buffer keeps
+// its capacity and the next ingest appends without reallocating. Nothing
+// keeps buf bytes past the call: retained payloads are clones.
 func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 	off := 0
 	for {
@@ -311,9 +291,6 @@ func (c *Capture) drainRecords(fs *flowState, dir Direction, st *dirStream) {
 			break
 		}
 		off += total
-		if !c.recording {
-			continue
-		}
 		meta := RecordMeta{
 			At:      c.clk.Now(),
 			Flow:    fs.key,
@@ -348,8 +325,6 @@ func (c *Capture) retainRecord(fs *flowState, idx, size int) {
 		n := len(c.records[old].Payload)
 		c.records[old].Payload = nil
 		fs.retainedBytes -= n
-		c.evictedRecords++
-		c.evictedBytes += uint64(n)
 		c.mEvictedRecords.Inc()
 		c.mEvictedBytes.Add(uint64(n))
 	}

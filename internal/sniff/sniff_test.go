@@ -21,9 +21,7 @@ func buildHome(t *testing.T, labels ...string) (*experiment.Testbed, *sniff.Capt
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := sniff.NewCapture(tb.Clock)
-	cap.Record(0)
-	tb.LAN.AddTap(cap.Tap())
+	cap := tb.NewCapture(0)
 	tb.Start()
 	return tb, cap
 }
@@ -185,8 +183,7 @@ func TestCaptureReassemblesOutOfOrderSegments(t *testing.T) {
 	// Feed the capture crafted frames with segments out of order; the
 	// record must still be extracted once the gap fills.
 	clk := simtime.NewClock()
-	cap := sniff.NewCapture(clk)
-	cap.Record(0)
+	cap := sniff.NewCapture(clk, 0)
 
 	src := tcpsim.Endpoint{Addr: ipaddr.MustParse("192.168.1.10"), Port: 50000}
 	dst := tcpsim.Endpoint{Addr: ipaddr.MustParse("100.64.10.10"), Port: 443}
@@ -239,8 +236,7 @@ func TestCaptureReassemblesOutOfOrderSegments(t *testing.T) {
 
 func TestCaptureIgnoresGarbage(t *testing.T) {
 	clk := simtime.NewClock()
-	cap := sniff.NewCapture(clk)
-	cap.Record(0)
+	cap := sniff.NewCapture(clk, 0)
 	cap.HandleFrame(netsim.Frame{Type: netsim.EtherTypeARP, Payload: []byte{1, 2, 3}})
 	cap.HandleFrame(netsim.Frame{Type: netsim.EtherTypeIPv4, Payload: []byte{9}})
 	p := ipnet.Packet{Src: 1, Dst: 2, Proto: ipnet.Protocol(99), Payload: []byte("x")}
