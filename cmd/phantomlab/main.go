@@ -385,6 +385,9 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		if len(clash) > 0 {
 			return fmt.Errorf("fleet -merge reconstructs the campaign from the partial files themselves; drop %s", strings.Join(clash, ", "))
 		}
+		if *serveAddr != "" {
+			return fmt.Errorf("-serve does not apply to fleet -merge: a merge runs no campaign to observe")
+		}
 		if fs.NArg() == 0 {
 			return fmt.Errorf("fleet -merge needs the partial files to merge as arguments")
 		}

@@ -444,17 +444,24 @@ func TestRunFleetShardRangeResume(t *testing.T) {
 func TestRunFleetRejectsBadRangeUsage(t *testing.T) {
 	dir := t.TempDir()
 	part := filepath.Join(dir, "p.json")
+	// A complete partial, so the -serve merges below fail for -serve alone.
+	whole := filepath.Join(dir, "whole.json")
+	if err := run([]string{"fleet", "-homes", "8", "-shard-size", "4", "-shard-range", "0:2", "-partial", whole}); err != nil {
+		t.Fatal(err)
+	}
 	for name, args := range map[string][]string{
-		"range without -partial":  {"fleet", "-shard-range", "0:2"},
-		"partial without range":   {"fleet", "-partial", part},
-		"malformed range":         {"fleet", "-shard-range", "2", "-partial", part},
-		"non-numeric range":       {"fleet", "-shard-range", "a:b", "-partial", part},
-		"range with -out":         {"fleet", "-shard-range", "0:2", "-partial", part, "-out", filepath.Join(dir, "o.json")},
-		"range with -metrics":     {"fleet", "-shard-range", "0:2", "-partial", part, "-metrics", filepath.Join(dir, "m.json")},
-		"out-of-campaign range":   {"fleet", "-homes", "8", "-shard-size", "4", "-shard-range", "0:5", "-partial", part},
-		"merge without files":     {"fleet", "-merge"},
-		"merge with campaign":     {"fleet", "-merge", "-homes", "8", part},
-		"merge with missing file": {"fleet", "-merge", filepath.Join(dir, "nope.json")},
+		"range without -partial":   {"fleet", "-shard-range", "0:2"},
+		"partial without range":    {"fleet", "-partial", part},
+		"malformed range":          {"fleet", "-shard-range", "2", "-partial", part},
+		"non-numeric range":        {"fleet", "-shard-range", "a:b", "-partial", part},
+		"range with -out":          {"fleet", "-shard-range", "0:2", "-partial", part, "-out", filepath.Join(dir, "o.json")},
+		"range with -metrics":      {"fleet", "-shard-range", "0:2", "-partial", part, "-metrics", filepath.Join(dir, "m.json")},
+		"out-of-campaign range":    {"fleet", "-homes", "8", "-shard-size", "4", "-shard-range", "0:5", "-partial", part},
+		"merge without files":      {"fleet", "-merge"},
+		"merge with campaign":      {"fleet", "-merge", "-homes", "8", part},
+		"merge with missing file":  {"fleet", "-merge", filepath.Join(dir, "nope.json")},
+		"merge with -serve after":  {"fleet", "-merge", "-serve", "127.0.0.1:0", "-out", filepath.Join(dir, "m.json"), whole},
+		"merge with -serve before": {"-serve", "127.0.0.1:0", "fleet", "-merge", "-out", filepath.Join(dir, "m.json"), whole},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("%s accepted", name)

@@ -8,8 +8,8 @@
 //
 // The matched packages are type-checked from source against their
 // dependencies' export data in the build cache, then analyzed in
-// dependency waves (imports before importers) so cross-package facts —
-// taint summaries, wall-clock-boundary marks — are complete when a
+// `go list -deps` order (imports before importers) so cross-package facts
+// — taint summaries, wall-clock-boundary marks — are complete when a
 // package is reached.
 //
 // Exit status is 0 when no findings survive //lint:allow suppression,
@@ -46,7 +46,7 @@ func main() {
 	listFlag := flag.Bool("list", false, "list the analyzers and exit")
 	runFlag := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
 	jsonFlag := flag.Bool("json", false, "emit findings as JSON (suppressed findings included, marked)")
-	verboseFlag := flag.Bool("v", false, "report wall time and wave schedule to stderr")
+	verboseFlag := flag.Bool("v", false, "report the package count and wall times to stderr")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: phantomlint [-list] [-run name,name] [-json] [-v] [packages]\n")
 		flag.PrintDefaults()
@@ -95,13 +95,7 @@ func main() {
 	done := time.Now()
 
 	if *verboseFlag {
-		waves := analysis.Waves(pkgs)
-		sizes := make([]string, len(waves))
-		for i, w := range waves {
-			sizes[i] = fmt.Sprint(len(w))
-		}
-		fmt.Fprintf(os.Stderr, "phantomlint: %d packages in %d waves [%s]\n",
-			len(pkgs), len(waves), strings.Join(sizes, " "))
+		fmt.Fprintf(os.Stderr, "phantomlint: %d packages\n", len(pkgs))
 		fmt.Fprintf(os.Stderr, "phantomlint: load %.2fs, analysis %.2fs, total %.2fs\n",
 			loaded.Sub(start).Seconds(), done.Sub(loaded).Seconds(), done.Sub(start).Seconds())
 	}

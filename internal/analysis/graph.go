@@ -1,14 +1,14 @@
 // The graph runner: dependency-ordered analysis.
 //
 // Facts flow along import edges, so a package's analyzers may only run
-// once every analyzed dependency has finished. Waves makes that order
-// explicit: wave 0 holds packages importing no other analyzed package,
-// wave k packages whose analyzed imports all sit in earlier waves.
-// RunGraph analyzes the waves in order, one package at a time, so every
-// pass sees a complete fact store for everything it can reach.
+// once every analyzed dependency has finished. Both producers of package
+// lists already order them that way — load.Packages in `go list -deps`
+// order, analysistest in the order its fixtures type-check — so RunGraph
+// analyzes the packages in the order given, one at a time, and refuses a
+// list that puts a package before an analyzed package it imports.
 package analysis
 
-import "sort"
+import "fmt"
 
 // GraphOptions tunes RunGraph.
 type GraphOptions struct {
@@ -17,69 +17,35 @@ type GraphOptions struct {
 	IncludeSuppressed bool
 }
 
-// Waves partitions pkgs into dependency waves: every package's analyzed
-// imports live in strictly earlier waves. Within a wave, packages are
-// sorted by import path so scheduling is deterministic.
-func Waves(pkgs []*Package) [][]*Package {
-	byPath := make(map[string]*Package, len(pkgs))
-	for _, p := range pkgs {
-		byPath[p.ImportPath] = p
-	}
-	depth := make(map[string]int, len(pkgs))
-	var depthOf func(p *Package) int
-	depthOf = func(p *Package) int {
-		if d, ok := depth[p.ImportPath]; ok {
-			return d
-		}
-		// Mark before recursing: an import cycle (impossible in valid Go,
-		// but be safe on broken input) bottoms out at depth 0.
-		depth[p.ImportPath] = 0
-		d := 0
-		for _, imp := range p.Pkg.Imports() {
-			if dep, ok := byPath[imp.Path()]; ok {
-				if dd := depthOf(dep) + 1; dd > d {
-					d = dd
-				}
-			}
-		}
-		depth[p.ImportPath] = d
-		return d
-	}
-	max := 0
-	for _, p := range pkgs {
-		if d := depthOf(p); d > max {
-			max = d
-		}
-	}
-	waves := make([][]*Package, max+1)
-	for _, p := range pkgs {
-		waves[depth[p.ImportPath]] = append(waves[depth[p.ImportPath]], p)
-	}
-	for _, w := range waves {
-		sort.Slice(w, func(i, j int) bool { return w[i].ImportPath < w[j].ImportPath })
-	}
-	return waves
-}
-
-// RunGraph applies the analyzers to the packages in dependency-wave
-// order, threading facts through one store, and returns the findings of
-// every package not marked FactsOnly, sorted by position then analyzer.
-// Findings suppressed by a
+// RunGraph applies the analyzers to the packages in the order given,
+// threading facts through one store, and returns the findings of every
+// package not marked FactsOnly, sorted by position then analyzer. Every
+// package must follow the analyzed packages it imports; RunGraph returns
+// an error naming the first one that does not. Findings suppressed by a
 // //lint:allow comment (see suppress.go) are dropped unless
 // opts.IncludeSuppressed, so phantomlint and analysistest share one
 // suppression semantics.
 func RunGraph(pkgs []*Package, analyzers []*Analyzer, opts GraphOptions) ([]Finding, error) {
+	at := make(map[string]int, len(pkgs))
+	for i, p := range pkgs {
+		at[p.ImportPath] = i
+	}
+	for i, p := range pkgs {
+		for _, imp := range p.Pkg.Imports() {
+			if j, ok := at[imp.Path()]; ok && j > i {
+				return nil, fmt.Errorf("analysis: package %s precedes %s, which it imports", p.ImportPath, imp.Path())
+			}
+		}
+	}
 	facts := make(factStore)
 	var all []Finding
-	for _, wave := range Waves(pkgs) {
-		for _, pkg := range wave {
-			fs, err := runPackage(pkg, analyzers, facts)
-			if err != nil {
-				return nil, err
-			}
-			if !pkg.FactsOnly {
-				all = append(all, fs...)
-			}
+	for _, pkg := range pkgs {
+		fs, err := runPackage(pkg, analyzers, facts)
+		if err != nil {
+			return nil, err
+		}
+		if !pkg.FactsOnly {
+			all = append(all, fs...)
 		}
 	}
 	if !opts.IncludeSuppressed {

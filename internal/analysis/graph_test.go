@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"go/token"
 	"go/types"
-	"reflect"
 	"strings"
 	"testing"
 )
 
 // chain builds packages a ← b ← c (c imports b imports a) plus an
-// independent d, for wave and fact-flow tests.
+// independent d, in an order that puts every package after its imports,
+// for fact-flow tests.
 func chainPkgs(t *testing.T) []*Package {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -20,23 +20,18 @@ func chainPkgs(t *testing.T) []*Package {
 	c := checkSrc(t, fset, "chain/c", `package c; import "chain/b"; func F() { b.F() }`,
 		map[string]*types.Package{"chain/a": a.Pkg, "chain/b": b.Pkg})
 	d := checkSrc(t, fset, "chain/d", `package d; func F() {}`, nil)
-	// Deliberately scrambled input order: Waves must sort it out.
-	return []*Package{c, d, a, b}
+	return []*Package{d, a, b, c}
 }
 
-func TestWaves(t *testing.T) {
-	waves := Waves(chainPkgs(t))
-	var got [][]string
-	for _, w := range waves {
-		var paths []string
-		for _, p := range w {
-			paths = append(paths, p.ImportPath)
-		}
-		got = append(got, paths)
-	}
-	want := [][]string{{"chain/a", "chain/d"}, {"chain/b"}, {"chain/c"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("waves = %v, want %v", got, want)
+// TestRunGraphRejectsImporterFirst: a list that puts a package before an
+// analyzed package it imports would hide that dependency's facts, so
+// RunGraph refuses it, naming both packages.
+func TestRunGraphRejectsImporterFirst(t *testing.T) {
+	pkgs := chainPkgs(t)
+	scrambled := []*Package{pkgs[3], pkgs[0], pkgs[1], pkgs[2]} // c, d, a, b
+	_, err := RunGraph(scrambled, []*Analyzer{markEveryFunc("mark")}, GraphOptions{})
+	if want := "analysis: package chain/c precedes chain/b, which it imports"; err == nil || err.Error() != want {
+		t.Errorf("RunGraph error = %v, want %q", err, want)
 	}
 }
 
@@ -59,7 +54,7 @@ func markEveryFunc(name string) *Analyzer {
 }
 
 // readDepFacts reports, for each import, the fact its dependency's F
-// carries — proving facts flow down waves.
+// carries — proving facts flow from imports to importers.
 func readDepFacts() *Analyzer {
 	return &Analyzer{
 		Name: "reader",

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"repro/internal/obs"
@@ -27,10 +26,10 @@ type Campaign struct {
 	ShardSize int
 	// Seed is the population master seed.
 	Seed int64
-	// CheckpointPath, when non-empty, persists the campaign's compacted
-	// partial aggregate as JSON after every completed shard, so an
-	// interrupted campaign resumes instead of restarting. The file stays
-	// O(aggregate + reorder window) no matter how many shards are done.
+	// CheckpointPath, when non-empty, persists the campaign's partial
+	// aggregate as JSON after every completed shard, so an interrupted
+	// campaign resumes instead of restarting. The file holds the aggregate
+	// and the spans of shards done, never the shards themselves.
 	CheckpointPath string
 	// Observe, when set, watches the run through the aggregator's own
 	// state: the collector calls it after each landed shard's checkpoint
@@ -42,30 +41,15 @@ type Campaign struct {
 
 // Progress is one observation of a running campaign or shard range.
 type Progress struct {
-	// Partial is the aggregate so far: the folded prefix plus the
-	// out-of-order window. The same value the step's checkpoint saved; it
-	// is not mutated afterwards, so an observer may keep it.
+	// Partial is the aggregate of the shards landed so far. The same
+	// value the step's checkpoint saved; it is not mutated afterwards, so
+	// an observer may keep it.
 	Partial Partial
 	// Total is the number of shards in the run's range.
 	Total int
 	// Resumed marks the call a checkpoint restore makes. Its Partial's
 	// shards were run by an earlier process, not this one.
 	Resumed bool
-}
-
-// ShardResult is the deterministic outcome of one shard: a pure function
-// of (campaign identity, shard index), independent of worker count and of
-// which other shards have run.
-type ShardResult struct {
-	Index         int          `json:"index"`
-	FirstHome     int          `json:"firstHome"`
-	Homes         int          `json:"homes"`
-	HomesNoTarget int          `json:"homesNoTarget"`
-	HomesFailed   int          `json:"homesFailed"`
-	Errors        []string     `json:"errors,omitempty"`
-	Alarms        int          `json:"alarms"`
-	Tallies       []ModelTally `json:"tallies"`
-	Metrics       obs.Snapshot `json:"metrics"`
 }
 
 // maxShardErrors bounds how many home errors a shard records verbatim.
@@ -97,14 +81,13 @@ func (c Campaign) validateRun() error {
 	return nil
 }
 
-// Run executes the campaign: shards not already folded into the checkpoint
-// are distributed over the worker pool, each worker building one home's
-// testbed at a time (memory stays bounded by Workers, not Homes), and the
-// shard results stream through an aggregator — folded in shard-index order
-// as they land, then released — into a worker-count-independent Result.
-// A checkpoint resumes by absorbing the persisted partial aggregate, so
-// steady-state memory — and the checkpoint file itself — is the aggregate
-// plus a reorder window of roughly Workers shards, never the shard set.
+// Run executes the campaign: shards the checkpoint does not hold are
+// distributed over the worker pool, each worker building one home's
+// testbed at a time (memory stays bounded by Workers, not Homes), and each
+// shard's Partial folds into the aggregate the moment it lands, then is
+// released, into a worker-count-independent Result. A checkpoint resumes
+// by absorbing the persisted partial aggregate, so steady-state memory —
+// and the checkpoint file itself — is the aggregate, never the shard set.
 func (c Campaign) Run() (Result, error) {
 	c = c.withDefaults()
 	c.Spec.fill()
@@ -116,7 +99,7 @@ func (c Campaign) Run() (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	return agg.finish(), nil
+	return c.result(agg.partial()), nil
 }
 
 // RunRange executes only shards [first, last) of the campaign and returns
@@ -124,9 +107,9 @@ func (c Campaign) Run() (Result, error) {
 // multi-process fleet. Partials from ranges tiling the whole campaign
 // merge (MergePartials, `phantomlab fleet -merge`) into a Result
 // byte-identical to a single-process Run. CheckpointPath works per range:
-// an interrupted range worker resumes its own shards, and its checkpoint
-// records Start so a mismatched -shard-range is rejected rather than
-// silently misattributed.
+// a range worker resumes from any checkpoint whose shards all lie inside
+// its range, and refuses one holding a shard outside it rather than
+// silently misattributing it.
 func (c Campaign) RunRange(first, last int) (Partial, error) {
 	c = c.withDefaults()
 	c.Spec.fill()
@@ -145,12 +128,11 @@ func (c Campaign) RunRange(first, last int) (Partial, error) {
 }
 
 // runShards is the engine shared by Run and RunRange: seed an aggregator
-// for [first, last) — from the checkpoint when one exists — then fill the
-// pending shards through the worker pool. Progress totals are relative to
-// the range.
+// from the checkpoint when one exists, then run the shards of [first,
+// last) it does not hold through the worker pool. Progress totals are
+// relative to the range.
 func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
-	agg := c.newAggregator(first)
-	units := last - first
+	agg := newAggregator()
 	var ck *checkpointer
 	if c.CheckpointPath != "" {
 		ck = newCheckpointer(c.CheckpointPath, c.identity())
@@ -159,52 +141,45 @@ func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
 			return nil, err
 		}
 		if found {
-			if p.Start != first {
-				return nil, fmt.Errorf("fleet: checkpoint %s covers shards starting at %d but this run starts at %d; resume with the original shard range or use a fresh checkpoint path", c.CheckpointPath, p.Start, first)
+			for _, s := range p.Spans {
+				if s.First < first || s.Last > last {
+					return nil, fmt.Errorf("fleet: checkpoint %s holds shards [%d,%d), outside this run's range [%d,%d); resume with a range that contains them or use a fresh checkpoint path", c.CheckpointPath, s.First, s.Last, first, last)
+				}
 			}
-			if p.Watermark > last {
-				return nil, fmt.Errorf("fleet: checkpoint %s is folded through shard %d, beyond this run's range end %d", c.CheckpointPath, p.Watermark, last)
-			}
-			if n := len(p.Window); n > 0 && p.Window[n-1].Index >= last {
-				return nil, fmt.Errorf("fleet: checkpoint %s retains shard %d, beyond this run's range end %d", c.CheckpointPath, p.Window[n-1].Index, last)
-			}
-			if err := agg.restore(p); err != nil {
+			if err := agg.absorb(p); err != nil {
 				return nil, err
 			}
 			if c.Observe != nil {
-				c.Observe(Progress{Partial: p, Total: units, Resumed: true})
+				c.Observe(Progress{Partial: p, Total: last - first, Resumed: true})
 			}
 		}
 	}
 	var pending []int
-	for i := agg.next; i < last; i++ {
-		if _, ok := agg.window[i]; !ok {
+	for i := first; i < last; i++ {
+		if !agg.p.holds(i) {
 			pending = append(pending, i)
 		}
 	}
-	if err := c.collect(agg, ck, pending, units); err != nil {
+	if err := c.collect(agg, ck, pending, last-first); err != nil {
 		return nil, err
-	}
-	if agg.next != last || len(agg.window) != 0 {
-		return nil, fmt.Errorf("fleet: internal: aggregation stalled at shard %d with %d windowed shards", agg.next, len(agg.window))
 	}
 	return agg, nil
 }
 
 // collect distributes pending shards over the worker pool and folds
-// results as they land. On a checkpoint-save failure it cancels the feeder
+// each as it lands. On a checkpoint-save failure it cancels the feeder
 // and workers and drains the pool before returning, so no goroutine
 // outlives the call — the previous collector returned immediately on that
 // path, leaking every worker blocked on the unbuffered results channel
 // plus the feeder.
 //
-//lint:bridge determinism -- completion order is reconciled here: the aggregator's reorder window folds shards in index order, so the result is order-independent
+//lint:bridge determinism -- completion order does not reach the result: every field of a shard's Partial folds commutatively, so the aggregate depends only on which shards landed
 func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, total int) error {
 	if len(pending) == 0 {
 		return nil
 	}
 	jobs := make(chan int)
-	results := make(chan ShardResult)
+	results := make(chan Partial)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	workers := c.Workers
@@ -240,50 +215,54 @@ func (c Campaign) collect(agg *aggregator, ck *checkpointer, pending []int, tota
 	}()
 	var runErr error
 	// Single collector: completion order varies with the worker pool, but
-	// nothing order-sensitive happens here — the aggregator's reorder
-	// window restores index order before folding, and each checkpoint save
-	// persists the folded prefix plus that window. The step's Partial is
-	// built once, for the save and the observer, and not at all when
-	// neither is set.
+	// nothing here depends on it.
 	for s := range results {
 		if runErr != nil {
 			continue // cancelled: drain until the pool shuts down
 		}
-		agg.add(s)
-		if ck == nil && c.Observe == nil {
-			continue
-		}
-		p := agg.partial()
-		if ck != nil {
-			if err := ck.save(p); err != nil {
-				runErr = err
-				close(stop)
-				continue
-			}
-		}
-		if c.Observe != nil {
-			c.Observe(Progress{Partial: p, Total: total})
+		if runErr = c.land(agg, ck, s, total); runErr != nil {
+			close(stop)
 		}
 	}
 	return runErr
 }
 
-// runShard generates and runs the shard's homes sequentially. Everything
-// inside a shard happens in home order, so the shard result is
-// deterministic no matter which worker executes it.
-func (c Campaign) runShard(idx int) ShardResult {
-	first := idx * c.ShardSize
-	n := c.ShardSize
-	if first+n > c.Homes {
-		n = c.Homes - first
+// land absorbs one shard, then saves the checkpoint and tells the
+// observer. The step's Partial is built once, for both, and not at all
+// when neither is set.
+func (c Campaign) land(agg *aggregator, ck *checkpointer, s Partial, total int) error {
+	if err := agg.absorb(s); err != nil {
+		return err
 	}
-	sr := ShardResult{Index: idx, FirstHome: first, Homes: n}
+	if ck == nil && c.Observe == nil {
+		return nil
+	}
+	p := agg.partial()
+	if ck != nil {
+		if err := ck.save(p); err != nil {
+			return err
+		}
+	}
+	if c.Observe != nil {
+		c.Observe(Progress{Partial: p, Total: total})
+	}
+	return nil
+}
+
+// runShard generates and runs the shard's homes sequentially and returns
+// the shard's Partial, holding the one span [idx, idx+1). Everything
+// inside a shard happens in home order, so the Partial is a pure function
+// of (campaign identity, shard index), whichever worker runs it.
+func (c Campaign) runShard(idx int) Partial {
+	first := idx * c.ShardSize
+	n := min(c.ShardSize, c.Homes-first)
+	p := Partial{Spans: []Span{{First: idx, Last: idx + 1}}}
 	pc := PopulationConfig{
 		Seed:         c.Seed,
 		TimingJitter: c.Spec.TimingJitter,
 		RulesPerHome: c.Spec.RulesPerHome,
 	}
-	tallies := make(map[string]*ModelTally)
+	tallies := make(map[string]*PartialTally)
 	// Each home's registry folds into a per-shard accumulator by series id
 	// as the home completes — the same left fold as obs.Merge over the
 	// homes' snapshots, so the shard metrics are byte-identical, without
@@ -293,23 +272,20 @@ func (c Campaign) runShard(idx int) ShardResult {
 	for i := 0; i < n; i++ {
 		hr := runHome(c.Spec, GenerateHome(pc, first+i))
 		if hr.err != nil {
-			sr.HomesFailed++
-			if len(sr.Errors) < maxShardErrors {
-				sr.Errors = append(sr.Errors, hr.err.Error())
-			}
+			p.fail(first+i, hr.err)
 		}
 		if hr.noTarget {
-			sr.HomesNoTarget++
+			p.HomesNoTarget++
 		}
 		for model, t := range hr.tallies {
 			agg, ok := tallies[model]
 			if !ok {
-				agg = &ModelTally{Model: model}
+				agg = &PartialTally{ModelTally: ModelTally{Model: model}}
 				tallies[model] = agg
 			}
 			agg.add(*t)
 		}
-		sr.Alarms += hr.alarms
+		p.Alarms += hr.alarms
 		homes.AddRegistry(hr.metrics)
 		// Yield between homes so the GC's background mark worker gets a
 		// processor. At GOMAXPROCS=2 its 25% share is one fractional
@@ -320,25 +296,31 @@ func (c Campaign) runShard(idx int) ShardResult {
 		// allocate as live, which inflates the next heap goal.
 		runtime.Gosched()
 	}
-	sr.Tallies = sortTallies(tallies)
-	sr.Metrics = homes.State()
-	return sr
+	p.HomesAttacked = n - p.HomesNoTarget - p.HomesFailed
+	// The shard's float sums enter the aggregate rounded, as the shard's
+	// snapshot holds them: each tally's plain-float DelaySumSecs, and each
+	// histogram's rounded Sum rather than the exact sum behind it
+	// (homes.HistogramSums). Campaign bytes were defined by folding shard
+	// snapshots, and exact shard sums would move them: one histogram sum
+	// of the 1000-home default campaign at -seed 7 -shard-size 16 would
+	// read 9649.356236826 instead of 9649.356236825999.
+	for _, t := range tallies {
+		t.DelaySum.Add(t.DelaySumSecs)
+	}
+	p.Tallies = sortedTallies(tallies)
+	p.Metrics = homes.State()
+	p.MetricSums = make([]obs.FloatSum, len(p.Metrics.Histograms))
+	for i, h := range p.Metrics.Histograms {
+		p.MetricSums[i].Add(h.Sum)
+	}
+	return p
 }
 
-func sortTallies(m map[string]*ModelTally) []ModelTally {
-	out := make([]ModelTally, 0, len(m))
-	for _, t := range m {
-		out = append(out, *t)
+// fail counts a failed home of a shard, keeping its error while the shard
+// holds fewer than maxShardErrors.
+func (p *Partial) fail(home int, err error) {
+	p.HomesFailed++
+	if len(p.Errors) < maxShardErrors {
+		p.Errors = append(p.Errors, HomeError{Home: home, Err: err.Error()})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Model < out[j].Model })
-	return out
-}
-
-func sortedShards(m map[int]ShardResult) []ShardResult {
-	out := make([]ShardResult, 0, len(m))
-	for _, s := range m {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Index < out[j].Index })
-	return out
 }

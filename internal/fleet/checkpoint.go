@@ -15,15 +15,18 @@ import (
 // bump it on an incompatible change to either. A change to any seeded
 // random stream moves every home's results, and the identity below does
 // not see it, so it needs a bump too.
-// v1 retained every completed ShardResult (each save rewrote them all —
+// v1 retained every completed shard result (each save rewrote them all —
 // O(shards²) I/O across a campaign); v2 persists a compacted mergeable
 // Partial whose size is bounded by the reorder window; v3 has v2's shape,
 // written with simtime's splitmix64 streams and the offline target fix; v4
 // has v3's shape and homes, with the always-empty population-template key
 // gone from the identity, which moves every fingerprint; v5 has v4's shape
 // and homes, but only homes that sniff carry the three sniff_* counters in
-// their metrics, so a v4 partial would put them back into a v5 result.
-const checkpointVersion = 5
+// their metrics, so a v4 partial would put them back into a v5 result; v6
+// has v5's homes, but a partial lists the shard spans it holds in place of
+// v5's start, watermark and reorder window, and keys each error by its
+// home.
+const checkpointVersion = 6
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -60,7 +63,7 @@ func (id identity) fingerprint() string {
 }
 
 // checkpointFile is the on-disk resume state: the campaign fingerprint
-// plus the compacted partial aggregate. The same shape serves as a
+// plus the partial aggregate. The same shape serves as a
 // -shard-range worker's partial output file, so a completed campaign's
 // checkpoint is directly mergeable.
 type checkpointFile struct {
@@ -70,26 +73,35 @@ type checkpointFile struct {
 	Partial     Partial  `json:"partial"`
 }
 
-// decodeCheckpoint parses and version-checks checkpoint/partial bytes.
-// Structural validation of the partial needs the campaign's shard count
-// and stays with the callers.
+// decodeCheckpoint version-checks and parses checkpoint/partial bytes.
+// The version is read first, so an old file is refused by its version
+// even where its shape no longer parses. Structural validation of the
+// partial needs the campaign's shard count and stays with the callers.
 func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
-	var f checkpointFile
-	if err := json.Unmarshal(data, &f); err != nil {
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is corrupt: %w", path, err)
 	}
-	switch f.Version {
+	switch head.Version {
 	case checkpointVersion:
 	case 1:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads compacted v5 partials only — finish the campaign with the build that wrote it, or delete the file to restart", path)
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads v%d partials only — finish the campaign with the build that wrote it, or delete the file to restart", path, checkpointVersion)
 	case 2:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written with the previous random streams (v2), so its homes differ from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	case 3:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v3) whose campaign identity had a population-template key, so its fingerprint differs from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	case 4:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v4) whose homes all reported sniff_* counters, which this build's non-replay homes no longer have, so merging it would mix two metric sets — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	case 5:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v5) whose partials held a folded prefix and a reorder window, not shard spans, and whose errors carry no home — finish the campaign with the build that wrote it, or delete the file to restart", path)
 	default:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, f.Version, checkpointVersion)
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, head.Version, checkpointVersion)
+	}
+	var f checkpointFile
+	if err := json.Unmarshal(data, &f); err != nil {
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is corrupt: %w", path, err)
 	}
 	return f, nil
 }
@@ -107,7 +119,7 @@ func newCheckpointer(path string, id identity) *checkpointer {
 
 // load reads the checkpoint, if any. A missing file is a fresh start; a
 // file from a different campaign, a corrupt one, or one whose partial
-// violates the watermark/window invariants is an error so a stale or
+// violates the span or error invariants is an error so a stale or
 // hand-edited path never silently poisons the results. total is the
 // campaign's shard count, bounding the structural validation.
 func (c *checkpointer) load(total int) (Partial, bool, error) {
@@ -132,9 +144,8 @@ func (c *checkpointer) load(total int) (Partial, bool, error) {
 }
 
 // save atomically replaces the checkpoint with the partial. Cost is
-// O(aggregate + reorder window) and independent of how many shards have
-// completed — the v1 format re-encoded every done shard on every save,
-// O(shards²) over a campaign. Write-then-rename keeps a crash mid-save
+// O(aggregate), not O(shards done) — the v1 format re-encoded every done
+// shard on every save, O(shards²) over a campaign. Write-then-rename keeps a crash mid-save
 // from ever leaving a truncated checkpoint behind.
 func (c *checkpointer) save(p Partial) error {
 	f := checkpointFile{

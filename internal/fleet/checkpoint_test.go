@@ -6,102 +6,79 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/obs"
 )
 
-// windowedPartial builds a real partial whose watermark sits at 1 with
-// shard 2 parked in the reorder window (shard 1 never landed), the
-// starting point the corruption table below mutates.
-func windowedPartial(t *testing.T, c Campaign) Partial {
+// gappedPartial builds a real partial holding shards 0 and 2 — the
+// checkpoint of a run whose shard 1 has not landed — the starting point
+// the corruption table below mutates.
+func gappedPartial(t *testing.T, c Campaign) Partial {
 	t.Helper()
-	g := c.newAggregator(0)
-	g.add(c.runShard(0))
-	g.add(c.runShard(2))
+	g := newAggregator()
+	for _, idx := range []int{2, 0} {
+		if err := g.absorb(c.runShard(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p := g.partial()
-	if p.Watermark != 1 || len(p.Window) != 1 {
-		t.Fatalf("fixture partial watermark/window = %d/%d, want 1/1", p.Watermark, len(p.Window))
+	if want := []Span{{First: 0, Last: 1}, {First: 2, Last: 3}}; !reflect.DeepEqual(p.Spans, want) {
+		t.Fatalf("fixture partial holds %v, want %v", p.Spans, want)
 	}
 	return p
 }
 
 // TestCheckpointLoadRejectsCorruptPartials: load must hard-error — naming
-// the offending shard index — on structurally invalid partials instead of
-// silently dropping or last-one-wins'ing entries, which would quietly
+// the offending shard or home — on structurally invalid partials instead
+// of silently dropping or last-one-wins'ing entries, which would quietly
 // change results.
 func TestCheckpointLoadRejectsCorruptPartials(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	total := c.shardCount()
-	base := windowedPartial(t, c)
+	base := gappedPartial(t, c)
 
 	for _, tc := range []struct {
 		name    string
-		mutate  func(p *Partial)
+		spans   []Span
+		errors  []HomeError
 		wantErr string
 	}{
-		{
-			"duplicate window index",
-			func(p *Partial) { p.Window = append(p.Window, p.Window[0]) },
-			"duplicate shard index 2",
-		},
-		{
-			"window index below watermark",
-			func(p *Partial) { p.Window[0].Index = 0 },
-			"shard index 0 below the fold watermark 1",
-		},
-		{
-			"window index equals watermark",
-			func(p *Partial) { p.Window[0].Index = 1 },
-			"shard index 1 equals the fold watermark",
-		},
-		{
-			"window index out of range",
-			func(p *Partial) { p.Window[0].Index = total },
-			"out of range",
-		},
-		{
-			"window out of order",
-			func(p *Partial) {
-				s := p.Window[0]
-				s.Index = 4
-				p.Window = append([]ShardResult{s}, p.Window[0])
-			},
-			"out of order at shard index 2",
-		},
-		{
-			"watermark beyond campaign",
-			func(p *Partial) { p.Watermark = total + 1; p.Window = nil },
-			"claims folded shards",
-		},
-		{
-			"negative start",
-			func(p *Partial) { p.Start = -1 },
-			"claims folded shards",
-		},
-		{
-			"metric sums misaligned",
-			func(p *Partial) { p.MetricSums = p.MetricSums[:len(p.MetricSums)-1] },
-			"exact metric sums",
-		},
+		{"duplicate span", []Span{{0, 1}, {0, 1}}, nil, "holds shard 0 twice"},
+		{"overlapping spans", []Span{{0, 3}, {2, 4}}, nil, "holds shard 2 twice"},
+		{"touching spans", []Span{{0, 1}, {1, 3}}, nil, "spans touch at shard 1"},
+		{"unsorted spans", []Span{{2, 3}, {0, 1}}, nil, "spans out of order at shard 0"},
+		{"empty span", []Span{{0, 1}, {2, 2}}, nil, "span [2,2) is empty"},
+		{"span out of range", []Span{{0, 1}, {total, total + 1}}, nil, "outside the campaign's 6 shards"},
+		{"span beyond campaign", []Span{{0, 1}, {2, total + 1}}, nil, "outside the campaign's 6 shards"},
+		{"negative start", []Span{{-1, 1}, {2, 3}}, nil, "span [-1,1) lies outside"},
+		{"unsorted errors", base.Spans, []HomeError{{Home: 9, Err: "b"}, {Home: 2, Err: "a"}}, "errors out of home order at home 2"},
+		{"duplicate error home", base.Spans, []HomeError{{Home: 2, Err: "a"}, {Home: 2, Err: "b"}}, "errors out of home order at home 2"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := base
-			bad.Window = append([]ShardResult(nil), base.Window...)
-			bad.MetricSums = append([]obs.FloatSum(nil), base.MetricSums...)
-			tc.mutate(&bad)
-			path := filepath.Join(t.TempDir(), "ck.json")
-			ck := newCheckpointer(path, c.identity())
-			if err := ck.save(bad); err != nil {
-				t.Fatal(err)
-			}
-			_, _, err := ck.load(total)
-			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-				t.Fatalf("load error = %v, want substring %q", err, tc.wantErr)
-			}
+			bad.Spans, bad.Errors = tc.spans, tc.errors
+			expectLoadError(t, c, bad, tc.wantErr)
 		})
+	}
+	t.Run("metric sums misaligned", func(t *testing.T) {
+		bad := base
+		bad.MetricSums = bad.MetricSums[:len(bad.MetricSums)-1]
+		expectLoadError(t, c, bad, "exact metric sums")
+	})
+}
+
+// expectLoadError saves p as c's checkpoint and requires loading it to
+// fail with an error containing want.
+func expectLoadError(t *testing.T, c Campaign, p Partial, want string) {
+	t.Helper()
+	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
+	if err := ck.save(p); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("load error = %v, want substring %q", err, want)
 	}
 }
 
@@ -116,7 +93,7 @@ func TestCheckpointRejectsV1(t *testing.T) {
 		"version":     1,
 		"fingerprint": c.identity().fingerprint(),
 		"identity":    c.identity(),
-		"shards":      []ShardResult{c.runShard(0)},
+		"shards":      []map[string]int{{"index": 0}},
 	}
 	data, err := json.Marshal(v1)
 	if err != nil {
@@ -144,13 +121,11 @@ func TestCheckpointRejectsV1(t *testing.T) {
 func TestCheckpointRejectsV2(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(0)
-	g.add(c.runShard(0))
 	rejectsOldCheckpoint(t, c, checkpointFile{
 		Version:     2,
 		Fingerprint: c.identity().fingerprint(),
 		Identity:    c.identity(),
-		Partial:     g.partial(),
+		Partial:     c.runShard(0),
 	}, "was written with the previous random streams")
 }
 
@@ -161,13 +136,11 @@ func TestCheckpointRejectsV2(t *testing.T) {
 func TestCheckpointRejectsV3(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(0)
-	g.add(c.runShard(0))
 	rejectsOldCheckpoint(t, c, checkpointFile{
 		Version:     3,
 		Fingerprint: c.identity().fingerprint(),
 		Identity:    c.identity(),
-		Partial:     g.partial(),
+		Partial:     c.runShard(0),
 	}, "was written by an earlier build (v3)")
 }
 
@@ -179,14 +152,28 @@ func TestCheckpointRejectsV3(t *testing.T) {
 func TestCheckpointRejectsV4(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(0)
-	g.add(c.runShard(0))
 	rejectsOldCheckpoint(t, c, checkpointFile{
 		Version:     4,
 		Fingerprint: c.identity().fingerprint(),
 		Identity:    c.identity(),
-		Partial:     g.partial(),
+		Partial:     c.runShard(0),
 	}, "was written by an earlier build (v4)")
+}
+
+// TestCheckpointRejectsV5: v5 files hold this build's homes, but their
+// partials are a folded prefix [start, watermark) plus a reorder window of
+// whole shard results, and their errors carry no home. Read as v6 they
+// would hold no shards, so they fail by their version, with the cause
+// named.
+func TestCheckpointRejectsV5(t *testing.T) {
+	c := testCampaign(t).withDefaults()
+	c.Spec.fill()
+	rejectsOldCheckpoint(t, c, map[string]any{
+		"version":     5,
+		"fingerprint": c.identity().fingerprint(),
+		"identity":    c.identity(),
+		"partial":     map[string]any{"start": 0, "watermark": 1, "errors": []string{"home 3 failed"}},
+	}, "was written by an earlier build (v5)")
 }
 
 // rejectsOldCheckpoint writes file and requires decoding, merging it as a
@@ -220,10 +207,10 @@ func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":6}`), 0o644); err != nil {
+	if err := os.WriteFile(ck.path, []byte(`{"version":7}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 6, want 5") {
+	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 7, want 6") {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {
@@ -237,9 +224,8 @@ func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 // TestKillAndResumeEveryShard interrupts a campaign after every k-th
 // checkpoint save and resumes each interruption to completion: all of
 // them must reproduce the uninterrupted result byte-for-byte, and every
-// checkpoint along the way must stay compacted — no retained folded
-// shards, file size flat in the number of completed shards (the v1 format
-// grew linearly per save, O(shards²) over a campaign).
+// checkpoint along the way must hold exactly the shards landed so far, as
+// one span.
 func TestKillAndResumeEveryShard(t *testing.T) {
 	plain := testCampaign(t)
 	want, err := plain.Run()
@@ -249,7 +235,7 @@ func TestKillAndResumeEveryShard(t *testing.T) {
 	wantJSON := resultJSON(t, want)
 
 	// Workers=1 makes the save sequence deterministic: save k holds
-	// exactly shards [0,k) folded, window empty.
+	// exactly shards [0,k+1).
 	run := testCampaign(t)
 	run.Workers = 1
 	run.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
@@ -275,9 +261,8 @@ func TestKillAndResumeEveryShard(t *testing.T) {
 		if err := json.Unmarshal(snap, &f); err != nil {
 			t.Fatalf("checkpoint %d: %v", k, err)
 		}
-		if f.Partial.Watermark != k+1 || len(f.Partial.Window) != 0 {
-			t.Fatalf("checkpoint %d not compacted: watermark %d, %d retained shards",
-				k, f.Partial.Watermark, len(f.Partial.Window))
+		if want := []Span{{First: 0, Last: k + 1}}; !reflect.DeepEqual(f.Partial.Spans, want) {
+			t.Fatalf("checkpoint %d holds %v, want %v", k, f.Partial.Spans, want)
 		}
 
 		// Kill here and resume: byte-identical final result, for every k,
@@ -298,12 +283,12 @@ func TestKillAndResumeEveryShard(t *testing.T) {
 	}
 }
 
-// TestCheckpointSizeBoundedByWindow pins the O(window) claim with
+// TestCheckpointSizeBoundedByWindow pins the O(aggregate) claim with
 // numbers, not eyeballs: quadrupling the shard count must not come close
 // to quadrupling the finished checkpoint. The aggregate's label space
 // saturates once every device model has appeared, so past that point the
 // file size is flat in completed shards — the v1 format retained every
-// ShardResult (~O(done) entries, each with its own metrics snapshot) and
+// shard result (~O(done) entries, each with its own metrics snapshot) and
 // grew linearly.
 func TestCheckpointSizeBoundedByWindow(t *testing.T) {
 	size := func(homes int) int {
@@ -321,21 +306,24 @@ func TestCheckpointSizeBoundedByWindow(t *testing.T) {
 	}
 	base, quad := size(24), size(96) // 6 shards vs 24
 	if quad > base+base/2 {
-		t.Fatalf("checkpoint grows with completed shards: %d bytes at 24 shards vs %d at 6 — not O(window)", quad, base)
+		t.Fatalf("checkpoint grows with completed shards: %d bytes at 24 shards vs %d at 6 — not O(aggregate)", quad, base)
 	}
 }
 
 // FuzzCheckpointDecode throws arbitrary bytes at the checkpoint decoder:
-// it must never panic, and anything it accepts must be version 5 and
-// survive structural validation without panicking.
+// it must never panic, and anything it accepts must be the current
+// version and survive structural validation without panicking.
 func FuzzCheckpointDecode(f *testing.F) {
 	spec := DefaultSpec()
 	spec.Trials = 1
 	c := Campaign{Spec: spec, Homes: 24, ShardSize: 4, Seed: 7}.withDefaults()
 	c.Spec.fill()
-	g := c.newAggregator(0)
-	g.add(c.runShard(0))
-	g.add(c.runShard(2))
+	g := newAggregator()
+	for _, idx := range []int{2, 0} {
+		if err := g.absorb(c.runShard(idx)); err != nil {
+			f.Fatal(err)
+		}
+	}
 	valid := checkpointFile{
 		Version:     checkpointVersion,
 		Fingerprint: c.identity().fingerprint(),
@@ -350,9 +338,10 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{"version":1,"shards":[{"index":0}]}`))
 	f.Add([]byte(`{"version":2,"partial":{}}`))
 	f.Add([]byte(`{"version":3,"partial":{}}`))
-	f.Add([]byte(fmt.Sprintf(`{"version":%d,"partial":{"watermark":-3,"window":[{"index":9}]}}`, checkpointVersion)))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"partial":{"spans":[{"first":3,"last":1},{"first":-2,"last":9}],"errors":[{"home":4},{"home":1}]}}`, checkpointVersion)))
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
+	f.Add([]byte(`{"version":5,"partial":{"watermark":1,"window":[{"index":3}]}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := decodeCheckpoint(data, "fuzz-input")
 		if err != nil {

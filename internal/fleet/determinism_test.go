@@ -81,9 +81,11 @@ func TestResumeEqualsUninterrupted(t *testing.T) {
 	interrupted.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	interrupted = interrupted.withDefaults()
 	interrupted.Spec.fill()
-	g := interrupted.newAggregator(0)
+	g := newAggregator()
 	for idx := 0; idx < interrupted.shardCount()/2; idx++ {
-		g.add(interrupted.runShard(idx))
+		if err := g.absorb(interrupted.runShard(idx)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ck := newCheckpointer(interrupted.CheckpointPath, interrupted.identity())
 	if err := ck.save(g.partial()); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 )
@@ -23,10 +24,10 @@ import (
 //   - the result is byte-identical to a run without an observer.
 //
 // With resumed > 0 the run starts from a checkpoint holding the BACK
-// resumed shards of the campaign, all parked in the reorder window with
-// the watermark still at zero, so the live/resumed accounting cannot pass
-// by accident. observeRun returns the calls and, index-aligned, the shard
-// each one added (-1 for the resumed call).
+// resumed shards of the campaign and none of the front, so the
+// live/resumed accounting cannot pass by accident. observeRun returns the
+// calls and, index-aligned, the shard each one added (-1 for the resumed
+// call).
 func observeRun(t *testing.T, checkpoint bool, resumed int) ([]Progress, []int) {
 	t.Helper()
 	plain := testCampaign(t)
@@ -44,9 +45,11 @@ func observeRun(t *testing.T, checkpoint bool, resumed int) ([]Progress, []int) 
 	if resumed > 0 {
 		prep := c.withDefaults()
 		prep.Spec.fill()
-		g := prep.newAggregator(0)
+		g := newAggregator()
 		for idx := total - resumed; idx < total; idx++ {
-			g.add(prep.runShard(idx))
+			if err := g.absorb(prep.runShard(idx)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := newCheckpointer(c.CheckpointPath, prep.identity()).save(g.partial()); err != nil {
 			t.Fatal(err)
@@ -100,8 +103,8 @@ func observeRun(t *testing.T, checkpoint bool, resumed int) ([]Progress, []int) 
 			t.Errorf("call %d: %d shard indices for %d shards", i, len(cur), pr.Partial.Shards())
 		}
 		if first {
-			if len(cur) != resumed || pr.Partial.Watermark != 0 {
-				t.Errorf("resumed call: %d shards, watermark %d; want %d, 0", len(cur), pr.Partial.Watermark, resumed)
+			if want := []Span{{First: total - resumed, Last: total}}; !reflect.DeepEqual(pr.Partial.Spans, want) {
+				t.Errorf("resumed call holds %v, want %v", pr.Partial.Spans, want)
 			}
 			added[i] = -1
 			prev = cur
@@ -121,9 +124,8 @@ func observeRun(t *testing.T, checkpoint bool, resumed int) ([]Progress, []int) 
 		prev = cur
 	}
 	last := calls[len(calls)-1].Partial
-	if last.Watermark != total || len(last.Window) != 0 || last.Homes() != c.Homes {
-		t.Errorf("last call: watermark %d, %d window shards, %d homes; want %d, 0, %d",
-			last.Watermark, len(last.Window), last.Homes(), total, c.Homes)
+	if want := []Span{{First: 0, Last: total}}; !reflect.DeepEqual(last.Spans, want) || last.Homes() != c.Homes {
+		t.Errorf("last call: spans %v, %d homes; want %v, %d", last.Spans, last.Homes(), want, c.Homes)
 	}
 	if got, want := resultJSON(t, Result{Metrics: last.Metrics}), resultJSON(t, Result{Metrics: res.Metrics}); !bytes.Equal(got, want) {
 		t.Error("last call's metrics differ from Result.Metrics")
@@ -131,15 +133,13 @@ func observeRun(t *testing.T, checkpoint bool, resumed int) ([]Progress, []int) 
 	return calls, added
 }
 
-// covered is the set of shard indices a partial accounts for: the folded
-// prefix [Start, Watermark) and the window.
+// covered is the set of shard indices a partial holds.
 func covered(p Partial) map[int]bool {
 	set := make(map[int]bool, p.Shards())
-	for idx := p.Start; idx < p.Watermark; idx++ {
-		set[idx] = true
-	}
-	for _, s := range p.Window {
-		set[s.Index] = true
+	for _, s := range p.Spans {
+		for idx := s.First; idx < s.Last; idx++ {
+			set[idx] = true
+		}
 	}
 	return set
 }
@@ -191,27 +191,28 @@ func TestOnResumeNotCalledFresh(t *testing.T) {
 }
 
 // TestCampaignExternalAccumulator checks what a live /metrics scrape
-// reads: every call's folded metrics are exactly the aggregate of the
-// shard prefix [0, Watermark) that has landed, never ahead of it, and an
-// observer that keeps a Partial keeps that value after the run goes on.
-// The last call's metrics are Result.Metrics (observeRun). The campaign
-// always owns its accumulator, so there is no caller-supplied one to
-// check for freshness.
+// reads: every call's metrics are exactly the aggregate of the shards
+// that have landed, never ahead of them, and an observer that keeps a
+// Partial keeps that value after the run goes on. The last call's metrics
+// are Result.Metrics (observeRun). The campaign always owns its
+// accumulator, so there is no caller-supplied one to check for freshness.
 func TestCampaignExternalAccumulator(t *testing.T) {
 	ref := testCampaign(t).withDefaults()
 	ref.Spec.fill()
-	shards := make([]ShardResult, ref.shardCount())
-	for i := range shards {
-		shards[i] = ref.runShard(i)
-	}
+	shards := shardPartials(ref)
 
 	calls, _ := observeRun(t, false, 0)
 	for i, pr := range calls {
-		w := pr.Partial.Watermark
+		var landed []Partial
+		for idx, s := range shards {
+			if pr.Partial.holds(idx) {
+				landed = append(landed, s)
+			}
+		}
 		got := resultJSON(t, Result{Metrics: pr.Partial.Metrics})
-		want := resultJSON(t, Result{Metrics: ref.aggregateRetained(shards[:w]).Metrics})
+		want := resultJSON(t, Result{Metrics: ref.aggregateRetained(landed).Metrics})
 		if !bytes.Equal(got, want) {
-			t.Errorf("call %d: metrics differ from the folded prefix [0,%d):\n got %s\nwant %s", i, w, got, want)
+			t.Errorf("call %d: metrics differ from the aggregate of the shards %v:\n got %s\nwant %s", i, pr.Partial.Spans, got, want)
 		}
 	}
 }

@@ -3,104 +3,128 @@ package fleet
 import (
 	"fmt"
 	"os"
-	"sort"
 
 	"repro/internal/obs"
 )
 
-// PartialTally is a ModelTally whose cross-shard delay sum is carried
-// exactly. DelaySumSecs inside the embedded ModelTally is always DelaySum
-// rounded once; DelaySum is what lets two partials' tallies combine into
-// the same bits a single serial fold would have produced.
+// PartialTally is a ModelTally whose delay sum is carried exactly.
+// DelaySumSecs inside the embedded ModelTally is always DelaySum rounded
+// once; DelaySum is what lets tallies combine, in any order and grouping,
+// into the same bits.
 type PartialTally struct {
 	ModelTally
 	DelaySum obs.FloatSum `json:"delaySum"`
 }
 
-// Partial is the checkpoint payload (format v5, and v2 to v4 before it) and the
-// unit of multi-process fleet sharding: the mergeable aggregate of the
-// shard range [Start, Watermark) plus the completed-but-unfolded shards
-// sitting past the watermark.
+// Span is the half-open range of shard indexes [First, Last).
+type Span struct {
+	First int `json:"first"`
+	Last  int `json:"last"`
+}
+
+// HomeError is one home's failure, keyed by the home's population index.
+type HomeError struct {
+	Home int    `json:"home"`
+	Err  string `json:"err"`
+}
+
+// Partial is the one unit of fleet aggregation, and the checkpoint payload
+// (format v6): the aggregate of the shards its Spans hold. A landed shard
+// (runShard), an in-flight checkpoint and a -shard-range worker's output
+// are all a Partial, and aggregator.absorb folds each the same way.
 //
-// The invariant: every shard in [Start, Watermark) is folded into the
-// aggregate fields (counts, errors, tallies, metrics) and is gone — a
-// checkpoint never re-retains it. Shards that completed out of order
-// beyond the watermark wait, whole, in Window (sorted by index, each index
-// in (Watermark, total)); the window is bounded by the campaign's reorder
-// depth — roughly Workers entries — so a checkpoint's size is O(window)
-// regardless of how many shards are done. A partial with an empty window
-// is a completed range and can merge with its neighbours.
-//
-// Tallies and MetricSums carry the exact float state behind the rounded
-// aggregate (see obs.FloatSum): resuming or merging absorbs that state
-// rather than re-folding rounded values, which is why any interrupt/resume
-// split and any process topology produce byte-identical results.
+// Every field folds in any order: counts add, tallies and metric sums are
+// exact (obs.FloatSum), gauges add with their high-water marks taking the
+// max, and errors merge by home index. So a shard folds the moment it
+// lands, and any split of the shards across checkpoints, worker counts
+// and processes produces byte-identical results.
 type Partial struct {
-	// Start is the first shard index the partial covers; Watermark is one
-	// past the last contiguously folded shard.
-	Start     int `json:"start"`
-	Watermark int `json:"watermark"`
+	// Spans lists the shards the partial holds: half-open, sorted,
+	// disjoint and never touching.
+	Spans []Span `json:"spans"`
 
 	HomesAttacked int `json:"homesAttacked"`
 	HomesNoTarget int `json:"homesNoTarget"`
 	HomesFailed   int `json:"homesFailed"`
 	Alarms        int `json:"alarms"`
 
-	Errors []string `json:"errors,omitempty"`
+	// Errors samples home failures, up to maxShardErrors per shard,
+	// sorted by home.
+	Errors []HomeError `json:"errors,omitempty"`
 
-	// Tallies is the folded per-model state, sorted by model.
+	// Tallies is the per-model state, sorted by model.
 	Tallies []PartialTally `json:"tallies"`
 
-	// Metrics is the folded obs aggregate (an Accumulator State) and
-	// MetricSums its exact histogram sums, index-aligned with
-	// Metrics.Histograms (Accumulator.HistogramSums).
+	// Metrics is the obs aggregate (an Accumulator State) and MetricSums
+	// its exact histogram sums, index-aligned with Metrics.Histograms.
 	Metrics    obs.Snapshot   `json:"metrics"`
 	MetricSums []obs.FloatSum `json:"metricSums"`
-
-	// Window holds completed shards beyond the watermark, sorted by index.
-	Window []ShardResult `json:"window,omitempty"`
 }
 
-// Shards reports how many completed shards the partial accounts for.
-func (p Partial) Shards() int { return p.Watermark - p.Start + len(p.Window) }
-
-// Homes reports how many homes those shards cover.
-func (p Partial) Homes() int {
-	n := p.HomesAttacked + p.HomesNoTarget + p.HomesFailed
-	for _, s := range p.Window {
-		n += s.Homes
+// Shards reports how many shards the partial holds.
+func (p Partial) Shards() int {
+	n := 0
+	for _, s := range p.Spans {
+		n += s.Last - s.First
 	}
 	return n
 }
 
+// Homes reports how many homes those shards cover.
+func (p Partial) Homes() int { return p.HomesAttacked + p.HomesNoTarget + p.HomesFailed }
+
+// holds reports whether the partial holds shard i.
+func (p Partial) holds(i int) bool {
+	for _, s := range p.Spans {
+		if s.First <= i && i < s.Last {
+			return true
+		}
+	}
+	return false
+}
+
 // validate checks the structural invariants against the campaign's shard
 // count. A violation means a corrupt or hand-edited file, and names the
-// offending shard index — silently dropping or last-one-wins'ing bad
-// entries would quietly change results.
+// offending shard — silently dropping or last-one-wins'ing bad entries
+// would quietly change results.
 func (p Partial) validate(total int) error {
-	if p.Start < 0 || p.Watermark < p.Start || p.Watermark > total {
-		return fmt.Errorf("fleet: partial claims folded shards [%d,%d) of a %d-shard campaign", p.Start, p.Watermark, total)
-	}
-	prev := -1
-	for _, s := range p.Window {
+	for i, s := range p.Spans {
 		switch {
-		case s.Index < 0 || s.Index >= total:
-			return fmt.Errorf("fleet: partial window shard index %d out of range [0,%d)", s.Index, total)
-		case s.Index < p.Watermark:
-			return fmt.Errorf("fleet: partial window shard index %d below the fold watermark %d", s.Index, p.Watermark)
-		case s.Index == p.Watermark:
-			return fmt.Errorf("fleet: partial window shard index %d equals the fold watermark — a contiguous shard left unfolded means a corrupt save", s.Index)
-		case s.Index == prev:
-			return fmt.Errorf("fleet: partial window has duplicate shard index %d", s.Index)
-		case s.Index < prev:
-			return fmt.Errorf("fleet: partial window out of order at shard index %d", s.Index)
+		case s.First < 0 || s.Last > total:
+			return fmt.Errorf("fleet: partial span [%d,%d) lies outside the campaign's %d shards", s.First, s.Last, total)
+		case s.Last <= s.First:
+			return fmt.Errorf("fleet: partial span [%d,%d) is empty", s.First, s.Last)
+		case i == 0: // the first span has nothing to follow
+		case s.First < p.Spans[i-1].First:
+			return fmt.Errorf("fleet: partial spans out of order at shard %d", s.First)
+		case s.First < p.Spans[i-1].Last:
+			return fmt.Errorf("fleet: partial holds shard %d twice", s.First)
+		case s.First == p.Spans[i-1].Last:
+			return fmt.Errorf("fleet: partial spans touch at shard %d; touching spans are one span", s.First)
 		}
-		prev = s.Index
+	}
+	for i := 1; i < len(p.Errors); i++ {
+		if p.Errors[i].Home <= p.Errors[i-1].Home {
+			return fmt.Errorf("fleet: partial errors out of home order at home %d", p.Errors[i].Home)
+		}
 	}
 	if len(p.MetricSums) != len(p.Metrics.Histograms) {
 		return fmt.Errorf("fleet: partial has %d exact metric sums for %d histograms", len(p.MetricSums), len(p.Metrics.Histograms))
 	}
 	return nil
+}
+
+// covers reports whether spans, sorted and disjoint, hold every shard of
+// [0, total); when they do not, missing is the lowest shard they lack.
+func covers(spans []Span, total int) (missing int, ok bool) {
+	next := 0
+	for _, s := range spans {
+		if s.First > next {
+			return next, false
+		}
+		next = s.Last
+	}
+	return next, next == total
 }
 
 // SavePartial writes a partial to path in the checkpoint file format —
@@ -112,10 +136,10 @@ func (c Campaign) SavePartial(path string, p Partial) error {
 	return newCheckpointer(path, c.identity()).save(p)
 }
 
-// LoadPartials reads a set of partial files for merging. Every file must
-// belong to the same campaign (matching fingerprints); the campaign is
-// reconstructed from the embedded identity, so the merger needs no
-// out-of-band configuration. Partials are returned sorted by Start.
+// LoadPartials reads a set of partial files for merging, in the order
+// given. Every file must belong to the same campaign (matching
+// fingerprints); the campaign is reconstructed from the embedded identity,
+// so the merger needs no out-of-band configuration.
 func LoadPartials(paths []string) (Campaign, []Partial, error) {
 	if len(paths) == 0 {
 		return Campaign{}, nil, fmt.Errorf("fleet: no partial files to load")
@@ -154,16 +178,14 @@ func LoadPartials(paths []string) (Campaign, []Partial, error) {
 		}
 		parts = append(parts, f.Partial)
 	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].Start < parts[j].Start })
 	return c, parts, nil
 }
 
-// MergePartials folds completed partials covering adjacent shard ranges
-// into the campaign Result — byte-identical to a single-process run of the
-// whole campaign, for any way the shard range was split. The partials
-// must tile [0, shardCount) exactly: sorted by Start, first at 0,
-// contiguous, last watermark at the end, every window empty (a non-empty
-// window is an interrupted range — resume it first).
+// MergePartials folds partials into the campaign Result — byte-identical
+// to a single-process run of the whole campaign, for any way the shards
+// were split. The partials may come in any order and may each hold any
+// shards, as long as together they hold every shard exactly once: a
+// missing shard or a shard held twice is refused by name.
 func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 	c = c.withDefaults()
 	c.Spec.fill()
@@ -174,10 +196,8 @@ func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 		return Result{}, fmt.Errorf("fleet: no partials to merge")
 	}
 	total := c.shardCount()
-	sorted := append([]Partial(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Start < sorted[j].Start })
-	agg := c.newAggregator(0)
-	for _, p := range sorted {
+	agg := newAggregator()
+	for _, p := range parts {
 		if err := p.validate(total); err != nil {
 			return Result{}, err
 		}
@@ -185,8 +205,8 @@ func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 			return Result{}, err
 		}
 	}
-	if agg.next != total {
-		return Result{}, fmt.Errorf("fleet: merged partials cover shards [0,%d) of %d — a range is missing", agg.next, total)
+	if missing, ok := covers(agg.p.Spans, total); !ok {
+		return Result{}, fmt.Errorf("fleet: merged partials lack shard %d of the campaign's %d", missing, total)
 	}
-	return agg.finish(), nil
+	return c.result(agg.partial()), nil
 }

@@ -2,8 +2,9 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -17,11 +18,7 @@ func TestMergePartialsMatchesSingleProcess(t *testing.T) {
 	ref := testCampaign(t).withDefaults()
 	ref.Spec.fill()
 	total := ref.shardCount()
-	var shards []ShardResult
-	for i := 0; i < total; i++ {
-		shards = append(shards, ref.runShard(i))
-	}
-	want := resultJSON(t, ref.aggregateRetained(shards))
+	want := resultJSON(t, ref.aggregateRetained(shardPartials(ref)))
 
 	for _, tc := range []struct {
 		name   string
@@ -42,9 +39,8 @@ func TestMergePartialsMatchesSingleProcess(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if p.Start != tc.bounds[i] || p.Watermark != tc.bounds[i+1] || len(p.Window) != 0 {
-					t.Fatalf("range [%d,%d) partial covers [%d,%d) with %d windowed",
-						tc.bounds[i], tc.bounds[i+1], p.Start, p.Watermark, len(p.Window))
+				if want := []Span{{First: tc.bounds[i], Last: tc.bounds[i+1]}}; !reflect.DeepEqual(p.Spans, want) {
+					t.Fatalf("range %v partial holds %v", want, p.Spans)
 				}
 				parts = append(parts, p)
 			}
@@ -102,22 +98,31 @@ func TestSaveLoadMergeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergePartialsRejects: gaps, overlaps, missing tails, interrupted
-// ranges and cross-campaign files must all fail loudly — merging them
-// silently would fabricate results.
+// TestMergePartialsRejects: a missing shard, a shard held twice and an
+// empty partial list fail loudly, naming the shard — merging them would
+// fabricate results. Gaps between ranges, and an interrupted range, merge
+// once other partials fill them, in any order.
 func TestMergePartialsRejects(t *testing.T) {
 	c := testCampaign(t)
 	ranges := map[string]Partial{}
-	for _, b := range [][2]int{{0, 2}, {0, 3}, {2, 4}, {2, 6}, {3, 6}, {4, 6}} {
+	for _, b := range [][2]int{{0, 2}, {0, 3}, {2, 3}, {2, 4}, {2, 6}, {3, 6}, {4, 5}, {4, 6}} {
 		p, err := c.RunRange(b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
 		}
 		ranges[key(b[0], b[1])] = p
 	}
-	interrupted := ranges[key(2, 6)]
-	interrupted.Watermark = 4
-	interrupted.Window = []ShardResult{{Index: 5}}
+	// A [2,6) worker interrupted with shards 2, 3 and 5 landed and shard
+	// 4 still running: the checkpoint it left behind.
+	prep := c.withDefaults()
+	prep.Spec.fill()
+	g := newAggregator()
+	for _, idx := range []int{5, 2, 3} {
+		if err := g.absorb(prep.runShard(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	interrupted := g.partial()
 
 	for _, tc := range []struct {
 		name    string
@@ -125,12 +130,12 @@ func TestMergePartialsRejects(t *testing.T) {
 		wantErr string
 	}{
 		{"empty", nil, "no partials"},
-		{"gap", []Partial{ranges[key(0, 2)], ranges[key(3, 6)]}, "contiguous"},
-		{"overlap", []Partial{ranges[key(0, 3)], ranges[key(2, 6)]}, "contiguous"},
-		{"missing head", []Partial{ranges[key(2, 6)]}, "contiguous"},
-		{"missing tail", []Partial{ranges[key(0, 2)], ranges[key(2, 4)]}, "range is missing"},
-		{"duplicate range", []Partial{ranges[key(0, 2)], ranges[key(0, 2)], ranges[key(2, 6)]}, "contiguous"},
-		{"interrupted range", []Partial{ranges[key(0, 2)], interrupted}, "incomplete"},
+		{"gap", []Partial{ranges[key(0, 2)], ranges[key(3, 6)]}, "lack shard 2 "},
+		{"overlap", []Partial{ranges[key(0, 3)], ranges[key(2, 6)]}, "shard 2 is held twice"},
+		{"missing head", []Partial{ranges[key(2, 6)]}, "lack shard 0 "},
+		{"missing tail", []Partial{ranges[key(0, 2)], ranges[key(2, 4)]}, "lack shard 4 "},
+		{"duplicate range", []Partial{ranges[key(0, 2)], ranges[key(0, 2)], ranges[key(2, 6)]}, "shard 0 is held twice"},
+		{"interrupted range", []Partial{ranges[key(0, 2)], interrupted}, "lack shard 4 "},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := c.MergePartials(tc.parts)
@@ -139,8 +144,23 @@ func TestMergePartialsRejects(t *testing.T) {
 			}
 		})
 	}
-	if _, err := c.MergePartials([]Partial{ranges[key(0, 3)], ranges[key(3, 6)]}); err != nil {
-		t.Fatalf("valid tiling rejected: %v", err)
+
+	want, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, parts := range [][]Partial{
+		{ranges[key(0, 3)], ranges[key(3, 6)]},
+		{ranges[key(3, 6)], ranges[key(0, 2)], ranges[key(2, 3)]},
+		{interrupted, ranges[key(0, 2)], ranges[key(4, 5)]},
+	} {
+		res, err := c.MergePartials(parts)
+		if err != nil {
+			t.Fatalf("valid merge rejected: %v", err)
+		}
+		if !bytes.Equal(resultJSON(t, res), resultJSON(t, want)) {
+			t.Errorf("merge of %d partials differs from a single-process run", len(parts))
+		}
 	}
 }
 
@@ -177,28 +197,28 @@ func TestLoadPartialsRejectsForeignFile(t *testing.T) {
 	}
 }
 
-// TestRunRangeCheckpointResume: a range worker's checkpoint resumes that
-// range — producing the identical partial file a never-interrupted worker
-// writes — and a checkpoint from a different range is rejected by name.
+// TestRunRangeCheckpointResume: a range worker resumes from any
+// checkpoint whose shards lie inside its range — its own interrupted one,
+// or a narrower range's — and writes the partial an uninterrupted worker
+// writes. A checkpoint holding a shard outside the range is refused by
+// name.
 func TestRunRangeCheckpointResume(t *testing.T) {
 	clean := testCampaign(t)
-	wantPartial, err := clean.RunRange(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(wantPartial)
-	if err != nil {
-		t.Fatal(err)
+	rangeJSON := func(first, last int) []byte {
+		t.Helper()
+		p, err := clean.RunRange(first, last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return marshal(t, p)
 	}
 
-	// Interrupted worker: one shard of the range folded, then killed.
+	// Interrupted worker: one shard of the range landed, then killed.
 	c := testCampaign(t)
 	c.CheckpointPath = filepath.Join(t.TempDir(), "ck.json")
 	prep := c.withDefaults()
 	prep.Spec.fill()
-	g := prep.newAggregator(2)
-	g.add(prep.runShard(2))
-	if err := newCheckpointer(c.CheckpointPath, prep.identity()).save(g.partial()); err != nil {
+	if err := newCheckpointer(c.CheckpointPath, prep.identity()).save(prep.runShard(2)); err != nil {
 		t.Fatal(err)
 	}
 	var resumedFrom int
@@ -214,22 +234,28 @@ func TestRunRangeCheckpointResume(t *testing.T) {
 	if resumedFrom != 1 {
 		t.Fatalf("resumed %d shards, want 1", resumedFrom)
 	}
-	got, err := json.Marshal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
+	if got, want := marshal(t, p), rangeJSON(2, 5); !bytes.Equal(got, want) {
 		t.Errorf("resumed range partial differs from uninterrupted worker:\n got %s\nwant %s", got, want)
 	}
 
-	// The same checkpoint offered to the wrong range names the mismatch.
+	// The checkpoint now holds [2,5): a range that does not contain it is
+	// refused, naming the shards.
 	wrong := testCampaign(t)
 	wrong.CheckpointPath = c.CheckpointPath
-	if _, err := wrong.RunRange(0, 5); err == nil || !strings.Contains(err.Error(), "starting at 2 but this run starts at 0") {
-		t.Fatalf("wrong-range resume error = %v", err)
+	for _, b := range [][2]int{{3, 6}, {0, 4}} {
+		want := fmt.Sprintf("holds shards [2,5), outside this run's range [%d,%d)", b[0], b[1])
+		if _, err := wrong.RunRange(b[0], b[1]); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("range [%d,%d) resume error = %v, want %q", b[0], b[1], err, want)
+		}
 	}
-	if _, err := wrong.RunRange(2, 3); err == nil || !strings.Contains(err.Error(), "beyond this run's range end") {
-		t.Fatalf("short-range resume error = %v", err)
+
+	// A wider range resumes from the narrower range's checkpoint.
+	p, err = wrong.RunRange(0, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := marshal(t, p), rangeJSON(0, 6); !bytes.Equal(got, want) {
+		t.Errorf("wider range resumed from a narrower checkpoint differs from an uninterrupted worker:\n got %s\nwant %s", got, want)
 	}
 }
 

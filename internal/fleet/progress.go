@@ -2,8 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -82,8 +80,9 @@ func (p *ProgressTracker) Observe(pr Progress) {
 	}
 }
 
-// Metrics returns the folded metrics of the last observation: a prefix of
-// the campaign's final Result.Metrics, empty before the first shard.
+// Metrics returns the metrics of the last observation: the aggregate of
+// the shards landed so far, so every monotone sample is at most its final
+// value in Result.Metrics. Empty before the first shard.
 func (p *ProgressTracker) Metrics() obs.Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -113,30 +112,15 @@ func (p *ProgressTracker) ReportAt(now time.Time) ProgressReport {
 	return r
 }
 
-// modelProgress sums a partial's folded tallies and its window shards'
-// tallies by model, sorted by model label.
+// modelProgress reads a partial's per-model tallies, sorted by model.
 func modelProgress(pt Partial) []ModelProgress {
 	var out []ModelProgress
-	add := func(t ModelTally) {
-		i := sort.Search(len(out), func(i int) bool { return out[i].Model >= t.Model })
-		if i == len(out) || out[i].Model != t.Model {
-			out = slices.Insert(out, i, ModelProgress{Model: t.Model})
-		}
-		out[i].Trials += t.Trials
-		out[i].Successes += t.Successes
-	}
 	for _, t := range pt.Tallies {
-		add(t.ModelTally)
-	}
-	for _, s := range pt.Window {
-		for _, t := range s.Tallies {
-			add(t)
+		m := ModelProgress{Model: t.Model, Trials: t.Trials, Successes: t.Successes}
+		if t.Trials > 0 {
+			m.SuccessRate = float64(t.Successes) / float64(t.Trials)
 		}
-	}
-	for i := range out {
-		if out[i].Trials > 0 {
-			out[i].SuccessRate = float64(out[i].Successes) / float64(out[i].Trials)
-		}
+		out = append(out, m)
 	}
 	return out
 }

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-func progressShard(index int, model string, homes, trials, successes int) ShardResult {
-	return ShardResult{
-		Index:   index,
-		Homes:   homes,
-		Tallies: []ModelTally{{Model: model, Trials: trials, Successes: successes}},
+func progressShard(index int, model string, homes, trials, successes int) Partial {
+	return Partial{
+		Spans:         []Span{{First: index, Last: index + 1}},
+		HomesAttacked: homes,
+		Tallies:       []PartialTally{{ModelTally: ModelTally{Model: model, Trials: trials, Successes: successes}}},
 	}
 }
 
@@ -19,23 +19,26 @@ func progressShard(index int, model string, homes, trials, successes int) ShardR
 // the Progress the collector observes after each, for a range of total
 // shards.
 type progressFeed struct {
+	t     *testing.T
 	g     *aggregator
 	total int
 }
 
-func newProgressFeed(total int) *progressFeed {
-	return &progressFeed{g: Campaign{}.newAggregator(0), total: total}
+func newProgressFeed(t *testing.T, total int) *progressFeed {
+	return &progressFeed{t: t, g: newAggregator(), total: total}
 }
 
-func (f *progressFeed) step(s ShardResult) Progress {
-	f.g.add(s)
+func (f *progressFeed) step(s Partial) Progress {
+	if err := f.g.absorb(s); err != nil {
+		f.t.Fatal(err)
+	}
 	return Progress{Partial: f.g.partial(), Total: f.total}
 }
 
 func TestProgressTrackerReport(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	feed := newProgressFeed(5)
+	feed := newProgressFeed(t, 5)
 	p.Observe(feed.step(progressShard(0, "C1", 10, 20, 18)))
 	p.Observe(feed.step(progressShard(1, "P4", 10, 8, 4)))
 
@@ -62,7 +65,7 @@ func TestProgressTrackerReport(t *testing.T) {
 func TestProgressLineFormat(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	feed := newProgressFeed(5)
+	feed := newProgressFeed(t, 5)
 	p.Observe(feed.step(progressShard(0, "P4", 10, 8, 4)))
 	p.Observe(feed.step(progressShard(1, "C1", 10, 20, 18)))
 
@@ -74,7 +77,7 @@ func TestProgressLineFormat(t *testing.T) {
 
 	// Campaign complete: no ETA segment.
 	done := NewProgressTracker(start, 10)
-	done.Observe(newProgressFeed(1).step(progressShard(0, "C1", 10, 20, 20)))
+	done.Observe(newProgressFeed(t, 1).step(progressShard(0, "C1", 10, 20, 20)))
 	line := done.ReportAt(start.Add(time.Second)).Line()
 	if strings.Contains(line, "ETA") {
 		t.Fatalf("completed campaign still shows ETA: %q", line)
@@ -87,22 +90,20 @@ func TestProgressLineFormat(t *testing.T) {
 // TestProgressTrackerResumedRate: homes restored from a checkpoint count
 // toward completion but not toward the rate, so the ETA reflects the
 // speed of this process rather than a fantasy extrapolated from free
-// work. The tallies inside the resumed partial (folded prefix and parked
-// window shards alike) still feed the per-model breakdown.
+// work. The resumed partial's tallies still feed the per-model breakdown.
 func TestProgressTrackerResumedRate(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
 	resumed := Partial{
-		Start:         0,
-		Watermark:     2,
-		HomesAttacked: 18,
+		Spans:         []Span{{First: 0, Last: 2}, {First: 3, Last: 4}},
+		HomesAttacked: 28,
 		Tallies: []PartialTally{
 			{ModelTally: ModelTally{Model: "C1", Trials: 20, Successes: 18}},
+			{ModelTally: ModelTally{Model: "P4", Trials: 8, Successes: 4}},
 		},
-		Window: []ShardResult{progressShard(3, "P4", 10, 8, 4)},
 	}
-	feed := newProgressFeed(10)
-	if err := feed.g.restore(resumed); err != nil {
+	feed := newProgressFeed(t, 10)
+	if err := feed.g.absorb(resumed); err != nil {
 		t.Fatal(err)
 	}
 	p.Observe(Progress{Partial: resumed, Total: 10, Resumed: true})
@@ -142,7 +143,7 @@ func TestProgressTrackerResumedRate(t *testing.T) {
 func TestProgressTrackerZeroElapsed(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	p.Observe(newProgressFeed(5).step(progressShard(0, "C1", 10, 1, 1)))
+	p.Observe(newProgressFeed(t, 5).step(progressShard(0, "C1", 10, 1, 1)))
 	r := p.ReportAt(start)
 	if r.HomesPerSec != 0 || r.ETASecs != 0 {
 		t.Fatalf("zero-elapsed report invented a rate: %+v", r)
@@ -158,7 +159,7 @@ func TestProgressTrackerZeroElapsed(t *testing.T) {
 func TestProgressTrackerConcurrent(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 1000)
-	feed := newProgressFeed(100)
+	feed := newProgressFeed(t, 100)
 	steps := make([]Progress, 100)
 	for i := range steps {
 		steps[i] = feed.step(progressShard(i, "C1", 10, 5, 3))

@@ -2,46 +2,57 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
 )
 
 // aggregateRetained is the retain-all-then-merge reference aggregation:
-// fold sorted shard results into the campaign result, combining metrics
-// via obs.Merge in shard-index order. Run streams through an aggregator
-// instead; the byte-identity tests compare the streaming, resumed and
-// multi-process paths against this oracle.
-func (c Campaign) aggregateRetained(shards []ShardResult) Result {
-	res := Result{
-		Campaign:  c.Spec.Name,
-		Homes:     c.Homes,
-		Seed:      c.Seed,
-		ShardSize: c.ShardSize,
-		Spec:      c.Spec,
-	}
-	tallies := make(map[string]*exactTally)
+// fold the shard partials, in the order given, into the campaign result —
+// counts added, errors appended, each tally's plain-float delay sums added
+// exactly, metrics combined by obs.Merge — without the aggregator. Run
+// folds through an aggregator instead; the byte-identity tests compare
+// the streaming, resumed and multi-process paths against this oracle.
+func (c Campaign) aggregateRetained(shards []Partial) Result {
+	var sum Partial
+	tallies := make(map[string]*PartialTally)
 	snaps := make([]obs.Snapshot, 0, len(shards))
 	for _, s := range shards {
-		res.HomesNoTarget += s.HomesNoTarget
-		res.HomesFailed += s.HomesFailed
-		res.HomesAttacked += s.Homes - s.HomesNoTarget - s.HomesFailed
-		res.Alarms += s.Alarms
-		res.Errors = append(res.Errors, s.Errors...)
+		sum.HomesAttacked += s.HomesAttacked
+		sum.HomesNoTarget += s.HomesNoTarget
+		sum.HomesFailed += s.HomesFailed
+		sum.Alarms += s.Alarms
+		sum.Errors = append(sum.Errors, s.Errors...)
 		for _, t := range s.Tallies {
 			agg, ok := tallies[t.Model]
 			if !ok {
-				agg = &exactTally{t: ModelTally{Model: t.Model}}
+				agg = &PartialTally{ModelTally: ModelTally{Model: t.Model}}
 				tallies[t.Model] = agg
 			}
-			agg.fold(t)
+			agg.Trials += t.Trials
+			agg.Successes += t.Successes
+			agg.DelaySum.Add(t.DelaySumSecs)
+			agg.MaxDelaySecs = max(agg.MaxDelaySecs, t.MaxDelaySecs)
 		}
 		snaps = append(snaps, s.Metrics)
 	}
-	res.finishTallies(tallies)
-	res.Metrics = obs.Merge(snaps...)
-	return res
+	sum.Tallies = sortedTallies(tallies)
+	sum.Metrics = obs.Merge(snaps...)
+	return c.result(sum)
+}
+
+// shardPartials runs every shard of c, in index order, each on its own.
+func shardPartials(c Campaign) []Partial {
+	c = c.withDefaults()
+	c.Spec.fill()
+	shards := make([]Partial, c.shardCount())
+	for i := range shards {
+		shards[i] = c.runShard(i)
+	}
+	return shards
 }
 
 // TestStreamingAggregateMatchesRetained pins the streaming guarantee: the
@@ -53,11 +64,7 @@ func TestStreamingAggregateMatchesRetained(t *testing.T) {
 	// aggregate them the old way.
 	ref := testCampaign(t).withDefaults()
 	ref.Spec.fill()
-	var shards []ShardResult
-	for i := 0; i < ref.shardCount(); i++ {
-		shards = append(shards, ref.runShard(i))
-	}
-	want := resultJSON(t, ref.aggregateRetained(shards))
+	want := resultJSON(t, ref.aggregateRetained(shardPartials(ref)))
 
 	for _, tc := range []struct {
 		name       string
@@ -87,28 +94,22 @@ func TestStreamingAggregateMatchesRetained(t *testing.T) {
 }
 
 // TestStreamingResumeMatchesRetained replays an interrupted campaign —
-// half the shards pre-folded from a checkpoint, half run live — against
+// half the shards absorbed from a checkpoint, half run live — against
 // the retained reference.
 func TestStreamingResumeMatchesRetained(t *testing.T) {
 	ref := testCampaign(t).withDefaults()
 	ref.Spec.fill()
-	total := ref.shardCount()
-	var shards []ShardResult
-	for i := 0; i < total; i++ {
-		shards = append(shards, ref.runShard(i))
-	}
+	shards := shardPartials(ref)
 	want := resultJSON(t, ref.aggregateRetained(shards))
 
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	interrupted := testCampaign(t).withDefaults()
-	interrupted.Spec.fill()
-	g := interrupted.newAggregator(0)
-	for _, s := range shards[:total/2] {
-		g.add(s)
+	path := filepath.Join(t.TempDir(), "ck.json")
+	g := newAggregator()
+	for _, s := range shards[:len(shards)/2] {
+		if err := g.absorb(s); err != nil {
+			t.Fatal(err)
+		}
 	}
-	ck := newCheckpointer(path, interrupted.identity())
-	if err := ck.save(g.partial()); err != nil {
+	if err := newCheckpointer(path, ref.identity()).save(g.partial()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,27 +125,77 @@ func TestStreamingResumeMatchesRetained(t *testing.T) {
 	}
 }
 
-// TestAggregatorReordersShards feeds shard results to the aggregator in a
-// scrambled completion order and expects the in-order fold.
+// TestAggregatorReordersShards: shards absorbed in reverse order — shard
+// 0 landing last — fold to the bytes of the retained reference, which
+// folds them in index order.
 func TestAggregatorReordersShards(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	total := c.shardCount()
-	shards := make([]ShardResult, total)
-	for i := 0; i < total; i++ {
-		shards[i] = c.runShard(i)
-	}
+	shards := shardPartials(c)
 	want := resultJSON(t, c.aggregateRetained(shards))
 
-	// Worst case: shard 0 lands last, so everything buffers in the window.
-	g := c.newAggregator(0)
-	for i := total - 1; i >= 0; i-- {
-		g.add(shards[i])
+	g := newAggregator()
+	for i := len(shards) - 1; i >= 0; i-- {
+		if err := g.absorb(shards[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(g.window) != 0 {
-		t.Fatalf("reorder window not drained: %d buffered", len(g.window))
+	if got := resultJSON(t, c.result(g.partial())); !bytes.Equal(got, want) {
+		t.Errorf("reverse-order aggregate differs:\n got %s\nwant %s", got, want)
 	}
-	if got := resultJSON(t, g.finish()); !bytes.Equal(got, want) {
-		t.Errorf("scrambled-order aggregate differs:\n got %s\nwant %s", got, want)
+}
+
+// TestAggregatorErrorsByHome: shards whose every home failed land in
+// scrambled order. Each keeps its first maxShardErrors errors, and the
+// result lists the kept errors in home order whatever order the shards
+// landed in.
+func TestAggregatorErrorsByHome(t *testing.T) {
+	const size = 4
+	shard := func(idx int) Partial {
+		p := Partial{Spans: []Span{{First: idx, Last: idx + 1}}}
+		for h := idx * size; h < (idx+1)*size; h++ {
+			p.fail(h, fmt.Errorf("home %d", h))
+		}
+		return p
+	}
+	g := newAggregator()
+	for _, idx := range []int{2, 0, 3, 1} {
+		if err := g.absorb(shard(idx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := Campaign{Spec: DefaultSpec(), Homes: 4 * size, ShardSize: size}.result(g.partial())
+	want := []string{
+		"home 0", "home 1", "home 2",
+		"home 4", "home 5", "home 6",
+		"home 8", "home 9", "home 10",
+		"home 12", "home 13", "home 14",
+	}
+	if !reflect.DeepEqual(res.Errors, want) || res.HomesFailed != 4*size {
+		t.Errorf("errors %q, %d homes failed; want %q, %d", res.Errors, res.HomesFailed, want, 4*size)
+	}
+}
+
+// TestAggregatorRefusesShardHeldTwice: a shard that lands twice, alone or
+// inside a wider partial, is refused by name and leaves the aggregate as
+// it was.
+func TestAggregatorRefusesShardHeldTwice(t *testing.T) {
+	g := newAggregator()
+	for _, s := range []Span{{First: 0, Last: 2}, {First: 4, Last: 5}} {
+		if err := g.absorb(Partial{Spans: []Span{s}, HomesAttacked: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		span  Span
+		shard int
+	}{{Span{1, 2}, 1}, {Span{2, 5}, 4}, {Span{3, 6}, 4}} {
+		err := g.absorb(Partial{Spans: []Span{tc.span}, HomesAttacked: 1})
+		if want := fmt.Sprintf("fleet: shard %d is held twice", tc.shard); err == nil || err.Error() != want {
+			t.Errorf("absorb %v: error %v, want %q", tc.span, err, want)
+		}
+	}
+	if p := g.partial(); !reflect.DeepEqual(p.Spans, []Span{{First: 0, Last: 2}, {First: 4, Last: 5}}) || p.HomesAttacked != 2 {
+		t.Errorf("refused partials changed the aggregate: spans %v, %d homes", p.Spans, p.HomesAttacked)
 	}
 }

@@ -104,10 +104,10 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestMetricsMidRunPrefixConsistent is the live-scrape contract: a mid-run
-// scrape of a streaming accumulator parses as OpenMetrics and is a prefix
-// of the final aggregate — every family present, every monotone sample
-// (counters, bucket counts, histogram counts) no greater than its final
-// value.
+// scrape of a streaming accumulator parses as OpenMetrics and is the
+// aggregate of the snapshots added so far — every family present in the
+// final aggregate, every monotone sample (counters, bucket counts,
+// histogram counts) no greater than its final value.
 func TestMetricsMidRunPrefixConsistent(t *testing.T) {
 	acc := obs.NewAccumulator()
 	h := Plane{Metrics: acc.State}.Handler()
@@ -142,7 +142,7 @@ func TestProgressEndpoint(t *testing.T) {
 	start := time.Unix(1000, 0)
 	tr := fleet.NewProgressTracker(start, 40)
 	tr.Observe(fleet.Progress{Total: 4, Partial: fleet.Partial{
-		Watermark:     1,
+		Spans:         []fleet.Span{{First: 0, Last: 1}},
 		HomesAttacked: 10,
 		Tallies:       []fleet.PartialTally{{ModelTally: fleet.ModelTally{Model: "C1", Trials: 4, Successes: 3}}},
 	}})
