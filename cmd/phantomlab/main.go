@@ -427,16 +427,6 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		}
 	}
 
-	// The tracker keeps the campaign's last observation of its own
-	// aggregate: the stderr progress line, /progress and /metrics all read
-	// it. It sits on the wall-clock side: the serve plane reads it
-	// concurrently while the collector writes, and it cannot perturb the
-	// aggregate — results stay byte-identical with -serve on or off.
-	trackHomes := *homes
-	if *shardRange != "" {
-		trackHomes = rangeHomes(rangeFirst, rangeLast, *shardSize, *homes)
-	}
-	tracker := fleet.NewProgressTracker(time.Now(), trackHomes)
 	c := fleet.Campaign{
 		Spec:           spec,
 		Homes:          *homes,
@@ -444,10 +434,20 @@ func runFleet(args []string, inheritServe, inheritMetrics, inheritMetricsFormat 
 		ShardSize:      *shardSize,
 		Seed:           *seed,
 		CheckpointPath: *checkpointPath,
-		Observe: func(p fleet.Progress) {
-			tracker.Observe(p)
-			fmt.Fprintln(os.Stderr, tracker.ReportAt(time.Now()).Line())
-		},
+	}
+	// The tracker keeps the campaign's last observation of its own
+	// aggregate: the stderr progress line, /progress and /metrics all read
+	// it. It sits on the wall-clock side: the serve plane reads it
+	// concurrently while the collector writes, and it cannot perturb the
+	// aggregate — results stay byte-identical with -serve on or off.
+	trackHomes := *homes
+	if *shardRange != "" {
+		trackHomes = c.RangeHomes(rangeFirst, rangeLast)
+	}
+	tracker := fleet.NewProgressTracker(time.Now(), trackHomes)
+	c.Observe = func(p fleet.Progress) {
+		tracker.Observe(p)
+		fmt.Fprintln(os.Stderr, tracker.ReportAt(time.Now()).Line())
 	}
 
 	if *serveAddr != "" {
@@ -511,23 +511,6 @@ func parseShardRange(s string) (first, last int, err error) {
 		return 0, 0, fmt.Errorf("-shard-range: want FIRST:LAST shard indexes (half-open), got %q", s)
 	}
 	return first, last, nil
-}
-
-// rangeHomes counts the homes shards [first, last) cover, for progress
-// totals. Bad ranges come out ≤ 0 here and are rejected by RunRange.
-func rangeHomes(first, last, shardSize, homes int) int {
-	if shardSize <= 0 {
-		shardSize = fleet.DefaultShardSize
-	}
-	hi := last * shardSize
-	if hi > homes {
-		hi = homes
-	}
-	n := hi - first*shardSize
-	if n < 0 {
-		n = 0
-	}
-	return n
 }
 
 // writeResult writes the aggregated campaign result to path, or stdout.

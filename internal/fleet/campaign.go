@@ -69,6 +69,21 @@ func (c Campaign) shardCount() int {
 	return (c.Homes + c.ShardSize - 1) / c.ShardSize
 }
 
+// shardHomes returns the homes of shards [first, last) as the half-open
+// range of population indexes [lo, hi); a range past the campaign's end
+// is cut at its last home. The receiver is already withDefaults()'d.
+func (c Campaign) shardHomes(first, last int) (lo, hi int) {
+	return min(first*c.ShardSize, c.Homes), min(last*c.ShardSize, c.Homes)
+}
+
+// RangeHomes counts the homes that shards [first, last) cover: the
+// progress total of a -shard-range worker. It does not check the range;
+// RunRange refuses one outside the campaign.
+func (c Campaign) RangeHomes(first, last int) int {
+	lo, hi := c.withDefaults().shardHomes(first, last)
+	return hi - lo
+}
+
 // validateRun checks the knobs shared by Run, RunRange and MergePartials.
 // The receiver is already withDefaults()'d and spec-filled.
 func (c Campaign) validateRun() error {
@@ -94,8 +109,7 @@ func (c Campaign) Run() (Result, error) {
 	if err := c.validateRun(); err != nil {
 		return Result{}, err
 	}
-	total := c.shardCount()
-	agg, err := c.runShards(0, total, total)
+	agg, err := c.runShards(0, c.shardCount())
 	if err != nil {
 		return Result{}, err
 	}
@@ -120,7 +134,7 @@ func (c Campaign) RunRange(first, last int) (Partial, error) {
 	if first < 0 || last <= first || last > total {
 		return Partial{}, fmt.Errorf("fleet: shard range [%d,%d) outside the campaign's %d shards", first, last, total)
 	}
-	agg, err := c.runShards(first, last, total)
+	agg, err := c.runShards(first, last)
 	if err != nil {
 		return Partial{}, err
 	}
@@ -131,12 +145,12 @@ func (c Campaign) RunRange(first, last int) (Partial, error) {
 // from the checkpoint when one exists, then run the shards of [first,
 // last) it does not hold through the worker pool. Progress totals are
 // relative to the range.
-func (c Campaign) runShards(first, last, total int) (*aggregator, error) {
+func (c Campaign) runShards(first, last int) (*aggregator, error) {
 	agg := newAggregator()
 	var ck *checkpointer
 	if c.CheckpointPath != "" {
 		ck = newCheckpointer(c.CheckpointPath, c.identity())
-		p, found, err := ck.load(total)
+		p, found, err := ck.load(c)
 		if err != nil {
 			return nil, err
 		}
@@ -254,38 +268,27 @@ func (c Campaign) land(agg *aggregator, ck *checkpointer, s Partial, total int) 
 // inside a shard happens in home order, so the Partial is a pure function
 // of (campaign identity, shard index), whichever worker runs it.
 func (c Campaign) runShard(idx int) Partial {
-	first := idx * c.ShardSize
-	n := min(c.ShardSize, c.Homes-first)
+	first, last := c.shardHomes(idx, idx+1)
 	p := Partial{Spans: []Span{{First: idx, Last: idx + 1}}}
 	pc := PopulationConfig{
 		Seed:         c.Seed,
 		TimingJitter: c.Spec.TimingJitter,
 		RulesPerHome: c.Spec.RulesPerHome,
 	}
-	tallies := make(map[string]*PartialTally)
 	// Each home's registry folds into a per-shard accumulator by series id
 	// as the home completes — the same left fold as obs.Merge over the
 	// homes' snapshots, so the shard metrics are byte-identical, without
 	// building a snapshot per home; the registry (the discarded testbed's
 	// last reachable state) is released as soon as the next home starts.
 	homes := obs.NewAccumulator()
-	for i := 0; i < n; i++ {
-		hr := runHome(c.Spec, GenerateHome(pc, first+i))
+	for i := first; i < last; i++ {
+		hr := runHome(c.Spec, GenerateHome(pc, i))
 		if hr.err != nil {
-			p.fail(first+i, hr.err)
+			p.fail(i, hr.err)
 		}
 		if hr.noTarget {
 			p.HomesNoTarget++
 		}
-		for model, t := range hr.tallies {
-			agg, ok := tallies[model]
-			if !ok {
-				agg = &PartialTally{ModelTally: ModelTally{Model: model}}
-				tallies[model] = agg
-			}
-			agg.add(*t)
-		}
-		p.Alarms += hr.alarms
 		homes.AddRegistry(hr.metrics)
 		// Yield between homes so the GC's background mark worker gets a
 		// processor. At GOMAXPROCS=2 its 25% share is one fractional
@@ -296,18 +299,14 @@ func (c Campaign) runShard(idx int) Partial {
 		// allocate as live, which inflates the next heap goal.
 		runtime.Gosched()
 	}
-	p.HomesAttacked = n - p.HomesNoTarget - p.HomesFailed
-	// The shard's float sums enter the aggregate rounded, as the shard's
-	// snapshot holds them: each tally's plain-float DelaySumSecs, and each
-	// histogram's rounded Sum rather than the exact sum behind it
-	// (homes.HistogramSums). Campaign bytes were defined by folding shard
-	// snapshots, and exact shard sums would move them: one histogram sum
-	// of the 1000-home default campaign at -seed 7 -shard-size 16 would
-	// read 9649.356236826 instead of 9649.356236825999.
-	for _, t := range tallies {
-		t.DelaySum.Add(t.DelaySumSecs)
-	}
-	p.Tallies = sortedTallies(tallies)
+	p.HomesAttacked = last - first - p.HomesNoTarget - p.HomesFailed
+	// The shard's histogram sums enter the aggregate rounded, as the
+	// shard's snapshot holds them: each histogram's rounded Sum rather than
+	// the exact sum behind it (homes.HistogramSums). Campaign bytes were
+	// defined by folding shard snapshots, and exact shard sums would move
+	// them: one histogram sum of the 1000-home default campaign at -seed 7
+	// -shard-size 16 would read 9649.356236826 instead of
+	// 9649.356236825999.
 	p.Metrics = homes.State()
 	p.MetricSums = make([]obs.FloatSum, len(p.Metrics.Histograms))
 	for i, h := range p.Metrics.Histograms {

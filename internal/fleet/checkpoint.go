@@ -25,8 +25,11 @@ import (
 // their metrics, so a v4 partial would put them back into a v5 result; v6
 // has v5's homes, but a partial lists the shard spans it holds in place of
 // v5's start, watermark and reorder window, and keys each error by its
-// home.
-const checkpointVersion = 6
+// home; v7 has v6's homes and spans, but a partial holds no per-model
+// tallies and no alarm count: its metrics, which gain the fleet_delay_ns
+// gauge, are the only record of trial outcomes, and its home counts must
+// match its spans.
+const checkpointVersion = 7
 
 // identity is the part of a campaign that must match for a checkpoint to
 // be resumable: same spec, population and sharding → same shard results.
@@ -75,8 +78,10 @@ type checkpointFile struct {
 
 // decodeCheckpoint version-checks and parses checkpoint/partial bytes.
 // The version is read first, so an old file is refused by its version
-// even where its shape no longer parses. Structural validation of the
-// partial needs the campaign's shard count and stays with the callers.
+// even where its shape no longer parses. Every older version gets one
+// message; the checkpointVersion comment keeps what each one changed.
+// Structural validation of the partial needs the campaign and stays with
+// the callers.
 func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	var head struct {
 		Version int `json:"version"`
@@ -84,18 +89,10 @@ func decodeCheckpoint(data []byte, path string) (checkpointFile, error) {
 	if err := json.Unmarshal(data, &head); err != nil {
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s is corrupt: %w", path, err)
 	}
-	switch head.Version {
-	case checkpointVersion:
-	case 1:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s uses the v1 retain-every-shard format; this build reads v%d partials only — finish the campaign with the build that wrote it, or delete the file to restart", path, checkpointVersion)
-	case 2:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written with the previous random streams (v2), so its homes differ from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
-	case 3:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v3) whose campaign identity had a population-template key, so its fingerprint differs from this build's — finish the campaign with the build that wrote it, or delete the file to restart", path)
-	case 4:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v4) whose homes all reported sniff_* counters, which this build's non-replay homes no longer have, so merging it would mix two metric sets — finish the campaign with the build that wrote it, or delete the file to restart", path)
-	case 5:
-		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v5) whose partials held a folded prefix and a reorder window, not shard spans, and whose errors carry no home — finish the campaign with the build that wrote it, or delete the file to restart", path)
+	switch {
+	case head.Version == checkpointVersion:
+	case head.Version >= 1 && head.Version < checkpointVersion:
+		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s was written by an earlier build (v%d), and this build reads v%d only — finish the campaign with the build that wrote it, or delete the file to restart", path, head.Version, checkpointVersion)
 	default:
 		return checkpointFile{}, fmt.Errorf("fleet: checkpoint %s has version %d, want %d", path, head.Version, checkpointVersion)
 	}
@@ -119,10 +116,10 @@ func newCheckpointer(path string, id identity) *checkpointer {
 
 // load reads the checkpoint, if any. A missing file is a fresh start; a
 // file from a different campaign, a corrupt one, or one whose partial
-// violates the span or error invariants is an error so a stale or
-// hand-edited path never silently poisons the results. total is the
-// campaign's shard count, bounding the structural validation.
-func (c *checkpointer) load(total int) (Partial, bool, error) {
+// violates the span, count or error invariants is an error so a stale or
+// hand-edited path never silently poisons the results. camp is the
+// withDefaults()'d campaign the partial is validated against.
+func (c *checkpointer) load(camp Campaign) (Partial, bool, error) {
 	data, err := os.ReadFile(c.path)
 	if errors.Is(err, fs.ErrNotExist) {
 		return Partial{}, false, nil
@@ -137,7 +134,7 @@ func (c *checkpointer) load(total int) (Partial, bool, error) {
 	if f.Fingerprint != c.fp {
 		return Partial{}, false, fmt.Errorf("fleet: checkpoint %s belongs to a different campaign (spec/homes/seed/shard-size changed); delete it or pick another path", c.path)
 	}
-	if err := f.Partial.validate(total); err != nil {
+	if err := f.Partial.validate(camp); err != nil {
 		return Partial{}, false, fmt.Errorf("fleet: checkpoint %s: %w", c.path, err)
 	}
 	return f.Partial, true, nil

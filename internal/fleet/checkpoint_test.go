@@ -55,6 +55,13 @@ func TestCheckpointLoadRejectsCorruptPartials(t *testing.T) {
 		{"negative start", []Span{{-1, 1}, {2, 3}}, nil, "span [-1,1) lies outside"},
 		{"unsorted errors", base.Spans, []HomeError{{Home: 9, Err: "b"}, {Home: 2, Err: "a"}}, "errors out of home order at home 2"},
 		{"duplicate error home", base.Spans, []HomeError{{Home: 2, Err: "a"}, {Home: 2, Err: "b"}}, "errors out of home order at home 2"},
+		// Counts for shards 0 and 2 under a span list that no longer holds
+		// shard 2, or holds nothing: resuming either would count homes
+		// twice.
+		{"cut spans", []Span{{0, 1}}, nil, "partial counts 8 homes, but its spans cover 4"},
+		{"no spans full counts", nil, nil, "partial counts 8 homes, but its spans cover 0"},
+		{"error outside spans", base.Spans, []HomeError{{Home: 2, Err: "a"}, {Home: 5, Err: "b"}}, "error for home 5, outside its spans"},
+		{"negative error home", base.Spans, []HomeError{{Home: -1, Err: "a"}}, "error for home -1, outside its spans"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := base
@@ -67,113 +74,82 @@ func TestCheckpointLoadRejectsCorruptPartials(t *testing.T) {
 		bad.MetricSums = bad.MetricSums[:len(bad.MetricSums)-1]
 		expectLoadError(t, c, bad, "exact metric sums")
 	})
+	// In a 22-home campaign the last shard holds homes 20 and 21 only, so
+	// an error for home 22 lies outside it although 22/4 is that shard.
+	t.Run("error past the last home", func(t *testing.T) {
+		short := c
+		short.Homes = 22
+		bad := short.runShard(5)
+		bad.Errors = []HomeError{{Home: 22, Err: "a"}}
+		expectLoadError(t, short, bad, "error for home 22, outside its spans")
+	})
 }
 
-// expectLoadError saves p as c's checkpoint and requires loading it to
-// fail with an error containing want.
+// expectLoadError saves p as c's checkpoint and requires loading it, for
+// a resume and as a -partial file to merge, to fail with an error
+// containing want.
 func expectLoadError(t *testing.T, c Campaign, p Partial, want string) {
 	t.Helper()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
 	if err := ck.save(p); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := ck.load(c); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("load error = %v, want substring %q", err, want)
 	}
-}
-
-// TestCheckpointRejectsV1: the old retain-every-shard format gets a
-// specific migration message, not a generic version mismatch or a
-// misleading structural error.
-func TestCheckpointRejectsV1(t *testing.T) {
-	c := testCampaign(t).withDefaults()
-	c.Spec.fill()
-	path := filepath.Join(t.TempDir(), "ck.json")
-	v1 := map[string]interface{}{
-		"version":     1,
-		"fingerprint": c.identity().fingerprint(),
-		"identity":    c.identity(),
-		"shards":      []map[string]int{{"index": 0}},
-	}
-	data, err := json.Marshal(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck := newCheckpointer(path, c.identity())
-	_, _, err = ck.load(c.shardCount())
-	if err == nil || !strings.Contains(err.Error(), "v1 retain-every-shard format") {
-		t.Fatalf("v1 checkpoint error = %v, want migration message", err)
-	}
-
-	c.CheckpointPath = path
-	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "v1") {
-		t.Fatalf("Run accepted a v1 checkpoint: %v", err)
+	if _, _, err := LoadPartials([]string{ck.path}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadPartials error = %v, want substring %q", err, want)
 	}
 }
 
-// TestCheckpointRejectsV2: v2 files have v3's shape but hold homes
-// simulated with the previous random streams. Resuming or merging one
-// would silently mix two populations, so checkpoints and -partial files
-// alike fail with an error naming the file and the cause.
-func TestCheckpointRejectsV2(t *testing.T) {
+// TestCheckpointRejectsOlderVersions: a file an earlier build wrote, v1 to
+// v6, each in the shape that build wrote, is refused by its version with
+// one message naming the file, its version and this build's. Read as this
+// version, the older shapes would hold no shards (v1 to v5) or would bring
+// tallies and an alarm count that nothing reads any more (v6), so decoding,
+// merging one as a -partial file and resuming one as a checkpoint all
+// fail before the body is looked at.
+func TestCheckpointRejectsOlderVersions(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
-	rejectsOldCheckpoint(t, c, checkpointFile{
-		Version:     2,
-		Fingerprint: c.identity().fingerprint(),
-		Identity:    c.identity(),
-		Partial:     c.runShard(0),
-	}, "was written with the previous random streams")
-}
-
-// TestCheckpointRejectsV3: v3 files hold this build's homes, but their
-// identity carries the population-template key that v4 dropped, so the
-// fingerprint they were saved under is not this build's. They fail by
-// their version, with the cause named, before any fingerprint check.
-func TestCheckpointRejectsV3(t *testing.T) {
-	c := testCampaign(t).withDefaults()
-	c.Spec.fill()
-	rejectsOldCheckpoint(t, c, checkpointFile{
-		Version:     3,
-		Fingerprint: c.identity().fingerprint(),
-		Identity:    c.identity(),
-		Partial:     c.runShard(0),
-	}, "was written by an earlier build (v3)")
-}
-
-// TestCheckpointRejectsV4: v4 files hold this build's homes and
-// fingerprints, but every home's metrics carried the zero sniff_* counters
-// of an attacker capture that nothing read. Resuming or merging one would
-// put those series back into a result that delay and offline homes no
-// longer report, so they fail by their version, with the cause named.
-func TestCheckpointRejectsV4(t *testing.T) {
-	c := testCampaign(t).withDefaults()
-	c.Spec.fill()
-	rejectsOldCheckpoint(t, c, checkpointFile{
-		Version:     4,
-		Fingerprint: c.identity().fingerprint(),
-		Identity:    c.identity(),
-		Partial:     c.runShard(0),
-	}, "was written by an earlier build (v4)")
-}
-
-// TestCheckpointRejectsV5: v5 files hold this build's homes, but their
-// partials are a folded prefix [start, watermark) plus a reorder window of
-// whole shard results, and their errors carry no home. Read as v6 they
-// would hold no shards, so they fail by their version, with the cause
-// named.
-func TestCheckpointRejectsV5(t *testing.T) {
-	c := testCampaign(t).withDefaults()
-	c.Spec.fill()
-	rejectsOldCheckpoint(t, c, map[string]any{
-		"version":     5,
-		"fingerprint": c.identity().fingerprint(),
-		"identity":    c.identity(),
-		"partial":     map[string]any{"start": 0, "watermark": 1, "errors": []string{"home 3 failed"}},
-	}, "was written by an earlier build (v5)")
+	shard := c.runShard(0)
+	tallies := []map[string]any{{"model": "C1", "trials": 1, "successes": 1, "delaySumSecs": 45.0, "maxDelaySecs": 45.0}}
+	// v2 to v5: a folded prefix [start, watermark) plus a reorder window,
+	// with errors as bare strings.
+	windowed := map[string]any{
+		"start": 0, "watermark": 1,
+		"homesAttacked": shard.HomesAttacked, "homesNoTarget": shard.HomesNoTarget, "homesFailed": shard.HomesFailed,
+		"alarms": 0, "errors": []string{"home 3 failed"}, "tallies": tallies,
+		"metrics": shard.Metrics, "metricSums": shard.MetricSums,
+	}
+	// v6: this version's spans and keyed errors, plus tallies and alarms.
+	spanned := map[string]any{
+		"spans":         shard.Spans,
+		"homesAttacked": shard.HomesAttacked, "homesNoTarget": shard.HomesNoTarget, "homesFailed": shard.HomesFailed,
+		"alarms": 0, "errors": []HomeError{{Home: 3, Err: "home 3 failed"}}, "tallies": tallies,
+		"metrics": shard.Metrics, "metricSums": shard.MetricSums,
+	}
+	for _, tc := range []struct {
+		version int
+		key     string
+		body    any
+	}{
+		{1, "shards", []map[string]int{{"index": 0}}},
+		{2, "partial", windowed},
+		{3, "partial", windowed},
+		{4, "partial", windowed},
+		{5, "partial", windowed},
+		{6, "partial", spanned},
+	} {
+		t.Run(fmt.Sprintf("v%d", tc.version), func(t *testing.T) {
+			rejectsOldCheckpoint(t, c, map[string]any{
+				"version":     tc.version,
+				"fingerprint": c.identity().fingerprint(),
+				"identity":    c.identity(),
+				tc.key:        tc.body,
+			}, fmt.Sprintf("was written by an earlier build (v%d), and this build reads v%d only — finish the campaign with the build that wrote it, or delete the file", tc.version, checkpointVersion))
+		})
+	}
 }
 
 // rejectsOldCheckpoint writes file and requires decoding, merging it as a
@@ -207,16 +183,17 @@ func TestCheckpointRejectsUnknownVersionAndGarbage(t *testing.T) {
 	c := testCampaign(t).withDefaults()
 	c.Spec.fill()
 	ck := newCheckpointer(filepath.Join(t.TempDir(), "ck.json"), c.identity())
-	if err := os.WriteFile(ck.path, []byte(`{"version":7}`), 0o644); err != nil {
+	next := checkpointVersion + 1
+	if err := os.WriteFile(ck.path, []byte(fmt.Sprintf(`{"version":%d}`, next)), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "version 7, want 6") {
+	if _, _, err := ck.load(c); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d, want %d", next, checkpointVersion)) {
 		t.Fatalf("unknown version error = %v", err)
 	}
 	if err := os.WriteFile(ck.path, []byte(`{"version":`), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ck.load(c.shardCount()); err == nil || !strings.Contains(err.Error(), "corrupt") {
+	if _, _, err := ck.load(c); err == nil || !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("truncated checkpoint error = %v", err)
 	}
 }
@@ -342,6 +319,8 @@ func FuzzCheckpointDecode(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"version":5,"partial":{"watermark":1,"window":[{"index":3}]}}`))
+	f.Add([]byte(`{"version":6,"partial":{"spans":[{"first":0,"last":1}],"homesAttacked":4,"alarms":2,"tallies":[{"model":"C1","trials":4}]}}`))
+	f.Add([]byte(fmt.Sprintf(`{"version":%d,"partial":{"spans":[{"first":0,"last":1}],"homesAttacked":24,"errors":[{"home":9}]}}`, checkpointVersion)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		file, err := decodeCheckpoint(data, "fuzz-input")
 		if err != nil {
@@ -351,6 +330,6 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("decoder accepted version %d", file.Version)
 		}
 		// Structural validation must classify, not crash, whatever decoded.
-		_ = file.Partial.validate(6)
+		_ = file.Partial.validate(c)
 	})
 }

@@ -35,12 +35,12 @@ func TestCampaignOutputGolden(t *testing.T) {
 		homes int
 		want  string
 	}{
-		{"default-64", DefaultSpec(), 64, "ae3f67a4743ab5d7"},
-		{"offline-hour-16", offline, 16, "ea09ee566afdde60"},
-		{"cdelay-64", cdelay, 64, "ac80606769ee2562"},
-		{"replay-auto-64", replaySpec(ReplayModeAuto), 64, "e1274014640f9b82"},
-		{"replay-raw-64", replaySpec(ReplayModeRaw), 64, "540d4071d4f1345b"},
-		{"replay-app-64", replaySpec(ReplayModeApp), 64, "5b6cb14d7d98c5ee"},
+		{"default-64", DefaultSpec(), 64, "a13dc1cfd1077645"},
+		{"offline-hour-16", offline, 16, "429da42b5650134c"},
+		{"cdelay-64", cdelay, 64, "80cf7f3c5a018296"},
+		{"replay-auto-64", replaySpec(ReplayModeAuto), 64, "62d0c53362210297"},
+		{"replay-raw-64", replaySpec(ReplayModeRaw), 64, "0e8362e46b969ec6"},
+		{"replay-app-64", replaySpec(ReplayModeApp), 64, "a0228684ee130d65"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

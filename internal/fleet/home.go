@@ -11,34 +11,14 @@ import (
 	"repro/internal/sniff"
 )
 
-// ModelTally accumulates campaign outcomes for one device model.
-type ModelTally struct {
-	Model        string  `json:"model"`
-	Trials       int     `json:"trials"`
-	Successes    int     `json:"successes"`
-	DelaySumSecs float64 `json:"delaySumSecs"`
-	MaxDelaySecs float64 `json:"maxDelaySecs"`
-}
-
-func (t *ModelTally) add(o ModelTally) {
-	t.Trials += o.Trials
-	t.Successes += o.Successes
-	t.DelaySumSecs += o.DelaySumSecs
-	if o.MaxDelaySecs > t.MaxDelaySecs {
-		t.MaxDelaySecs = o.MaxDelaySecs
-	}
-}
-
-// homeResult is the compact outcome of one home: per-model tallies plus
-// the testbed's metrics registry (nil when no testbed was built), which
-// the shard folds by series id. The rest of the testbed is discarded —
-// this is what keeps a million-home campaign within bounded memory.
+// homeResult is the compact outcome of one home: the testbed's metrics
+// registry (nil when no testbed was built), which holds the home's trial
+// outcomes and which the shard folds by series id. The rest of the
+// testbed is discarded — this is what keeps a million-home campaign
+// within bounded memory.
 type homeResult struct {
-	index    int
 	err      error
 	noTarget bool
-	alarms   int
-	tallies  map[string]*ModelTally
 	metrics  *obs.Registry
 }
 
@@ -47,8 +27,6 @@ type homeResult struct {
 // is single-threaded and owns all its state, so many runHome calls can
 // proceed concurrently on independent homes.
 func runHome(spec Spec, home HomeSpec) (res homeResult) {
-	res = homeResult{index: home.Index, tallies: make(map[string]*ModelTally)}
-
 	targets := selectTargets(spec, home)
 	if len(targets) == 0 {
 		res.noTarget = true
@@ -69,8 +47,7 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 		return res
 	}
 	defer func() {
-		res.alarms = tb.TotalAlarmCount()
-		tb.Metrics.Counter("fleet_alarms_total").Add(uint64(res.alarms))
+		tb.Metrics.Counter("fleet_alarms_total").Add(uint64(tb.TotalAlarmCount()))
 		res.metrics = tb.Metrics
 	}()
 
@@ -107,7 +84,7 @@ func runHome(spec Spec, home HomeSpec) (res homeResult) {
 
 	for _, label := range targets {
 		h := hijackers[tb.SessionOwnerProfile(label).Label]
-		if err := attackTarget(tb, h, capture, spec, label, res.tallies); err != nil {
+		if err := attackTarget(tb, h, capture, spec, label); err != nil {
 			res.err = fmt.Errorf("home %d target %s: %w", home.Index, label, err)
 			return res
 		}
@@ -143,10 +120,11 @@ func selectTargets(spec Spec, home HomeSpec) []string {
 	return out
 }
 
-// attackTarget runs the spec's trials against one device, recording
-// outcomes into tallies and the testbed's metrics registry. capture is
-// the home's capture for replay trials, nil for the other attacks.
-func attackTarget(tb *experiment.Testbed, h *core.Hijacker, capture *sniff.Capture, spec Spec, label string, tallies map[string]*ModelTally) error {
+// attackTarget runs the spec's trials against one device, recording each
+// outcome in the testbed's metrics registry, the campaign's only record of
+// it (perModel reads it back). capture is the home's capture for replay
+// trials, nil for the other attacks.
+func attackTarget(tb *experiment.Testbed, h *core.Hijacker, capture *sniff.Capture, spec Spec, label string) error {
 	owner := tb.SessionOwnerProfile(label)
 	m := experiment.MeasuredFromProfile(owner)
 	h.ArmPredictor(m)
@@ -154,15 +132,12 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, capture *sniff.Captu
 	if err != nil {
 		return err
 	}
-	tally, ok := tallies[label]
-	if !ok {
-		tally = &ModelTally{Model: label}
-		tallies[label] = tally
-	}
 	reg := tb.Metrics
-	delayHist := reg.Histogram("fleet_delay_seconds", obs.DurationBuckets, obs.L("model", label))
-	trialCtr := reg.Counter("fleet_trials_total", obs.L("model", label))
-	successCtr := reg.Counter("fleet_trials_success", obs.L("model", label))
+	model := obs.L("model", label)
+	delayHist := reg.Histogram("fleet_delay_seconds", obs.DurationBuckets, model)
+	delayNs := reg.Gauge("fleet_delay_ns", model)
+	trialCtr := reg.Counter("fleet_trials_total", model)
+	successCtr := reg.Counter("fleet_trials_success", model)
 
 	for trial := 0; trial < spec.Trials; trial++ {
 		var achieved time.Duration
@@ -179,18 +154,16 @@ func attackTarget(tb *experiment.Testbed, h *core.Hijacker, capture *sniff.Captu
 		if err != nil {
 			return err
 		}
-		tally.Trials++
 		trialCtr.Inc()
 		if success {
-			tally.Successes++
 			successCtr.Inc()
 		}
-		secs := achieved.Seconds()
-		tally.DelaySumSecs += secs
-		if secs > tally.MaxDelaySecs {
-			tally.MaxDelaySecs = secs
-		}
-		delayHist.Observe(secs)
+		delayHist.Observe(achieved.Seconds())
+		// The gauge rises to the delay and falls back to 0, so its
+		// high-water mark is the longest delay and, merged across homes,
+		// the model's longest, while its merged value stays 0.
+		delayNs.Set(int64(achieved))
+		delayNs.Set(0)
 		// Inter-trial recovery lets sessions and keep-alive schedules
 		// settle before the next hold.
 		tb.Clock.RunFor(10 * time.Second)

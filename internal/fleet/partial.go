@@ -7,15 +7,6 @@ import (
 	"repro/internal/obs"
 )
 
-// PartialTally is a ModelTally whose delay sum is carried exactly.
-// DelaySumSecs inside the embedded ModelTally is always DelaySum rounded
-// once; DelaySum is what lets tallies combine, in any order and grouping,
-// into the same bits.
-type PartialTally struct {
-	ModelTally
-	DelaySum obs.FloatSum `json:"delaySum"`
-}
-
 // Span is the half-open range of shard indexes [First, Last).
 type Span struct {
 	First int `json:"first"`
@@ -29,15 +20,17 @@ type HomeError struct {
 }
 
 // Partial is the one unit of fleet aggregation, and the checkpoint payload
-// (format v6): the aggregate of the shards its Spans hold. A landed shard
+// (format v7): the aggregate of the shards its Spans hold. A landed shard
 // (runShard), an in-flight checkpoint and a -shard-range worker's output
-// are all a Partial, and aggregator.absorb folds each the same way.
+// are all a Partial, and aggregator.absorb folds each the same way. Its
+// metrics are the only record of trial outcomes: Result.PerModel and the
+// totals are read from them.
 //
-// Every field folds in any order: counts add, tallies and metric sums are
-// exact (obs.FloatSum), gauges add with their high-water marks taking the
-// max, and errors merge by home index. So a shard folds the moment it
-// lands, and any split of the shards across checkpoints, worker counts
-// and processes produces byte-identical results.
+// Every field folds in any order: counts add, metric sums are exact
+// (obs.FloatSum), gauges add with their high-water marks taking the max,
+// and errors merge by home index. So a shard folds the moment it lands,
+// and any split of the shards across checkpoints, worker counts and
+// processes produces byte-identical results.
 type Partial struct {
 	// Spans lists the shards the partial holds: half-open, sorted,
 	// disjoint and never touching.
@@ -46,14 +39,10 @@ type Partial struct {
 	HomesAttacked int `json:"homesAttacked"`
 	HomesNoTarget int `json:"homesNoTarget"`
 	HomesFailed   int `json:"homesFailed"`
-	Alarms        int `json:"alarms"`
 
 	// Errors samples home failures, up to maxShardErrors per shard,
 	// sorted by home.
 	Errors []HomeError `json:"errors,omitempty"`
-
-	// Tallies is the per-model state, sorted by model.
-	Tallies []PartialTally `json:"tallies"`
 
 	// Metrics is the obs aggregate (an Accumulator State) and MetricSums
 	// its exact histogram sums, index-aligned with Metrics.Histograms.
@@ -83,11 +72,15 @@ func (p Partial) holds(i int) bool {
 	return false
 }
 
-// validate checks the structural invariants against the campaign's shard
-// count. A violation means a corrupt or hand-edited file, and names the
-// offending shard — silently dropping or last-one-wins'ing bad entries
-// would quietly change results.
-func (p Partial) validate(total int) error {
+// validate checks the structural invariants against the campaign c, which
+// is already withDefaults()'d: the spans lie inside c's shards, the home
+// counts add up to the homes those spans cover, and every sampled error
+// names one of those homes. A violation means a corrupt or hand-edited
+// file, and names the offending shard or home — silently dropping or
+// last-one-wins'ing bad entries would quietly change results.
+func (p Partial) validate(c Campaign) error {
+	total := c.shardCount()
+	homes := 0
 	for i, s := range p.Spans {
 		switch {
 		case s.First < 0 || s.Last > total:
@@ -102,10 +95,18 @@ func (p Partial) validate(total int) error {
 		case s.First == p.Spans[i-1].Last:
 			return fmt.Errorf("fleet: partial spans touch at shard %d; touching spans are one span", s.First)
 		}
+		lo, hi := c.shardHomes(s.First, s.Last)
+		homes += hi - lo
 	}
-	for i := 1; i < len(p.Errors); i++ {
-		if p.Errors[i].Home <= p.Errors[i-1].Home {
-			return fmt.Errorf("fleet: partial errors out of home order at home %d", p.Errors[i].Home)
+	if p.Homes() != homes {
+		return fmt.Errorf("fleet: partial counts %d homes, but its spans cover %d", p.Homes(), homes)
+	}
+	for i, e := range p.Errors {
+		if i > 0 && e.Home <= p.Errors[i-1].Home {
+			return fmt.Errorf("fleet: partial errors out of home order at home %d", e.Home)
+		}
+		if e.Home < 0 || e.Home >= c.Homes || !p.holds(e.Home/c.ShardSize) {
+			return fmt.Errorf("fleet: partial has an error for home %d, outside its spans", e.Home)
 		}
 	}
 	if len(p.MetricSums) != len(p.Metrics.Histograms) {
@@ -146,7 +147,6 @@ func LoadPartials(paths []string) (Campaign, []Partial, error) {
 	}
 	var c Campaign
 	var fp string
-	var total int
 	parts := make([]Partial, 0, len(paths))
 	for i, path := range paths {
 		data, err := os.ReadFile(path)
@@ -168,12 +168,11 @@ func LoadPartials(paths []string) (Campaign, []Partial, error) {
 			if f.Fingerprint != fp {
 				return Campaign{}, nil, fmt.Errorf("fleet: partial %s fingerprint does not match its own identity — corrupt file", path)
 			}
-			total = c.withDefaults().shardCount()
 		}
 		if f.Fingerprint != fp {
 			return Campaign{}, nil, fmt.Errorf("fleet: partial %s belongs to a different campaign than %s", path, paths[0])
 		}
-		if err := f.Partial.validate(total); err != nil {
+		if err := f.Partial.validate(c.withDefaults()); err != nil {
 			return Campaign{}, nil, fmt.Errorf("fleet: partial %s: %w", path, err)
 		}
 		parts = append(parts, f.Partial)
@@ -195,18 +194,17 @@ func (c Campaign) MergePartials(parts []Partial) (Result, error) {
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("fleet: no partials to merge")
 	}
-	total := c.shardCount()
 	agg := newAggregator()
 	for _, p := range parts {
-		if err := p.validate(total); err != nil {
+		if err := p.validate(c); err != nil {
 			return Result{}, err
 		}
 		if err := agg.absorb(p); err != nil {
 			return Result{}, err
 		}
 	}
-	if missing, ok := covers(agg.p.Spans, total); !ok {
-		return Result{}, fmt.Errorf("fleet: merged partials lack shard %d of the campaign's %d", missing, total)
+	if missing, ok := covers(agg.p.Spans, c.shardCount()); !ok {
+		return Result{}, fmt.Errorf("fleet: merged partials lack shard %d of the campaign's %d", missing, c.shardCount())
 	}
 	return c.result(agg.partial()), nil
 }

@@ -98,14 +98,15 @@ func TestSaveLoadMergeRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMergePartialsRejects: a missing shard, a shard held twice and an
-// empty partial list fail loudly, naming the shard — merging them would
-// fabricate results. Gaps between ranges, and an interrupted range, merge
-// once other partials fill them, in any order.
+// TestMergePartialsRejects: a missing shard, a shard held twice, a partial
+// whose counts do not match its spans and an empty partial list fail
+// loudly, naming the shard — merging them would fabricate results. Gaps
+// between ranges, and an interrupted range, merge once other partials
+// fill them, in any order.
 func TestMergePartialsRejects(t *testing.T) {
 	c := testCampaign(t)
 	ranges := map[string]Partial{}
-	for _, b := range [][2]int{{0, 2}, {0, 3}, {2, 3}, {2, 4}, {2, 6}, {3, 6}, {4, 5}, {4, 6}} {
+	for _, b := range [][2]int{{0, 2}, {0, 3}, {2, 3}, {2, 4}, {2, 6}, {3, 6}, {4, 5}, {4, 6}, {0, 6}} {
 		p, err := c.RunRange(b[0], b[1])
 		if err != nil {
 			t.Fatal(err)
@@ -123,6 +124,10 @@ func TestMergePartialsRejects(t *testing.T) {
 		}
 	}
 	interrupted := g.partial()
+	// The whole campaign's counts under spans cut to shard 0, and under
+	// none: either would count homes twice if it merged.
+	cut, unspanned := ranges[key(0, 6)], ranges[key(0, 6)]
+	cut.Spans, unspanned.Spans = []Span{{First: 0, Last: 1}}, nil
 
 	for _, tc := range []struct {
 		name    string
@@ -136,6 +141,8 @@ func TestMergePartialsRejects(t *testing.T) {
 		{"missing tail", []Partial{ranges[key(0, 2)], ranges[key(2, 4)]}, "lack shard 4 "},
 		{"duplicate range", []Partial{ranges[key(0, 2)], ranges[key(0, 2)], ranges[key(2, 6)]}, "shard 0 is held twice"},
 		{"interrupted range", []Partial{ranges[key(0, 2)], interrupted}, "lack shard 4 "},
+		{"cut spans", []Partial{cut, ranges[key(2, 6)]}, "partial counts 24 homes, but its spans cover 4"},
+		{"no spans full counts", []Partial{ranges[key(0, 6)], unspanned}, "partial counts 24 homes, but its spans cover 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := c.MergePartials(tc.parts)

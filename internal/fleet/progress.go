@@ -9,16 +9,8 @@ import (
 	"repro/internal/obs"
 )
 
-// ModelProgress is one device model's running campaign outcome.
-type ModelProgress struct {
-	Model       string  `json:"model"`
-	Trials      int     `json:"trials"`
-	Successes   int     `json:"successes"`
-	SuccessRate float64 `json:"successRate"`
-}
-
 // ProgressReport is a point-in-time view of a running campaign: shard and
-// home completion, throughput, an ETA, and per-model running success. It
+// home completion, throughput, an ETA, and each model's outcome so far. It
 // is the JSON payload of the observability plane's /progress endpoint and
 // the data behind phantomlab's stderr progress line — one computation, two
 // renderings, so the two can never disagree.
@@ -39,8 +31,9 @@ type ProgressReport struct {
 	// ETASecs estimates remaining wall-clock seconds from the live rate;
 	// 0 while the rate is unknown or once the campaign is done.
 	ETASecs float64 `json:"etaSecs"`
-	// PerModel is sorted by model label.
-	PerModel []ModelProgress `json:"perModel"`
+	// PerModel is the Result's per-model summary over the shards landed
+	// so far, sorted by model label.
+	PerModel []ModelSummary `json:"perModel"`
 }
 
 // ProgressTracker keeps a campaign's last Progress for the live plane's
@@ -101,7 +94,7 @@ func (p *ProgressTracker) ReportAt(now time.Time) ProgressReport {
 		HomesTotal:   p.homesTotal,
 		HomesResumed: resumed,
 		ElapsedSecs:  now.Sub(p.start).Seconds(),
-		PerModel:     modelProgress(last.Partial),
+		PerModel:     perModel(last.Partial.Metrics),
 	}
 	if r.ElapsedSecs > 0 {
 		r.HomesPerSec = float64(r.HomesDone-resumed) / r.ElapsedSecs
@@ -110,19 +103,6 @@ func (p *ProgressTracker) ReportAt(now time.Time) ProgressReport {
 		}
 	}
 	return r
-}
-
-// modelProgress reads a partial's per-model tallies, sorted by model.
-func modelProgress(pt Partial) []ModelProgress {
-	var out []ModelProgress
-	for _, t := range pt.Tallies {
-		m := ModelProgress{Model: t.Model, Trials: t.Trials, Successes: t.Successes}
-		if t.Trials > 0 {
-			m.SuccessRate = float64(t.Successes) / float64(t.Trials)
-		}
-		out = append(out, m)
-	}
-	return out
 }
 
 // Line renders the report as the one-line stderr progress format:

@@ -5,14 +5,17 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
+// progressShard is shard index's Partial: homes attacked homes whose
+// registry recorded trials trials against model, successes of them
+// successful.
 func progressShard(index int, model string, homes, trials, successes int) Partial {
-	return Partial{
-		Spans:         []Span{{First: index, Last: index + 1}},
-		HomesAttacked: homes,
-		Tallies:       []PartialTally{{ModelTally: ModelTally{Model: model, Trials: trials, Successes: successes}}},
-	}
+	reg := obs.NewRegistry()
+	recordTrials(reg, model, successes, make([]time.Duration, trials)...)
+	return registryPartial([]Span{{First: index, Last: index + 1}}, homes, reg)
 }
 
 // progressFeed folds shards through the campaign aggregator and returns
@@ -90,18 +93,14 @@ func TestProgressLineFormat(t *testing.T) {
 // TestProgressTrackerResumedRate: homes restored from a checkpoint count
 // toward completion but not toward the rate, so the ETA reflects the
 // speed of this process rather than a fantasy extrapolated from free
-// work. The resumed partial's tallies still feed the per-model breakdown.
+// work. The resumed partial's metrics still feed the per-model breakdown.
 func TestProgressTrackerResumedRate(t *testing.T) {
 	start := time.Unix(1000, 0)
 	p := NewProgressTracker(start, 100)
-	resumed := Partial{
-		Spans:         []Span{{First: 0, Last: 2}, {First: 3, Last: 4}},
-		HomesAttacked: 28,
-		Tallies: []PartialTally{
-			{ModelTally: ModelTally{Model: "C1", Trials: 20, Successes: 18}},
-			{ModelTally: ModelTally{Model: "P4", Trials: 8, Successes: 4}},
-		},
-	}
+	reg := obs.NewRegistry()
+	recordTrials(reg, "C1", 18, make([]time.Duration, 20)...)
+	recordTrials(reg, "P4", 4, make([]time.Duration, 8)...)
+	resumed := registryPartial([]Span{{First: 0, Last: 2}, {First: 3, Last: 4}}, 28, reg)
 	feed := newProgressFeed(t, 10)
 	if err := feed.g.absorb(resumed); err != nil {
 		t.Fatal(err)
@@ -125,10 +124,10 @@ func TestProgressTrackerResumedRate(t *testing.T) {
 		t.Fatalf("eta = %v, want %v", r.ETASecs, want)
 	}
 	if len(r.PerModel) != 2 || r.PerModel[0].Model != "C1" || r.PerModel[1].Model != "P4" {
-		t.Fatalf("per-model missing resumed tallies: %+v", r.PerModel)
+		t.Fatalf("per-model missing resumed models: %+v", r.PerModel)
 	}
 	if r.PerModel[0].Trials != 40 || r.PerModel[1].Trials != 8 {
-		t.Fatalf("resumed tallies not folded: %+v", r.PerModel)
+		t.Fatalf("resumed trials not folded: %+v", r.PerModel)
 	}
 
 	line := r.Line()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -52,9 +53,11 @@ type Result struct {
 	// PerModel is sorted by model label.
 	PerModel []ModelSummary `json:"perModel"`
 
-	// Metrics merges every home testbed's observability snapshot:
-	// fleet_delay_seconds{model=...} histograms, trial counters,
-	// alarm counts, plus the simulators' own counters.
+	// Metrics merges every home testbed's observability snapshot: the
+	// per-model trial series that PerModel and the totals are read from
+	// (fleet_trials_total, fleet_trials_success, fleet_delay_seconds and
+	// fleet_delay_ns), fleet_alarms_total, plus the simulators' own
+	// counters.
 	Metrics obs.Snapshot `json:"metrics"`
 }
 
@@ -67,13 +70,12 @@ type Result struct {
 // what a checkpoint saves, what a range worker emits and what an observer
 // of a running campaign sees.
 type aggregator struct {
-	p       Partial // spans, counts and errors; tallies and metrics live below
-	tallies map[string]*PartialTally
+	p       Partial // spans, counts and errors; the metrics live below
 	metrics *obs.Accumulator
 }
 
 func newAggregator() *aggregator {
-	return &aggregator{tallies: make(map[string]*PartialTally), metrics: obs.NewAccumulator()}
+	return &aggregator{metrics: obs.NewAccumulator()}
 }
 
 // absorb folds p into the aggregate. It refuses a partial holding a shard
@@ -90,20 +92,8 @@ func (g *aggregator) absorb(p Partial) error {
 	g.p.HomesAttacked += p.HomesAttacked
 	g.p.HomesNoTarget += p.HomesNoTarget
 	g.p.HomesFailed += p.HomesFailed
-	g.p.Alarms += p.Alarms
 	g.p.Errors = append(g.p.Errors, p.Errors...)
 	slices.SortFunc(g.p.Errors, func(a, b HomeError) int { return cmp.Compare(a.Home, b.Home) })
-	for _, t := range p.Tallies {
-		agg, ok := g.tallies[t.Model]
-		if !ok {
-			agg = &PartialTally{ModelTally: ModelTally{Model: t.Model}}
-			g.tallies[t.Model] = agg
-		}
-		agg.Trials += t.Trials
-		agg.Successes += t.Successes
-		agg.DelaySum.AddSum(&t.DelaySum)
-		agg.MaxDelaySecs = max(agg.MaxDelaySecs, t.MaxDelaySecs)
-	}
 	return nil
 }
 
@@ -133,23 +123,9 @@ func (g *aggregator) partial() Partial {
 	p := g.p
 	p.Spans = slices.Clone(p.Spans)
 	p.Errors = slices.Clone(p.Errors)
-	p.Tallies = sortedTallies(g.tallies)
 	p.Metrics = g.metrics.State()
 	p.MetricSums = g.metrics.HistogramSums()
 	return p
-}
-
-// sortedTallies flattens a tally map into entries sorted by model, each
-// DelaySumSecs set to its exact DelaySum rounded once.
-func sortedTallies(m map[string]*PartialTally) []PartialTally {
-	out := make([]PartialTally, 0, len(m))
-	for _, t := range m {
-		pt := *t
-		pt.DelaySumSecs = pt.DelaySum.Value()
-		out = append(out, pt)
-	}
-	slices.SortFunc(out, func(a, b PartialTally) int { return cmp.Compare(a.Model, b.Model) })
-	return out
 }
 
 // result assembles the campaign Result from the aggregate of all its
@@ -164,28 +140,46 @@ func (c Campaign) result(p Partial) Result {
 		HomesAttacked: p.HomesAttacked,
 		HomesNoTarget: p.HomesNoTarget,
 		HomesFailed:   p.HomesFailed,
-		Alarms:        p.Alarms,
+		Alarms:        int(p.Metrics.Counter("fleet_alarms_total")),
+		PerModel:      perModel(p.Metrics),
 		Metrics:       p.Metrics,
 	}
 	for _, e := range p.Errors {
 		res.Errors = append(res.Errors, e.Err)
 	}
-	for _, t := range p.Tallies {
-		s := ModelSummary{
-			Model:        t.Model,
-			Trials:       t.Trials,
-			Successes:    t.Successes,
-			MaxDelaySecs: t.MaxDelaySecs,
-		}
-		if t.Trials > 0 {
-			s.SuccessRate = float64(t.Successes) / float64(t.Trials)
-			s.MeanDelaySecs = t.DelaySumSecs / float64(t.Trials)
-		}
-		res.TotalTrials += t.Trials
-		res.TotalSuccesses += t.Successes
-		res.PerModel = append(res.PerModel, s)
+	for _, m := range res.PerModel {
+		res.TotalTrials += m.Trials
+		res.TotalSuccesses += m.Successes
 	}
 	return res
+}
+
+// perModel reads each attacked model's outcome from fleet metrics, the
+// series attackTarget records: trials and successes from its counters,
+// the mean delay from its delay histogram's sum, and the longest delay
+// from its delay gauge's high-water mark. A model is listed once its
+// series exist, with or without a trial, and in label order, since a
+// snapshot lists each name's series in label order.
+func perModel(s obs.Snapshot) []ModelSummary {
+	var out []ModelSummary
+	for _, t := range s.Counters {
+		if t.Name != "fleet_trials_total" || len(t.Labels) != 1 {
+			continue
+		}
+		m := ModelSummary{
+			Model:        t.Labels[0].Value,
+			Trials:       int(t.Value),
+			Successes:    int(s.Counter("fleet_trials_success", t.Labels...)),
+			MaxDelaySecs: time.Duration(s.Gauge("fleet_delay_ns", t.Labels...).Max).Seconds(),
+		}
+		if m.Trials > 0 {
+			h, _ := s.Histogram("fleet_delay_seconds", t.Labels...)
+			m.SuccessRate = float64(m.Successes) / float64(m.Trials)
+			m.MeanDelaySecs = h.Sum / float64(m.Trials)
+		}
+		out = append(out, m)
+	}
+	return out
 }
 
 // WriteJSON writes the result as indented JSON.

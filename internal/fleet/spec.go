@@ -77,7 +77,7 @@ type TargetSpec struct {
 type Spec struct {
 	// Name labels the campaign in results and checkpoints.
 	Name string `json:"name,omitempty"`
-	// Attack selects the family: edelay, cdelay or offline.
+	// Attack selects the family: edelay, cdelay, offline or replay.
 	Attack string `json:"attack"`
 	// Targets selects the attacked devices per home.
 	Targets TargetSpec `json:"targets,omitempty"`
@@ -237,8 +237,8 @@ func ParseSpec(data []byte) (Spec, error) {
 	return s, nil
 }
 
-// matchesTarget reports whether a device with the given label and class is
-// in the campaign's target set.
+// matches reports whether a device with the given label and class is in
+// the campaign's target set.
 func (t TargetSpec) matches(label, class string) bool {
 	for _, l := range t.Labels {
 		if l == label {

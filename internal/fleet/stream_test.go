@@ -12,34 +12,20 @@ import (
 
 // aggregateRetained is the retain-all-then-merge reference aggregation:
 // fold the shard partials, in the order given, into the campaign result —
-// counts added, errors appended, each tally's plain-float delay sums added
-// exactly, metrics combined by obs.Merge — without the aggregator. Run
-// folds through an aggregator instead; the byte-identity tests compare
-// the streaming, resumed and multi-process paths against this oracle.
+// counts added, errors appended, metrics combined by obs.Merge — without
+// the aggregator. Run folds through an aggregator instead; the
+// byte-identity tests compare the streaming, resumed and multi-process
+// paths against this oracle.
 func (c Campaign) aggregateRetained(shards []Partial) Result {
 	var sum Partial
-	tallies := make(map[string]*PartialTally)
 	snaps := make([]obs.Snapshot, 0, len(shards))
 	for _, s := range shards {
 		sum.HomesAttacked += s.HomesAttacked
 		sum.HomesNoTarget += s.HomesNoTarget
 		sum.HomesFailed += s.HomesFailed
-		sum.Alarms += s.Alarms
 		sum.Errors = append(sum.Errors, s.Errors...)
-		for _, t := range s.Tallies {
-			agg, ok := tallies[t.Model]
-			if !ok {
-				agg = &PartialTally{ModelTally: ModelTally{Model: t.Model}}
-				tallies[t.Model] = agg
-			}
-			agg.Trials += t.Trials
-			agg.Successes += t.Successes
-			agg.DelaySum.Add(t.DelaySumSecs)
-			agg.MaxDelaySecs = max(agg.MaxDelaySecs, t.MaxDelaySecs)
-		}
 		snaps = append(snaps, s.Metrics)
 	}
-	sum.Tallies = sortedTallies(tallies)
 	sum.Metrics = obs.Merge(snaps...)
 	return c.result(sum)
 }

@@ -141,10 +141,18 @@ func TestMetricsMidRunPrefixConsistent(t *testing.T) {
 func TestProgressEndpoint(t *testing.T) {
 	start := time.Unix(1000, 0)
 	tr := fleet.NewProgressTracker(start, 40)
+	// One shard's homes recorded 4 trials against C1, 3 of them
+	// successful, in the series a fleet home's registry keeps.
+	reg := obs.NewRegistry()
+	reg.Counter("fleet_trials_total", obs.L("model", "C1")).Add(4)
+	reg.Counter("fleet_trials_success", obs.L("model", "C1")).Add(3)
+	acc := obs.NewAccumulator()
+	acc.AddRegistry(reg)
 	tr.Observe(fleet.Progress{Total: 4, Partial: fleet.Partial{
 		Spans:         []fleet.Span{{First: 0, Last: 1}},
 		HomesAttacked: 10,
-		Tallies:       []fleet.PartialTally{{ModelTally: fleet.ModelTally{Model: "C1", Trials: 4, Successes: 3}}},
+		Metrics:       acc.State(),
+		MetricSums:    acc.HistogramSums(),
 	}})
 	h := Plane{Progress: func() any { return tr.ReportAt(start.Add(2 * time.Second)) }}.Handler()
 
@@ -159,7 +167,7 @@ func TestProgressEndpoint(t *testing.T) {
 	if rep.HomesDone != 10 || rep.HomesTotal != 40 || rep.HomesPerSec != 5 {
 		t.Fatalf("progress payload wrong: %+v", rep)
 	}
-	if len(rep.PerModel) != 1 || rep.PerModel[0].Model != "C1" {
+	if m := rep.PerModel; len(m) != 1 || m[0].Model != "C1" || m[0].Trials != 4 || m[0].Successes != 3 || m[0].SuccessRate != 0.75 {
 		t.Fatalf("per-model wrong: %+v", rep.PerModel)
 	}
 }
